@@ -10,6 +10,7 @@ from .core import (
     PredDecl,
     Program,
     Signature,
+    Subst,
     TCon,
     TermSubst,
     TypeSubst,
@@ -76,7 +77,7 @@ __all__ = [
     "Atom", "BOTTOM", "CheckReport", "Clause", "ClauseTyping", "Derivation",
     "DerivationTree", "Finding", "Fun", "FuncDecl", "GroundAtomSet",
     "JudgementProof", "ParseError", "Param", "Partition", "PredDecl",
-    "Program", "Signature", "Skeleton", "TCon", "TermSubst", "TypeSkeleton",
+    "Program", "Signature", "Skeleton", "Subst", "TCon", "TermSubst", "TypeSkeleton",
     "TypeSubst", "UnificationError", "UntypableError", "Var",
     "all_head_partition", "answers", "check_head_condition",
     "check_semi_generic", "check_subject_reduction_bounded", "corpus_names",

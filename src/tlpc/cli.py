@@ -70,24 +70,20 @@ def _print_report(title: str, rep: CheckReport) -> None:
         print(f"  {loc}{f.condition}: {f.witness}")
 
 
-def _skeleton_lines(node, depth: int = 0) -> list[str]:
+def _tree_lines(node, text, depth: int) -> list[str]:
+    """One line per node of a (type) skeleton in prefix order, indented by
+    depth; `text` labels a clause node."""
     pad = "  " * depth
     if node is BOTTOM:
         return [f"{pad}_|_"]
-    out = [f"{pad}{render(node.clause)}   [{_clause_ref(node.clause_index)}]"]
+    out = [f"{pad}{text(node)}"]
     for c in node.children:
-        out.extend(_skeleton_lines(c, depth + 1))
+        out.extend(_tree_lines(c, text, depth + 1))
     return out
 
 
-def _type_skeleton_lines(node, depth: int = 0) -> list[str]:
-    pad = "  " * depth
-    if node is BOTTOM:
-        return [f"{pad}_|_"]
-    out = [f"{pad}{label(node)}"]
-    for c in node.children:
-        out.extend(_type_skeleton_lines(c, depth + 1))
-    return out
+def _skeleton_text(node) -> str:
+    return f"{render(node.clause)}   [{_clause_ref(node.clause_index)}]"
 
 
 def _load(path: str) -> Program:
@@ -220,9 +216,9 @@ def cmd_sr(args) -> int:
             "equation": f"{render(err.left)} = {render(err.right)}",
         }
         lines.append("counterexample skeleton:")
-        lines.extend(_skeleton_lines(s, 1))
+        lines.extend(_tree_lines(s, _skeleton_text, 1))
         lines.append("its type skeleton:")
-        lines.extend(_type_skeleton_lines(ts, 1))
+        lines.extend(_tree_lines(ts, label, 1))
         lines.append(f"failing type equation: {render(err.left)} = {render(err.right)}")
     if args.json:
         print(json.dumps(doc, indent=2))
@@ -243,13 +239,13 @@ def cmd_skeletons(args) -> int:
             status = "proper" if theta is not None else "not proper"
             extra = f", mgu {render(theta)}" if theta else ""
             print(f"skeleton {shown} (height {height(s)}): {status}{extra}")
-            for ln in _skeleton_lines(s, 1):
+            for ln in _tree_lines(s, _skeleton_text, 1):
                 print(ln)
             if args.types:
                 ts = type_skeleton_of(s, program.signature)
                 tstat = "proper" if _type_proper(ts) else "not proper"
                 print(f"  type skeleton ({tstat}):")
-                for ln in _type_skeleton_lines(ts, 2):
+                for ln in _tree_lines(ts, label, 2):
                     print(ln)
         print(f"{shown} skeleton(s) up to depth {args.depth}")
         return 0

@@ -1,9 +1,12 @@
 """Syntax of typed logic programs.
 
 Types are terms built from declared constructors and parameters; program
-terms are built from declared functions and variables.  Both levels share
-the same substitution machinery.  Variables and parameters carry a numeric
-index so machine-made copies never collide with source names (index 0).
+terms are built from declared functions and variables.  One substitution
+engine serves both levels: a single free-variable walker, a single
+`apply_subst`, and a single idempotent `Subst` class, where a variable is a
+Var or a Param.  Renamings are plain dicts applied simultaneously.
+Variables and parameters carry a numeric index so machine-made copies never
+collide with source names (index 0).
 """
 from __future__ import annotations
 
@@ -135,171 +138,90 @@ class NameSource:
 
 # ------------------------------------------------------- walkers
 
+def _free_in_order(obj, kind) -> list:
+    """Instances of `kind` (Var, Param, or a tuple of both) in a syntax
+    object, first occurrence first.  Walks terms, types, atoms, clauses,
+    tuples, and the values of mappings."""
+    seen: dict = {}
+    stack = [obj]
+    while stack:
+        o = stack.pop()
+        if isinstance(o, kind):
+            seen[o] = None
+        elif isinstance(o, (Fun, TCon, Atom)):
+            stack.extend(reversed(o.args))
+        elif isinstance(o, tuple):
+            stack.extend(reversed(o))
+        elif isinstance(o, Clause):
+            stack.extend(reversed(o.body))
+            stack.append(o.head)
+        elif isinstance(o, Mapping):
+            stack.extend(reversed(list(o.values())))
+        elif not (o is None or isinstance(o, (Var, Param))):
+            raise TypeError(f"not a syntax object: {o!r}")
+    return list(seen)
+
+
 def pars_in_order(obj) -> list[Param]:
     """Parameters of a type-level object, first occurrence first."""
-    seen: list[Param] = []
-
-    def walk(o):
-        if isinstance(o, Param):
-            if o not in seen:
-                seen.append(o)
-        elif isinstance(o, TCon):
-            for a in o.args:
-                walk(a)
-        elif isinstance(o, tuple):
-            for x in o:
-                walk(x)
-        elif isinstance(o, Mapping):
-            for v in o.values():
-                walk(v)
-        elif o is None:
-            pass
-        else:
-            raise TypeError(f"no parameters in {o!r}")
-
-    walk(obj)
-    return seen
+    return _free_in_order(obj, Param)
 
 
 def pars(obj) -> set[Param]:
-    return set(pars_in_order(obj))
+    return set(_free_in_order(obj, Param))
 
 
 def vars_in_order(obj) -> list[Var]:
     """Variables of a term-level object, first occurrence first."""
-    seen: list[Var] = []
-
-    def walk(o):
-        if isinstance(o, Var):
-            if o not in seen:
-                seen.append(o)
-        elif isinstance(o, Fun):
-            for a in o.args:
-                walk(a)
-        elif isinstance(o, Atom):
-            for a in o.args:
-                walk(a)
-        elif isinstance(o, Clause):
-            walk(o.head)
-            for a in o.body:
-                walk(a)
-        elif isinstance(o, tuple):
-            for x in o:
-                walk(x)
-        elif isinstance(o, Mapping):
-            for v in o.values():
-                walk(v)
-        elif o is None:
-            pass
-        else:
-            raise TypeError(f"no variables in {o!r}")
-
-    walk(obj)
-    return seen
+    return _free_in_order(obj, Var)
 
 
 def vars_of(obj) -> set[Var]:
-    return set(vars_in_order(obj))
+    return set(_free_in_order(obj, Var))
 
 
 # ------------------------------------------------------- substitutions
 
-def apply_type_subst(obj, theta: Mapping[Param, Type]):
-    """Apply a parameter substitution to a Type, tuple, or mapping of types."""
-    if isinstance(obj, Param):
+def apply_subst(obj, theta: Mapping):
+    """Apply a substitution, any mapping from variables to terms or from
+    parameters to types, to a term, type, atom, clause, tuple, or mapping of
+    these.  All bindings apply at once: the range is not substituted again,
+    so a plain dict may rename simultaneously (e.g. {B: A, A: B})."""
+    t = type(obj)
+    if t is Var or t is Param:
         return theta.get(obj, obj)
-    if isinstance(obj, TCon):
-        return TCon(obj.name, tuple(apply_type_subst(a, theta) for a in obj.args))
-    if isinstance(obj, tuple):
-        return tuple(apply_type_subst(x, theta) for x in obj)
+    if t is Fun or t is TCon:
+        return t(obj.name, tuple([apply_subst(a, theta) for a in obj.args]))
+    if t is Atom:
+        return Atom(obj.pred, tuple([apply_subst(a, theta) for a in obj.args]))
+    if t is tuple:
+        return tuple([apply_subst(x, theta) for x in obj])
+    if t is Clause:
+        return Clause(apply_subst(obj.head, theta), apply_subst(obj.body, theta))
     if isinstance(obj, Mapping):
-        return {k: apply_type_subst(v, theta) for k, v in obj.items()}
+        return {k: apply_subst(v, theta) for k, v in obj.items()}
     raise TypeError(f"cannot substitute in {obj!r}")
 
 
-def apply_term_subst(obj, theta: Mapping[Var, Term]):
-    """Apply a variable substitution to a Term, Atom, Query, or Clause."""
-    if isinstance(obj, Var):
-        return theta.get(obj, obj)
-    if isinstance(obj, Fun):
-        return Fun(obj.name, tuple(apply_term_subst(a, theta) for a in obj.args))
-    if isinstance(obj, Atom):
-        return Atom(obj.pred, tuple(apply_term_subst(a, theta) for a in obj.args))
-    if isinstance(obj, Clause):
-        return Clause(apply_term_subst(obj.head, theta),
-                      tuple(apply_term_subst(a, theta) for a in obj.body))
-    if isinstance(obj, tuple):
-        return tuple(apply_term_subst(x, theta) for x in obj)
-    if isinstance(obj, Mapping):
-        return {k: apply_term_subst(v, theta) for k, v in obj.items()}
-    raise TypeError(f"cannot substitute in {obj!r}")
+apply_term_subst = apply_type_subst = apply_subst
 
 
-class TypeSubst(Mapping):
-    """Finite idempotent map from parameters to types.
+class Subst(Mapping):
+    """Finite idempotent map from variables to terms, or from parameters
+    to types.
 
-    Identity bindings are dropped; a domain parameter occurring in the
-    range is rejected (the substitution would not be idempotent).
+    Identity bindings are dropped; a domain variable occurring in the range
+    is rejected (the substitution would not be idempotent).  Renamings are
+    not substitutions in this sense: apply them as plain dicts.
     """
 
     __slots__ = ("_m",)
 
     def __init__(self, mapping=()):
-        m = {p: t for p, t in dict(mapping).items() if t != p}
-        dom = set(m)
-        for t in m.values():
-            hit = dom & pars(t)
-            if hit:
-                raise ValueError(f"not idempotent: {sorted(p.printed() for p in hit)} bound and in range")
-        self._m = m
-
-    def __getitem__(self, k):
-        return self._m[k]
-
-    def __iter__(self):
-        return iter(self._m)
-
-    def __len__(self):
-        return len(self._m)
-
-    def __eq__(self, other):
-        if isinstance(other, TypeSubst):
-            return self._m == other._m
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._m.items()))
-
-    def __repr__(self) -> str:
-        from .parser import render
-        return render(self)
-
-    def apply(self, obj):
-        return apply_type_subst(obj, self._m)
-
-    def compose(self, other: "TypeSubst") -> "TypeSubst":
-        m = {p: other.apply(t) for p, t in self._m.items()}
-        for p, t in other.items():
-            m.setdefault(p, t)
-        return TypeSubst(m)
-
-    def restrict(self, params) -> "TypeSubst":
-        keep = set(params)
-        return TypeSubst({p: t for p, t in self._m.items() if p in keep})
-
-
-class TermSubst(Mapping):
-    """Finite idempotent map from variables to terms."""
-
-    __slots__ = ("_m",)
-
-    def __init__(self, mapping=()):
         m = {v: t for v, t in dict(mapping).items() if t != v}
-        dom = set(m)
-        for t in m.values():
-            hit = dom & vars_of(t)
-            if hit:
-                raise ValueError(f"not idempotent: {sorted(v.printed() for v in hit)} bound and in range")
+        hit = {x for t in m.values() for x in _free_in_order(t, (Var, Param)) if x in m}
+        if hit:
+            raise ValueError(f"not idempotent: {sorted(x.printed() for x in hit)} bound and in range")
         self._m = m
 
     def __getitem__(self, k):
@@ -312,7 +234,7 @@ class TermSubst(Mapping):
         return len(self._m)
 
     def __eq__(self, other):
-        if isinstance(other, TermSubst):
+        if isinstance(other, Subst):
             return self._m == other._m
         return NotImplemented
 
@@ -324,29 +246,29 @@ class TermSubst(Mapping):
         return render(self)
 
     def apply(self, obj):
-        return apply_term_subst(obj, self._m)
+        return apply_subst(obj, self._m)
 
-    def compose(self, other: "TermSubst") -> "TermSubst":
+    def compose(self, other: "Subst") -> "Subst":
         m = {v: other.apply(t) for v, t in self._m.items()}
         for v, t in other.items():
             m.setdefault(v, t)
-        return TermSubst(m)
+        return Subst(m)
 
-    def restrict(self, obj) -> "TermSubst":
-        """Restriction to the variables of obj (a term-level object or a set)."""
-        keep = obj if isinstance(obj, (set, frozenset)) else vars_of(obj)
-        return TermSubst({v: t for v, t in self._m.items() if v in keep})
-
-
-def rename_apart(c: Clause, fresh: NameSource) -> Clause:
-    """Copy of c whose variables are fresh (never issued before)."""
-    ren = TermSubst({v: fresh.fresh_var(v.name) for v in vars_in_order(c)})
-    return ren.apply(c)
+    def restrict(self, keep) -> "Subst":
+        """Restriction to a set of variables or parameters, or to those
+        occurring in a syntax object."""
+        if not isinstance(keep, (set, frozenset)):
+            keep = set(_free_in_order(keep, (Var, Param)))
+        return Subst({v: t for v, t in self._m.items() if v in keep})
 
 
-def rename_query_apart(q: Query, fresh: NameSource) -> Query:
-    ren = TermSubst({v: fresh.fresh_var(v.name) for v in vars_in_order(q)})
-    return ren.apply(q)
+TermSubst = TypeSubst = Subst
+
+
+def rename_apart(obj, fresh: NameSource):
+    """Copy of a clause or query whose variables are fresh (never issued
+    before)."""
+    return apply_subst(obj, {v: fresh.fresh_var(v.name) for v in _free_in_order(obj, Var)})
 
 
 # ------------------------------------------------------- canonical names
@@ -364,23 +286,19 @@ def _canonical_names(avoid: set[str]) -> Iterator[str]:
         rnd += 1
 
 
-def canonical_param_map(obj, keep=()) -> TypeSubst:
+def canonical_param_map(obj, keep=()) -> dict[Param, Param]:
     """Left-to-right renaming of parameters to A, B, C, ...
 
     Parameters in `keep` stay untouched; fresh canonical names avoid them.
+    The renaming is a plain dict, to be applied with apply_subst.
     """
     keep = set(keep)
-    avoid = {p.name for p in keep if p.idx == 0}
-    names = _canonical_names(avoid)
-    m = {}
-    for p in pars_in_order(obj):
-        if p not in keep:
-            m[p] = Param(next(names))
-    return TypeSubst(m)
+    names = _canonical_names({p.name for p in keep if p.idx == 0})
+    return {p: Param(next(names)) for p in _free_in_order(obj, Param) if p not in keep}
 
 
 def canonical_types(obj, keep=()):
-    return canonical_param_map(obj, keep).apply(obj)
+    return apply_subst(obj, canonical_param_map(obj, keep))
 
 
 def variant_types(a, b) -> bool:
@@ -392,8 +310,7 @@ def variant_terms(a, b) -> bool:
     """Equality of term-level objects up to bijective variable renaming."""
 
     def canon(o):
-        m = {v: Var("V", i + 1) for i, v in enumerate(vars_in_order(o))}
-        return apply_term_subst(o, m)
+        return apply_subst(o, {v: Var("V", i + 1) for i, v in enumerate(_free_in_order(o, Var))})
 
     return canon(a) == canon(b)
 
@@ -499,17 +416,34 @@ def resolution_clauses(p: Program) -> list[tuple[int, Clause]]:
 
 # ------------------------------------------------------- signature checks
 
-def _check_type_wf(sig: Signature, t: Type, where: str, findings: list[Finding]) -> None:
-    if isinstance(t, Param):
-        return
-    arity = sig.kinds.get(t.name)
-    if arity is None:
-        findings.append(Finding("unknown-constructor", f"{where}: constructor {t.name} not declared"))
-    elif arity != len(t.args):
-        findings.append(Finding("constructor-arity",
-                                f"{where}: {t.name}/{arity} used with {len(t.args)} arguments"))
-    for a in t.args:
-        _check_type_wf(sig, a, where, findings)
+def decl_problems(kinds: Mapping[str, int], decl: FuncDecl | PredDecl,
+                  where: str = "") -> list[Finding]:
+    """Ill-formed parts of one declaration: undeclared constructors and
+    constructors used with the wrong arity (each type in prefix order), then,
+    for a function, the parameters of its argument types missing from its
+    result type (transparency).  `where` prefixes the constructor messages."""
+    pre = f"{where}: " if where else ""
+    is_func = isinstance(decl, FuncDecl)
+    out: list[Finding] = []
+    stack = list(reversed(decl.arg_types + ((decl.result,) if is_func else ())))
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Param):
+            continue
+        arity = kinds.get(t.name)
+        if arity is None:
+            out.append(Finding("unknown-constructor", f"{pre}constructor {t.name} not declared"))
+        elif arity != len(t.args):
+            out.append(Finding("constructor-arity",
+                               f"{pre}constructor {t.name}/{arity} used with {len(t.args)} arguments"))
+        stack.extend(reversed(t.args))
+    if is_func:
+        extra = pars(decl.arg_types) - pars(decl.result)
+        if extra:
+            names = ", ".join(sorted(p.printed() for p in extra))
+            out.append(Finding("transparency",
+                               f"func {decl.name} is not transparent: {names} missing from result type"))
+    return out
 
 
 def validate_signature(sig: Signature) -> CheckReport:
@@ -517,15 +451,7 @@ def validate_signature(sig: Signature) -> CheckReport:
     parameters of a function's argument types must occur in its result type."""
     findings: list[Finding] = []
     for f in sig.funcs.values():
-        for t in f.arg_types + (f.result,):
-            _check_type_wf(sig, t, f"func {f.name}", findings)
-        extra = pars(f.arg_types) - pars(f.result)
-        if extra:
-            names = ", ".join(sorted(p.printed() for p in extra))
-            findings.append(Finding(
-                "transparency",
-                f"func {f.name}: parameter(s) {names} occur in argument types but not in the result type"))
+        findings.extend(decl_problems(sig.kinds, f, f"func {f.name}"))
     for pd in sig.preds.values():
-        for t in pd.arg_types:
-            _check_type_wf(sig, t, f"pred {pd.name}", findings)
+        findings.extend(decl_problems(sig.kinds, pd, f"pred {pd.name}"))
     return CheckReport(tuple(findings))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .core import (
     CONS, EQ, GO, INT, MINUS, NIL,
     Atom, Clause, Fun, FuncDecl, Param, PredDecl, Program, Query, Signature,
-    TCon, TermSubst, Type, TypeSubst, Var, is_int_literal, pars,
+    Subst, TCon, Type, Var, decl_problems, is_int_literal,
 )
 
 RESERVED = {"kind", "func", "pred", "partition", "true"}
@@ -163,18 +163,6 @@ class _Parser:
             return TCon(t.text, tuple(args))
         raise _Bail(t, f"expected a type, found {t.text!r}")
 
-    def check_type_decl(self, ty: Type, tok: _Tok) -> None:
-        if isinstance(ty, Param):
-            return
-        arity = self.sig.kinds.get(ty.name)
-        if arity is None:
-            self.diags.error(tok.line, tok.col, f"constructor {ty.name} not declared")
-        elif arity != len(ty.args):
-            self.diags.error(tok.line, tok.col,
-                             f"constructor {ty.name}/{arity} used with {len(ty.args)} arguments")
-        for a in ty.args:
-            self.check_type_decl(a, tok)
-
     # -- declarations
 
     def parse_kind(self) -> None:
@@ -200,18 +188,18 @@ class _Parser:
         self.expect("punct", ":")
         result = self.parse_type()
         self.expect("punct", ".")
-        for ty in args + [result]:
-            self.check_type_decl(ty, name)
-        extra = pars(tuple(args)) - pars(result)
-        if extra:
-            names = ", ".join(sorted(p.printed() for p in extra))
-            self.diags.error(name.line, name.col,
-                             f"func {name.text} is not transparent: {names} missing from result type")
+        self.declare(name, FuncDecl(name.text, tuple(args), result), self.sig.declare_func)
+
+    def declare(self, name: _Tok, decl, add) -> None:
+        """Report the declaration's ill-formed types (and, for a function,
+        transparency) at its name, then add it to the signature."""
+        for f in decl_problems(self.sig.kinds, decl):
+            self.diags.error(name.line, name.col, f.witness)
         if name.text in RESERVED:
             self.diags.error(name.line, name.col, f"{name.text} is reserved")
             return
         try:
-            self.sig.declare_func(FuncDecl(name.text, tuple(args), result))
+            add(decl)
         except ValueError as e:
             self.diags.error(name.line, name.col, str(e))
 
@@ -225,15 +213,7 @@ class _Parser:
                 args.append(self.parse_type())
             self.expect("punct", ")")
         self.expect("punct", ".")
-        for ty in args:
-            self.check_type_decl(ty, name)
-        if name.text in RESERVED:
-            self.diags.error(name.line, name.col, f"{name.text} is reserved")
-            return
-        try:
-            self.sig.declare_pred(PredDecl(name.text, tuple(args)))
-        except ValueError as e:
-            self.diags.error(name.line, name.col, str(e))
+        self.declare(name, PredDecl(name.text, tuple(args)), self.sig.declare_pred)
 
     def parse_partition(self, partitions: dict[str, tuple[str, ...]]) -> None:
         self.expect("ident", "partition")
@@ -527,6 +507,10 @@ def _render_type(t: Type) -> str:
     return f"{t.name}({', '.join(_render_type(a) for a in t.args)})"
 
 
+def _render_tree(t) -> str:
+    return _render_type(t) if isinstance(t, (Param, TCon)) else _render_term(t)
+
+
 def render_types(types) -> str:
     """A tuple of types, e.g. `(list(A), list(A))`."""
     return f"({', '.join(_render_type(t) for t in types)})"
@@ -578,22 +562,17 @@ def _render_program(p: Program) -> str:
 def render(obj) -> str:
     """Source text for any syntax object.  Parsing the result of rendering
     a parsed object gives the object back."""
-    if isinstance(obj, (Var, Fun)):
-        return _render_term(obj)
-    if isinstance(obj, (Param, TCon)):
-        return _render_type(obj)
+    if isinstance(obj, (Var, Fun, Param, TCon)):
+        return _render_tree(obj)
     if isinstance(obj, Atom):
         return _render_atom(obj)
     if isinstance(obj, Clause):
         return _render_clause(obj)
     if isinstance(obj, Program):
         return _render_program(obj)
-    if isinstance(obj, TermSubst):
-        return "{" + ", ".join(f"{v.printed()}/{_render_term(t)}"
+    if isinstance(obj, Subst):
+        return "{" + ", ".join(f"{v.printed()}/{_render_tree(t)}"
                                for v, t in sorted(obj.items(), key=lambda kv: (kv[0].name, kv[0].idx))) + "}"
-    if isinstance(obj, TypeSubst):
-        return "{" + ", ".join(f"{p.printed()}/{_render_type(t)}"
-                               for p, t in sorted(obj.items(), key=lambda kv: (kv[0].name, kv[0].idx))) + "}"
     if isinstance(obj, tuple):
         if obj and all(isinstance(x, (Param, TCon)) for x in obj):
             return render_types(obj)

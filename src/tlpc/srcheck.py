@@ -24,9 +24,10 @@ from .core import (
     Program,
     Query,
     Signature,
+    Subst,
     Type,
-    TypeSubst,
     Var,
+    apply_subst,
     pars,
     pars_in_order,
     variant_types,
@@ -41,6 +42,7 @@ from .trees import (
     enumerate_skeletons,
     height,
     is_proper_skeleton,
+    tree_to_json,
 )
 from .typecheck import UntypableError, is_typable, most_general_type
 from .unify import UnificationError, mgu_types
@@ -91,9 +93,8 @@ def type_skeleton_of(s: Skeleton, sig: Signature) -> TypeSkeleton:
             ct = most_general_type(node.clause, sig)
         except UntypableError as e:
             raise UntypableError(f"clause {render(node.clause)} has no typing: {e}") from e
-        ren = TypeSubst({p: ns.fresh_param(p.name)
-                         for p in pars_in_order(ct.atom_types)})
-        vecs = tuple(ren.apply(tuple(v)) for v in ct.atom_types)
+        ren = {p: ns.fresh_param(p.name) for p in pars_in_order(ct.atom_types)}
+        vecs = apply_subst(ct.atom_types, ren)
         kids = tuple(BOTTOM if c is BOTTOM else conv(c) for c in node.children)
         return TypeSkeleton(
             clause_index=node.clause_index,
@@ -101,8 +102,7 @@ def type_skeleton_of(s: Skeleton, sig: Signature) -> TypeSkeleton:
             head_types=vecs[0],
             body_preds=tuple(a.pred for a in node.clause.body),
             body_types=vecs[1:],
-            variable_typing={v: ren.apply(t)
-                             for v, t in ct.variable_typing.items()},
+            variable_typing=apply_subst(ct.variable_typing, ren),
             children=kids,
         )
 
@@ -125,7 +125,7 @@ def eq_of_type_skeleton(ts: TypeSkeleton) -> list[tuple[Type, Type]]:
     return eqs
 
 
-def is_proper_type_skeleton(ts: TypeSkeleton) -> TypeSubst | None:
+def is_proper_type_skeleton(ts: TypeSkeleton) -> Subst | None:
     try:
         return mgu_types(eq_of_type_skeleton(ts))
     except UnificationError:
@@ -142,7 +142,7 @@ def type_properness_failure(ts: TypeSkeleton) -> UnificationError | None:
         return e
 
 
-def assembled_variable_typing(ts: TypeSkeleton, theta: TypeSubst) -> dict[Var, Type]:
+def assembled_variable_typing(ts: TypeSkeleton, theta: Subst) -> dict[Var, Type]:
     """One variable typing covering every node's clause copy: the per-node
     typings instantiated by a solution of the type skeleton's equations.
     Sound because distinct nodes share no variables."""
@@ -399,27 +399,8 @@ def monitor_derivation(program: Program, query: Query, depth: int = 5,
 
 
 def type_skeleton_to_json(ts) -> dict:
-    """Serialise a TypeSkeleton the same way skeletons are serialised:
-    prefix-ordered nodes referring to children by id."""
-    nodes: list[dict] = []
-
-    def emit(node) -> int:
-        me = len(nodes)
-        if node is BOTTOM:
-            nodes.append({"id": me, "kind": "bottom"})
-            return me
-        rec = {
-            "id": me,
-            "kind": "clause",
-            "clauseIndex": node.clause_index,
-            "label": label(node),
-        }
-        nodes.append(rec)
-        rec["children"] = [emit(c) for c in node.children]
-        return me
-
-    emit(ts)
-    return {"root": 0, "nodes": nodes}
+    """Serialise a TypeSkeleton the same way skeletons are serialised."""
+    return tree_to_json(ts, lambda node: {"label": label(node)})
 
 
 # ------------------------------------------------------- ordered equations

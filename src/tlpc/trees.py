@@ -23,9 +23,9 @@ from .core import (
     Query,
     Signature,
     Term,
-    TermSubst,
+    Subst,
     Var,
-    apply_term_subst,
+    apply_subst,
     is_int_literal,
     rename_apart,
     resolution_clauses,
@@ -70,7 +70,7 @@ class DerivationTree:
     variables of their clause copy."""
     clause: Clause
     clause_index: int
-    subst: TermSubst
+    subst: Subst
     children: tuple = ()
 
     def __post_init__(self):
@@ -172,7 +172,7 @@ def eq_of_skeleton(s: Skeleton) -> list[tuple[Atom, Atom]]:
     return eqs
 
 
-def is_proper_skeleton(s: Skeleton) -> TermSubst | None:
+def is_proper_skeleton(s: Skeleton) -> Subst | None:
     """The most general unifier of the skeleton's interface equations, or
     None when they do not unify."""
     try:
@@ -295,7 +295,7 @@ class Step:
     position: int
     clause_index: int
     clause: Clause
-    mgu: TermSubst
+    mgu: Subst
     query: Query
 
 
@@ -303,7 +303,7 @@ class Step:
 class Derivation:
     query: Query
     steps: tuple[Step, ...]
-    answer: TermSubst
+    answer: Subst
 
     @property
     def final(self) -> Query:
@@ -314,7 +314,7 @@ class Derivation:
         return not self.final
 
 
-def derive_step(query: Query, position: int, clause: Clause) -> tuple[TermSubst, Query] | None:
+def derive_step(query: Query, position: int, clause: Clause) -> tuple[Subst, Query] | None:
     """Resolve the atom at `position` (1-based) with `clause`, which must
     already be renamed apart from the query.  Ground subtractions in the
     result are evaluated.  None when the head does not unify."""
@@ -346,8 +346,8 @@ def derivations(program: Program, query: Query, depth: int = 5,
     ns = NameSource()
     qvars = vars_in_order(query)
 
-    def answer(binding: dict) -> TermSubst:
-        return TermSubst({v: t for v, t in binding.items() if t != v})
+    def answer(binding: dict) -> Subst:
+        return Subst({v: t for v, t in binding.items() if t != v})
 
     def rec(cur: Query, binding: dict, steps: tuple) -> Iterator[Derivation]:
         yield Derivation(query, steps, answer(binding))
@@ -369,7 +369,7 @@ def derivations(program: Program, query: Query, depth: int = 5,
 
 
 def answers(program: Program, query: Query, depth: int = 5,
-            selection: Literal["leftmost", "all"] = "leftmost") -> list[TermSubst]:
+            selection: Literal["leftmost", "all"] = "leftmost") -> list[Subst]:
     """Answer substitutions of the successful derivations, in search order."""
     return [d.answer for d in derivations(program, query, depth, selection)
             if d.succeeded and d.steps]
@@ -456,7 +456,7 @@ def _var_occ_depths(a: Atom) -> dict[Var, int]:
 
 
 def _extend(binding: dict, more) -> dict:
-    out = {v: apply_term_subst(t, more) for v, t in binding.items()}
+    out = {v: apply_subst(t, more) for v, t in binding.items()}
     for v, t in more.items():
         out.setdefault(v, t)
     return out
@@ -466,7 +466,7 @@ def _body_matches(body: Query, by_pred: dict, binding: dict) -> Iterator[dict]:
     if not body:
         yield binding
         return
-    first = apply_term_subst(body[0], binding)
+    first = apply_subst(body[0], binding)
     if first.pred == EQ and len(first.args) == 2:
         # Equality holds for any instance making both sides equal; grounding
         # of leftover variables is deferred to the head.
@@ -508,7 +508,7 @@ def tp_step(program: Program, current: GroundAtomSet,
     produced: set[Atom] = set()
     for c in program.clauses:
         for binding in _body_matches(c.body, by_pred, {}):
-            h = apply_term_subst(c.head, binding)
+            h = apply_subst(c.head, binding)
             # Variables add at least nothing to the depth, so this minimum
             # rules the head out for every grounding.
             if atom_depth(h) > bound:
@@ -520,7 +520,7 @@ def tp_step(program: Program, current: GroundAtomSet,
             depths = _var_occ_depths(h)
             pools = [pool(bound - depths[v]) for v in frees]
             for combo in itertools.product(*pools):
-                g = apply_term_subst(h, dict(zip(frees, combo)))
+                g = apply_subst(h, dict(zip(frees, combo)))
                 if atom_depth(g) <= bound:
                     produced.add(g)
     return GroundAtomSet(frozenset(produced), bound)
@@ -547,11 +547,10 @@ def tp_fixpoint(program: Program, depth: int,
 
 # ---------------------------------------------------------------- JSON
 
-def skeleton_to_json(s) -> dict:
-    """Serialise a Skeleton or DerivationTree.  Nodes are listed in prefix
-    order; each refers to its children by id."""
-    from .parser import render
-
+def tree_to_json(root, fields) -> dict:
+    """Serialise a tree of clause nodes (a Skeleton, DerivationTree, or type
+    skeleton).  Nodes are listed in prefix order and refer to their children
+    by id; `fields(node)` gives the node's own entries."""
     nodes: list[dict] = []
 
     def emit(node) -> int:
@@ -559,20 +558,26 @@ def skeleton_to_json(s) -> dict:
         if node is BOTTOM:
             nodes.append({"id": me, "kind": "bottom"})
             return me
-        rec = {
-            "id": me,
-            "kind": "clause",
-            "clauseIndex": node.clause_index,
-            "clause": render(node.clause),
-        }
-        if isinstance(node, DerivationTree):
-            rec["subst"] = {v.printed(): render(t) for v, t in node.subst.items()}
+        rec = {"id": me, "kind": "clause", "clauseIndex": node.clause_index, **fields(node)}
         nodes.append(rec)
         rec["children"] = [emit(c) for c in node.children]
         return me
 
-    emit(s)
+    emit(root)
     return {"root": 0, "nodes": nodes}
+
+
+def skeleton_to_json(s) -> dict:
+    """Serialise a Skeleton or DerivationTree (with each node's substitution)."""
+    from .parser import render
+
+    def fields(node) -> dict:
+        rec = {"clause": render(node.clause)}
+        if isinstance(node, DerivationTree):
+            rec["subst"] = {v.printed(): render(t) for v, t in node.subst.items()}
+        return rec
+
+    return tree_to_json(s, fields)
 
 
 def skeleton_from_json(doc: dict, sig: Signature) -> Skeleton | DerivationTree:
@@ -590,8 +595,8 @@ def skeleton_from_json(doc: dict, sig: Signature) -> Skeleton | DerivationTree:
         clause = parse_clause(n["clause"], sig)
         kids = tuple(build(k) for k in n["children"])
         if "subst" in n:
-            theta = TermSubst({Var(name): parse_term(text, sig)
-                               for name, text in n["subst"].items()})
+            theta = Subst({Var(name): parse_term(text, sig)
+                           for name, text in n["subst"].items()})
             return DerivationTree(clause, n["clauseIndex"], theta, kids)
         return Skeleton(clause, n["clauseIndex"], kids)
 

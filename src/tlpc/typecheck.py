@@ -14,7 +14,7 @@ from typing import Mapping
 
 from .core import (
     Atom, Clause, Fun, INT_TYPE, NameSource, Param, Program, Query, Signature,
-    Term, Type, Var, apply_type_subst, canonical_param_map, is_int_literal,
+    Term, Type, Var, apply_subst, canonical_param_map, is_int_literal,
     pars, pars_in_order, wrap_query,
 )
 from .parser import render
@@ -78,7 +78,7 @@ class _Infer:
 
     def copy_of(self, types: tuple[Type, ...]):
         cm = {p: self.ns.fresh_param(p.name) for p in pars_in_order(types)}
-        return cm, apply_type_subst(types, cm)
+        return cm, apply_subst(types, cm)
 
     def term(self, t: Term):
         if isinstance(t, Var):
@@ -206,9 +206,9 @@ def _clause_typing(c: Clause, sig: Signature,
     flat = tuple(t for vec in vecs for t in vec)
     canon = canonical_param_map((flat, tuple(env.values())), keep=rigid)
     return ClauseTyping(
-        variable_typing={v: canon.apply(t) for v, t in env.items()},
-        types=canon.apply(flat),
-        atom_types=tuple(canon.apply(v) for v in vecs),
+        variable_typing=apply_subst(env, canon),
+        types=apply_subst(flat, canon),
+        atom_types=apply_subst(tuple(vecs), canon),
     )
 
 

@@ -1,17 +1,19 @@
-"""First-order unification, shared by the term and type levels.
+"""First-order unification, one engine for terms and types.
 
-One engine serves both alphabets; the two levels only differ in what counts
-as a variable and how applications decompose.  The occur check is always on,
-and equations are processed leftmost first, so results are deterministic.
+A variable is a Var (term level) or a Param (type level); an application
+decomposes by its functor (node type, name, arity).  The solver keeps
+triangular bindings: a binding's value may mention variables bound later,
+so adding a binding never rewrites the others, and variables are
+dereferenced through the bindings when an equation is taken up (Martelli
+& Montanari 1982).  The bindings are resolved once, into an idempotent
+Subst, when the solver returns.  The occur check is always on, and
+equations are processed leftmost first, so results are deterministic.
 """
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import (
-    Atom, Fun, Param, TCon, TermSubst, Type, TypeSubst, Var,
-    apply_term_subst, apply_type_subst, pars, vars_of,
-)
+from .core import Atom, Param, Subst, Var, apply_subst, pars, vars_of
 
 
 class UnificationError(Exception):
@@ -26,99 +28,114 @@ class UnificationError(Exception):
         super().__init__(f"{kind}: {left!r} = {right!r} (equation {index + 1})")
 
 
-class _Level:
-    is_var: staticmethod
-    functor: staticmethod
-    args: staticmethod
-    apply: staticmethod
-    free: staticmethod
-    subst: type
+def _is_var(x) -> bool:
+    return type(x) is Var or type(x) is Param
 
 
-class _TermLevel(_Level):
-    is_var = staticmethod(lambda x: isinstance(x, Var))
-    functor = staticmethod(lambda x: ("atom", x.pred, len(x.args)) if isinstance(x, Atom)
-                           else ("fun", x.name, len(x.args)))
-    args = staticmethod(lambda x: x.args)
-    apply = staticmethod(apply_term_subst)
-    free = staticmethod(vars_of)
-    subst = TermSubst
+def _functor(x) -> tuple:
+    return type(x), x.pred if type(x) is Atom else x.name, len(x.args)
 
 
-class _TypeLevel(_Level):
-    is_var = staticmethod(lambda x: isinstance(x, Param))
-    functor = staticmethod(lambda x: ("con", x.name, len(x.args)))
-    args = staticmethod(lambda x: x.args)
-    apply = staticmethod(apply_type_subst)
-    free = staticmethod(pars)
-    subst = TypeSubst
+class _Resolved(dict):
+    """Idempotent view of triangular bindings, filled on demand: looking a
+    variable up applies its binding through every later one, once per
+    variable.  Chains of variable-to-variable bindings are followed in a
+    loop, so they cost no recursion."""
+
+    def __init__(self, binding: dict):
+        super().__init__()
+        self.binding = binding
+
+    def get(self, v, default=None):
+        if v not in self.binding:
+            return default
+        chain = []
+        while _is_var(v) and v in self.binding and v not in self:
+            chain.append(v)
+            v = self.binding[v]
+        t = self[v] if v in self else apply_subst(v, self)
+        for x in chain:
+            self[x] = t
+        return t
 
 
-def _level_of(x) -> _Level:
-    if isinstance(x, (Var, Fun, Atom)):
-        return _TermLevel
-    if isinstance(x, (Param, TCon)):
-        return _TypeLevel
-    raise TypeError(f"not a term or type: {x!r}")
+def _occurs(v, t, binding: dict) -> bool:
+    """Does v occur in t once bound variables are replaced by their values?"""
+    stack, seen = [t], set()
+    while stack:
+        x = stack.pop()
+        if _is_var(x):
+            if x == v:
+                return True
+            if x in binding and x not in seen:
+                seen.add(x)
+                stack.append(binding[x])
+        else:
+            stack.extend(x.args)
+    return False
 
 
-def _mgu(eqs: Sequence[tuple], level: _Level, rigid: frozenset):
+def _mgu(eqs: Sequence[tuple], rigid: frozenset) -> Subst:
     binding: dict = {}
+    resolved = _Resolved(binding)
+
+    def walk(x):
+        while _is_var(x) and x in binding:
+            x = binding[x]
+        return x
+
+    def fail(kind, left, right, i):
+        return UnificationError(kind, apply_subst(left, resolved),
+                                apply_subst(right, resolved), i)
+
     work = [(l, r, i) for i, (l, r) in enumerate(eqs)]
     work.reverse()
     while work:
         left, right, i = work.pop()
-        left = level.apply(left, binding)
-        right = level.apply(right, binding)
+        left, right = walk(left), walk(right)
         if left == right:
             continue
-        if level.is_var(left) or level.is_var(right):
-            if level.is_var(right) and (not level.is_var(left) or left in rigid):
+        if _is_var(left) or _is_var(right):
+            if _is_var(right) and (not _is_var(left) or left in rigid):
                 left, right = right, left
             if left in rigid:
-                raise UnificationError("clash", left, right, i)
-            if left in level.free(right):
-                raise UnificationError("occur", left, right, i)
-            one = {left: right}
-            binding = {v: level.apply(t, one) for v, t in binding.items()}
+                raise fail("clash", left, right, i)
+            if _occurs(left, right, binding):
+                raise fail("occur", left, right, i)
             binding[left] = right
             continue
-        if level.functor(left) != level.functor(right):
-            raise UnificationError("clash", left, right, i)
-        pairs = list(zip(level.args(left), level.args(right)))
-        for l, r in reversed(pairs):
-            work.append((l, r, i))
-    return level.subst(binding)
+        if _functor(left) != _functor(right):
+            raise fail("clash", left, right, i)
+        work.extend((l, r, i) for l, r in zip(reversed(left.args), reversed(right.args)))
+    return Subst({v: resolved.get(v) for v in binding})
 
 
-def mgu_terms(eqs: Iterable[tuple]) -> TermSubst:
+def mgu_terms(eqs: Iterable[tuple]) -> Subst:
     """Most general unifier of term (or atom) equations.
 
     Raises UnificationError on clash or occur-check failure; the result is
     idempotent and binds only variables of the input.
     """
-    return _mgu(list(eqs), _TermLevel, frozenset())
+    return _mgu(list(eqs), frozenset())
 
 
-def mgu_types(eqs: Iterable[tuple], rigid: Iterable[Param] = ()) -> TypeSubst:
+def mgu_types(eqs: Iterable[tuple], rigid: Iterable[Param] = ()) -> Subst:
     """Most general unifier of type equations.  Parameters in `rigid` act
     as constants: binding one fails with a clash."""
-    return _mgu(list(eqs), _TypeLevel, frozenset(rigid))
+    return _mgu(list(eqs), frozenset(rigid))
 
 
-def _match(pattern, target, level: _Level, binding: dict) -> dict | None:
-    if level.is_var(pattern):
+def _match(pattern, target, binding: dict) -> dict | None:
+    if _is_var(pattern):
         bound = binding.get(pattern)
         if bound is None:
             binding[pattern] = target
             return binding
         return binding if bound == target else None
-    if level.is_var(target):
+    if _is_var(target) or _functor(pattern) != _functor(target):
         return None
-    if level.functor(pattern) != level.functor(target):
-        return None
-    for p, t in zip(level.args(pattern), level.args(target)):
-        if _match(p, t, level, binding) is None:
+    for p, t in zip(pattern.args, target.args):
+        if _match(p, t, binding) is None:
             return None
     return binding
 
@@ -127,19 +144,18 @@ def match_terms(pattern, target) -> dict | None:
     """One-sided unification: a plain mapping m with pattern.m == target,
     or None.  (The mapping need not be idempotent: matching X against f(X)
     legitimately yields X -> f(X).)"""
-    return _match(pattern, target, _TermLevel, {})
+    return _match(pattern, target, {})
 
 
 def match_types(pattern, target) -> dict | None:
-    return _match(pattern, target, _TypeLevel, {})
+    return _match(pattern, target, {})
 
 
 def is_instance_of(target, pattern) -> bool:
-    level = _level_of(target)
-    return _match(pattern, target, level, {}) is not None
+    return _match(pattern, target, {}) is not None
 
 
-def is_typed_substitution(theta: TermSubst, u, sig) -> bool:
+def is_typed_substitution(theta: Subst, u, sig) -> bool:
     """Does binding each variable read as a well-typed equation query under
     the variable typing u?  (Checked with the typing judgements.)"""
     from .typecheck import UntypableError, judge
@@ -161,17 +177,14 @@ def ordered_unifiable(eqs: Sequence[tuple]) -> str:
     right side.  Returns "unknown" otherwise; never claims non-unifiability.
     """
     eqs = list(eqs)
-    if not eqs:
-        return "guaranteed"
-    level = _level_of(eqs[0][0])
-    lv = [level.free(l) for l, _ in eqs]
-    rv = [level.free(r) for _, r in eqs]
+    lv = [vars_of(l) | pars(l) for l, _ in eqs]
+    rv = [vars_of(r) | pars(r) for _, r in eqs]
     for i in range(len(eqs)):
         for j in range(i + 1, len(eqs)):
             if rv[i] & rv[j]:
                 return "unknown"
     for (l, r) in eqs:
-        if _match(r, l, level, {}) is None:
+        if _match(r, l, {}) is None:
             return "unknown"
     succ = {i: [j for j in range(len(eqs))
                 if (rv[i] & lv[j]) and not (i == j and eqs[i][0] == eqs[i][1])]

@@ -13,9 +13,12 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from tlpc import corpus as _corpus_pkg
-from tlpc.core import Atom, Fun, Param, TCon, TermSubst, Var
+from tlpc.core import (
+    Atom, Fun, Param, Subst, TCon, TermSubst, Var, apply_subst, pars, vars_of,
+)
 from tlpc.parser import parse_program, parse_query
 from tlpc.trees import BOTTOM, DerivationTree
+from tlpc.unify import UnificationError
 
 
 def corpus_path(name: str) -> str:
@@ -322,3 +325,46 @@ def ground_trees(skeleton, universe, max_free=3):
 def variant_queries(a, b):
     from tlpc.core import variant_terms
     return variant_terms(tuple(a), tuple(b))
+
+
+# ------------------------------------------------ reference unifier
+
+def eager_mgu(eqs, rigid=()):
+    """Reference unifier for both levels: applies the bindings found so far
+    to each equation before solving it, and rewrites every binding when a
+    new one is added, so the bindings are idempotent at every step.  Same
+    equation order, orientation, rigid parameters, and error reports as
+    the library's unifier."""
+    rigid = frozenset(rigid)
+
+    def is_var(x):
+        return isinstance(x, (Var, Param))
+
+    def functor(x):
+        return type(x), x.pred if isinstance(x, Atom) else x.name, len(x.args)
+
+    binding = {}
+    work = [(l, r, i) for i, (l, r) in enumerate(eqs)]
+    work.reverse()
+    while work:
+        left, right, i = work.pop()
+        left = apply_subst(left, binding)
+        right = apply_subst(right, binding)
+        if left == right:
+            continue
+        if is_var(left) or is_var(right):
+            if is_var(right) and (not is_var(left) or left in rigid):
+                left, right = right, left
+            if left in rigid:
+                raise UnificationError("clash", left, right, i)
+            if left in vars_of(right) | pars(right):
+                raise UnificationError("occur", left, right, i)
+            one = {left: right}
+            binding = {v: apply_subst(t, one) for v, t in binding.items()}
+            binding[left] = right
+            continue
+        if functor(left) != functor(right):
+            raise UnificationError("clash", left, right, i)
+        for l, r in reversed(list(zip(left.args, right.args))):
+            work.append((l, r, i))
+    return Subst(binding)

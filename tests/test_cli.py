@@ -4,9 +4,11 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tlpc
 from tlpc.cli import main
 from tlpc.parser import parse_program
 from tlpc.trees import DerivationTree, Skeleton, skeleton_from_json
@@ -84,6 +86,28 @@ def test_check_json(capsys):
     assert doc["semi"]["verdict"] == "pass"
     assert doc["partition"] == {"p": ["h", "b"], "q": ["h", "b"]}
     assert doc["partitionSource"] == "search"
+
+
+CHAIN = """
+kind list/1.
+func nil : list(U).
+func cons(U, list(U)) : list(U).
+pred p(list(U), V, W).
+p([], Y, Z).
+p([X], Y, Z) :- p(X, Y, Z).
+"""
+
+
+def test_check_chain_gives_a_verdict(capsys, tmp_path):
+    # The partition search compares (B, C) with (V, W) up to renaming.
+    f = tmp_path / "chain.tlp"
+    f.write_text(CHAIN)
+    code, out, err = run_cli(capsys, "check", str(f))
+    assert code == 1
+    assert "head condition: fail" in out
+    assert "partition (search): p(b, h, h)" in out
+    assert "semi-generic: pass" in out
+    assert err == ""
 
 
 # ------------------------------------------------------------------- infer
@@ -282,9 +306,11 @@ def test_unknown_predicate_in_query(capsys):
 # ------------------------------------------------------------- entry point
 
 def test_installed_entry_point():
+    # The package's own source directory stands in for an installation.
+    src = str(Path(tlpc.__file__).resolve().parent.parent)
     got = subprocess.run(
         [sys.executable, "-m", "tlpc.cli", "check", corpus_path("append")],
         capture_output=True, text=True,
-        env={"PATH": "", "TLPC_COLOR": "0"})
+        env={"PATH": "", "TLPC_COLOR": "0", "PYTHONPATH": src})
     assert got.returncode == 0
     assert "head condition: pass" in got.stdout

@@ -157,6 +157,10 @@ def test_canonical_types_first_occurrence_order():
                                    Param("A"))
     assert variant_types(ty, (TCon("pair", (U, V)), U))
     assert not variant_types((U, U), (U, V))
+    # Canonical renamings whose range meets their domain: {B: A, C: B}.
+    a, b, c = Param("A"), Param("B"), Param("C")
+    assert variant_types((b, c), (U, V))
+    assert variant_types((b, a), (a, b))
 
 
 def test_validate_signature_accepts_transparent_funcs():

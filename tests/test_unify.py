@@ -3,8 +3,10 @@ sufficient unifiability test."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tlpc.core import Atom, Fun, Param, TCon, TermSubst, TypeSubst, Var
+from tlpc.core import Atom, Fun, Param, TCon, TermSubst, TypeSubst, Var, apply_subst
 from tlpc.parser import parse_query, parse_term
 from tlpc.unify import (
     UnificationError,
@@ -16,6 +18,8 @@ from tlpc.unify import (
     mgu_types,
     ordered_unifiable,
 )
+
+from helpers import eager_mgu
 
 X, Y = Var("X"), Var("Y")
 U = Param("U")
@@ -38,9 +42,16 @@ def test_mgu_terms_interface_equations(hqpr):
 
 
 def test_mgu_terms_occur_check():
+    nil = Fun("nil")
     with pytest.raises(UnificationError) as exc:
-        mgu_terms([(X, Fun("cons", (X, Fun("nil"))))])
+        mgu_terms([(X, Fun("cons", (X, nil)))])
     assert exc.value.kind == "occur"
+    # X occurs in Y's binding only through the binding of X.
+    with pytest.raises(UnificationError) as exc:
+        mgu_terms([(X, Fun("cons", (Y, nil))), (Y, Fun("cons", (X, nil)))])
+    e = exc.value
+    assert (e.kind, e.index) == ("occur", 1)
+    assert (e.left, e.right) == (Y, Fun("cons", (Fun("cons", (Y, nil)), nil)))
 
 
 def test_mgu_terms_decomposition():
@@ -157,3 +168,86 @@ def test_type_subst_composition_factors():
     other = TypeSubst({U: INT, Param("V"): INT})
     pack = lambda s: TCon("pr", (s.apply(U), s.apply(Param("V"))))
     assert match_types(pack(theta), pack(other)) is not None
+
+
+# ------------------------------- differential test against the reference
+
+differential = settings(max_examples=300, derandomize=True, deadline=None)
+
+_VARS = [Var("X"), Var("Y"), Var("Z", 1), Var("Z", 2)]
+_PARAMS = [Param(n) for n in "ABCD"]
+
+
+def _terms():
+    return st.recursive(
+        st.sampled_from(_VARS + [Fun("nil")]),
+        lambda sub: st.one_of(
+            st.builds(lambda a, b: Fun("cons", (a, b)), sub, sub),
+            st.builds(lambda a: Fun("s", (a,)), sub),
+        ),
+        max_leaves=4,
+    )
+
+
+def _types():
+    return st.recursive(
+        st.sampled_from(_PARAMS + [INT]),
+        lambda sub: st.one_of(
+            st.builds(list_of, sub),
+            st.builds(lambda s, t: TCon("pair", (s, t)), sub, sub),
+        ),
+        max_leaves=4,
+    )
+
+
+@st.composite
+def _equations(draw, trees, alphabet):
+    """Equations between random trees; about half pair a tree with an
+    instance of itself, so that many systems are solvable."""
+    eqs = []
+    for _ in range(draw(st.integers(1, 4))):
+        left = draw(trees)
+        if draw(st.booleans()):
+            eqs.append((left, draw(trees)))
+        else:
+            inst = draw(st.dictionaries(st.sampled_from(alphabet), trees, min_size=1, max_size=2))
+            eqs.append((apply_subst(left, inst), left))
+    if alphabet is _VARS and draw(st.booleans()):
+        eqs = [(Atom("p", (l,)), Atom("p", (r,))) for l, r in eqs]
+    return eqs
+
+
+def _outcome(solve, eqs, **kw):
+    try:
+        return solve(eqs, **kw)
+    except UnificationError as e:
+        return (e.kind, e.index, e.left, e.right)
+
+
+def _assert_same(got, want):
+    assert got == want
+    if not isinstance(got, tuple):
+        assert list(got.items()) == list(want.items())
+        for v in got:
+            assert got.apply(got[v]) == got[v]
+
+
+@differential
+@given(eqs=_equations(_terms(), _VARS))
+def test_mgu_terms_matches_reference(eqs):
+    _assert_same(_outcome(mgu_terms, eqs), _outcome(eager_mgu, eqs))
+
+
+@differential
+@given(eqs=_equations(_types(), _PARAMS),
+       rigid=st.sets(st.sampled_from(_PARAMS), max_size=2))
+def test_mgu_types_matches_reference(eqs, rigid):
+    _assert_same(_outcome(mgu_types, eqs, rigid=rigid),
+                 _outcome(eager_mgu, eqs, rigid=rigid))
+
+
+def test_mgu_resolves_long_binding_chains():
+    xs = [Var("X", i) for i in range(3000)]
+    eqs = [(a, b) for a, b in zip(xs, xs[1:])] + [(xs[-1], Fun("nil"))]
+    theta = mgu_terms(eqs)
+    assert all(theta[x] == Fun("nil") for x in xs)
