@@ -17,18 +17,17 @@ from .reports import CheckReport, Finding
 from .srcheck import (
     check_head_condition,
     check_semi_generic,
-    check_subject_reduction_bounded,
+    is_proper_type_skeleton,
     label,
     make_partition,
-    monitor_derivation,
+    monitored_answers,
     search_partition,
-    subject_reduction_counterexamples,
+    subject_reduction_report,
     type_skeleton_of,
     type_skeleton_to_json,
 )
 from .trees import (
     BOTTOM,
-    answers,
     enumerate_skeletons,
     height,
     is_proper_skeleton,
@@ -178,8 +177,7 @@ def _typable_query(file: str, query_text: str):
 
 def cmd_run(args) -> int:
     program, query = _typable_query(args.file, args.query)
-    monitor = monitor_derivation(program, query, args.depth, args.selection)
-    found = answers(program, query, args.depth, args.selection)
+    monitor, found = monitored_answers(program, query, args.depth, args.selection)
     if args.json:
         print(json.dumps({
             "file": args.file,
@@ -204,12 +202,12 @@ def cmd_run(args) -> int:
 def cmd_sr(args) -> int:
     program = _load(args.file)
     query = parse_query(args.query, program.signature)
-    rep = check_subject_reduction_bounded(program, query, args.depth)
+    rep, found = subject_reduction_report(program, query, args.depth)
     doc: dict = {"file": args.file, "query": render(query), "report": rep.to_json(),
                  "counterexample": None}
     lines: list[str] = []
-    if not rep.passed:
-        s, ts, err = next(subject_reduction_counterexamples(program, query, args.depth))
+    if found is not None:
+        s, ts, err = found
         doc["counterexample"] = {
             "skeleton": skeleton_to_json(s),
             "typeSkeleton": type_skeleton_to_json(ts),
@@ -269,7 +267,6 @@ def cmd_skeletons(args) -> int:
 
 
 def _type_proper(ts) -> bool:
-    from .srcheck import is_proper_type_skeleton
     return is_proper_type_skeleton(ts) is not None
 
 

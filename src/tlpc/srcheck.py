@@ -3,10 +3,15 @@
 A type skeleton replaces every clause of a skeleton by that clause's most
 general type, with parameters renamed apart per node.  If every proper
 skeleton of a program-and-query yields a proper (unifiable) type skeleton,
-resolution can never produce an untypable query.  Two decidable per-clause
-conditions imply this for all queries at once: the classical requirement
-that inferred head types be a renaming of the declared types, and its
-relaxation where each argument position is marked head-generic or
+resolution can never produce an untypable query.  The bounded check types
+each clause once and decides each skeleton from its root: the clause copies
+of distinct nodes share no variables and no parameters, so a skeleton (or
+its type skeleton) is proper exactly when its subtrees are and the root's
+body atoms (or their types) unify with the subtrees' solved heads.  Solved
+subtrees are reused across the skeletons that share them.  Two decidable
+per-clause conditions imply this for all queries at once: the classical
+requirement that inferred head types be a renaming of the declared types,
+and its relaxation where each argument position is marked head-generic or
 body-generic.
 """
 from __future__ import annotations
@@ -41,11 +46,10 @@ from .trees import (
     derivations,
     enumerate_skeletons,
     height,
-    is_proper_skeleton,
     tree_to_json,
 )
-from .typecheck import UntypableError, is_typable, most_general_type
-from .unify import UnificationError, mgu_types
+from .typecheck import ClauseTyping, UntypableError, is_typable, most_general_type
+from .unify import UnificationError, mgu_terms, mgu_types
 
 HEAD_GENERIC = "h"
 BODY_GENERIC = "b"
@@ -82,6 +86,13 @@ def label(ts: TypeSkeleton) -> str:
     return f"{head} <- {body}"
 
 
+def _node_typing(node: Skeleton, sig: Signature) -> ClauseTyping:
+    try:
+        return most_general_type(node.clause, sig)
+    except UntypableError as e:
+        raise UntypableError(f"clause {render(node.clause)} has no typing: {e}") from e
+
+
 def type_skeleton_of(s: Skeleton, sig: Signature) -> TypeSkeleton:
     """Relabel every complete node of s with the most general type of its
     clause, renaming parameters apart across nodes.  Raises UntypableError
@@ -89,10 +100,7 @@ def type_skeleton_of(s: Skeleton, sig: Signature) -> TypeSkeleton:
     ns = NameSource()
 
     def conv(node: Skeleton) -> TypeSkeleton:
-        try:
-            ct = most_general_type(node.clause, sig)
-        except UntypableError as e:
-            raise UntypableError(f"clause {render(node.clause)} has no typing: {e}") from e
+        ct = _node_typing(node, sig)
         ren = {p: ns.fresh_param(p.name) for p in pars_in_order(ct.atom_types)}
         vecs = apply_subst(ct.atom_types, ren)
         kids = tuple(BOTTOM if c is BOTTOM else conv(c) for c in node.children)
@@ -130,16 +138,6 @@ def is_proper_type_skeleton(ts: TypeSkeleton) -> Subst | None:
         return mgu_types(eq_of_type_skeleton(ts))
     except UnificationError:
         return None
-
-
-def type_properness_failure(ts: TypeSkeleton) -> UnificationError | None:
-    """The unification failure that makes the type skeleton non-proper, or
-    None when it is proper."""
-    try:
-        mgu_types(eq_of_type_skeleton(ts))
-        return None
-    except UnificationError as e:
-        return e
 
 
 def assembled_variable_typing(ts: TypeSkeleton, theta: Subst) -> dict[Var, Type]:
@@ -231,16 +229,16 @@ def _split(vec, marks, want):
 
 
 def _semi_generic_findings(program: Program, part: Partition, clause: Clause,
-                           clause_index: int | None) -> list[Finding]:
+                           ct: ClauseTyping, clause_index: int | None) -> list[Finding]:
     """Violations of the three per-clause conditions.  With the clause's most
     general type instantiating each atom's declared types: (1) the generic
     parts of distinct atoms share no parameter; (2) no body atom's
     non-generic part shares a parameter with its own or any later body
     atom's generic part; (3) each generic part is a renaming of the declared
     types at those positions.  Generic means head-generic positions for the
-    head atom and body-generic positions for body atoms."""
+    head atom and body-generic positions for body atoms.  `ct` is the clause's most
+    general type."""
     sig = program.signature
-    ct = most_general_type(clause, sig)
     atoms = clause.atoms()
     generic: list[tuple[Type, ...]] = []
     nongeneric: list[tuple[Type, ...]] = []
@@ -287,16 +285,28 @@ def _semi_generic_findings(program: Program, part: Partition, clause: Clause,
     return findings
 
 
+def _typed(clauses, sig: Signature) -> list[tuple[Clause, ClauseTyping]]:
+    return [(c, most_general_type(c, sig)) for c in clauses]
+
+
 def check_semi_generic(program: Program, part: Partition,
                        queries: tuple[Query, ...] = ()) -> CheckReport:
     """Semi-genericity of every clause, and of each supplied query (a query
     counts as the body of a clause with the 0-ary head `go`)."""
+    sig = program.signature
+    return _semi_generic_report(program, part, _typed(program.clauses, sig),
+                                _typed(map(wrap_query, queries), sig))
+
+
+def _semi_generic_report(program: Program, part: Partition, typed,
+                         typed_queries=()) -> CheckReport:
+    """check_semi_generic over clauses already paired with their most
+    general types."""
     findings: list[Finding] = []
-    for i, c in enumerate(program.clauses):
-        findings.extend(_semi_generic_findings(program, part, c, i))
-    for q in queries:
-        findings.extend(_semi_generic_findings(program, part, wrap_query(q),
-                                               GO_CLAUSE_INDEX))
+    for i, (c, ct) in enumerate(typed):
+        findings.extend(_semi_generic_findings(program, part, c, ct, i))
+    for c, ct in typed_queries:
+        findings.extend(_semi_generic_findings(program, part, c, ct, GO_CLAUSE_INDEX))
     return CheckReport(tuple(findings))
 
 
@@ -307,8 +317,7 @@ def search_partition(program: Program) -> Partition | None:
     all-head-generic partition is found first whenever it works.  A clause is
     checked as soon as all its predicates are assigned, pruning the search."""
     sig = program.signature
-    for c in program.clauses:
-        most_general_type(c, sig)
+    typed = _typed(program.clauses, sig)
     names = list(sig.preds)
 
     def decidable(c: Clause, have: set[str]) -> bool:
@@ -317,7 +326,7 @@ def search_partition(program: Program) -> Partition | None:
     def rec(i: int, assigned: dict[str, tuple[str, ...]]) -> Partition | None:
         if i == len(names):
             part = Partition(dict(assigned))
-            if check_semi_generic(program, part).passed:
+            if _semi_generic_report(program, part, typed).passed:
                 return part
             return None
         arity = len(sig.preds[names[i]].arg_types)
@@ -325,8 +334,8 @@ def search_partition(program: Program) -> Partition | None:
             assigned[names[i]] = marks
             part = Partition(dict(assigned))
             ok = all(
-                not _semi_generic_findings(program, part, c, None)
-                for c in program.clauses
+                not _semi_generic_findings(program, part, c, ct, None)
+                for c, ct in typed
                 if names[i] in {a.pred for a in c.atoms()}
                 and decidable(c, set(assigned)))
             if ok:
@@ -341,19 +350,121 @@ def search_partition(program: Program) -> Partition | None:
 
 # --------------------------------------------------------- bounded checks
 
+# Marks a kept subtree whose solved head types are not computed yet.
+_UNSOLVED = object()
+
+
+class _SkeletonSolver:
+    """Decides the skeletons of one bounded check from their roots.
+
+    Each clause is typed once, keyed by its clause index: the node copies of
+    one clause are renamings of it, with the same atom types.  A subtree's
+    solved head and solved head types are kept once the subtree is reached a
+    second time; most nodes hang under a single root, and keeping those would
+    only cost memory.  Kept entries hold their subtree, so its id stays
+    unique while kept.  Enumeration builds fresh subtrees for every height,
+    so `new_height` drops what was kept."""
+
+    def __init__(self, sig: Signature):
+        self.sig = sig
+        self.ns = NameSource()
+        self.typings: dict[int, tuple] = {}
+        self.reached: set[int] = set()
+        self.kept: dict[int, list] = {}
+
+    def new_height(self) -> None:
+        self.reached.clear()
+        self.kept.clear()
+
+    def head(self, node: Skeleton):
+        """The node's head under an mgu of its subtree's interface
+        equations, or None when they do not unify."""
+        eqs = []
+        for atom, child in zip(node.clause.body, node.children):
+            if child is not BOTTOM:
+                solved = self._subtree(child)[1]
+                if solved is None:
+                    return None
+                eqs.append((atom, solved))
+        if not eqs:
+            return node.clause.head
+        try:
+            return mgu_terms(eqs).apply(node.clause.head)
+        except UnificationError:
+            return None
+
+    def head_types(self, node: Skeleton):
+        """The head types of the node's type skeleton under an mgu of its
+        equations, or None when they do not unify.  For proper subtrees."""
+        vecs = self._fresh_atom_types(node)
+        eqs = []
+        for vec, child in zip(vecs[1:], node.children):
+            if child is not BOTTOM:
+                entry = self.kept.get(id(child))
+                if entry is None:
+                    solved = self.head_types(child)
+                elif entry[2] is _UNSOLVED:
+                    solved = entry[2] = self.head_types(child)
+                else:
+                    solved = entry[2]
+                if solved is None:
+                    return None
+                eqs.extend(zip(vec, solved))
+        if not eqs:
+            return vecs[0]
+        try:
+            return mgu_types(eqs).apply(vecs[0])
+        except UnificationError:
+            return None
+
+    def _subtree(self, node: Skeleton) -> list:
+        """[subtree, solved head, solved head types or _UNSOLVED]."""
+        entry = self.kept.get(id(node))
+        if entry is None:
+            entry = [node, self.head(node), _UNSOLVED]
+            if id(node) in self.reached:
+                self.kept[id(node)] = entry
+            else:
+                self.reached.add(id(node))
+        return entry
+
+    def _fresh_atom_types(self, node: Skeleton) -> tuple:
+        typed = self.typings.get(node.clause_index)
+        if typed is None:
+            ct = _node_typing(node, self.sig)
+            typed = self.typings[node.clause_index] = (ct.atom_types,
+                                                       pars_in_order(ct.atom_types))
+        vecs, params = typed
+        return apply_subst(vecs, {p: self.ns.fresh_param(p.name) for p in params})
+
+
+def typed_proper_skeletons(program: Program, query: Query,
+                           depth: int = 5) -> Iterator[tuple[Skeleton, bool]]:
+    """The proper skeletons up to the given height, smallest first, each
+    paired with whether its type skeleton is proper."""
+    solver = _SkeletonSolver(program.signature)
+    level = 0
+    for s in enumerate_skeletons(program, query, depth):
+        h = height(s)
+        if h != level:
+            level = h
+            solver.new_height()
+        if solver.head(s) is not None:
+            yield s, solver.head_types(s) is not None
+
+
 def subject_reduction_counterexamples(
         program: Program, query: Query, depth: int = 5,
 ) -> Iterator[tuple[Skeleton, TypeSkeleton, UnificationError]]:
     """Proper skeletons (smallest first) whose type skeletons are not proper,
-    with the failing type equation."""
-    sig = program.signature
-    for s in enumerate_skeletons(program, query, depth):
-        if is_proper_skeleton(s) is None:
-            continue
-        ts = type_skeleton_of(s, sig)
-        err = type_properness_failure(ts)
-        if err is not None:
-            yield s, ts, err
+    with the type skeleton and the failing type equation."""
+    for s, type_proper in typed_proper_skeletons(program, query, depth):
+        if not type_proper:
+            ts = type_skeleton_of(s, program.signature)
+            try:
+                mgu_types(eq_of_type_skeleton(ts))
+            except UnificationError as err:
+                yield s, ts, err
 
 
 def _require_typable(program: Program, query: Query) -> None:
@@ -363,39 +474,58 @@ def _require_typable(program: Program, query: Query) -> None:
         raise UntypableError(f"query {render(query)} has no typing")
 
 
-def check_subject_reduction_bounded(program: Program, query: Query,
-                                    depth: int = 5) -> CheckReport:
-    """Certificate that every proper skeleton up to the given height has a
-    proper type skeleton.  A pass only covers the stated bound; a failure is
-    a definite counterexample (the smallest one found)."""
+def subject_reduction_report(
+        program: Program, query: Query, depth: int = 5,
+) -> tuple[CheckReport, tuple[Skeleton, TypeSkeleton, UnificationError] | None]:
+    """The report of check_subject_reduction_bounded together with the
+    counterexample its finding describes (None on a pass)."""
     _require_typable(program, query)
+    found = next(subject_reduction_counterexamples(program, query, depth), None)
     findings: list[Finding] = []
-    for s, ts, err in subject_reduction_counterexamples(program, query, depth):
+    if found is not None:
+        s, ts, err = found
         findings.append(Finding(
             "type-skeleton-nonproper",
             f"skeleton of height {height(s)} rooted at {label(ts)}: "
             f"type equation {render(err.left)} = {render(err.right)} fails "
             f"({err.kind})",
             clause=None))
-        break
-    return CheckReport(tuple(findings), depth_bound=depth)
+    return CheckReport(tuple(findings), depth_bound=depth), found
 
 
-def monitor_derivation(program: Program, query: Query, depth: int = 5,
-                       selection: str = "leftmost") -> CheckReport:
-    """Run the query and check that every derived query is typable."""
+def check_subject_reduction_bounded(program: Program, query: Query,
+                                    depth: int = 5) -> CheckReport:
+    """Certificate that every proper skeleton up to the given height has a
+    proper type skeleton.  A pass only covers the stated bound; a failure is
+    a definite counterexample (the smallest one found)."""
+    return subject_reduction_report(program, query, depth)[0]
+
+
+def monitored_answers(program: Program, query: Query, depth: int = 5,
+                      selection: str = "leftmost") -> tuple[CheckReport, list[Subst]]:
+    """One bounded search giving the report of monitor_derivation and the
+    answers of trees.answers: derived queries are checked for typability up
+    to the first untypable one, and answers are collected throughout."""
     _require_typable(program, query)
     findings: list[Finding] = []
+    found: list[Subst] = []
     for d in derivations(program, query, depth, selection):
-        if not is_typable(d.final, program.signature):
+        if not findings and not is_typable(d.final, program.signature):
             trace = " -> ".join(render(s.query) for s in d.steps)
             findings.append(Finding(
                 "query-untypable",
                 f"derived query {render(d.final)} has no typing "
                 f"(from {render(query)} via {trace})",
                 clause=None))
-            break
-    return CheckReport(tuple(findings), depth_bound=depth)
+        if d.succeeded and d.steps:
+            found.append(d.answer)
+    return CheckReport(tuple(findings), depth_bound=depth), found
+
+
+def monitor_derivation(program: Program, query: Query, depth: int = 5,
+                       selection: str = "leftmost") -> CheckReport:
+    """Run the query and check that every derived query is typable."""
+    return monitored_answers(program, query, depth, selection)[0]
 
 
 def type_skeleton_to_json(ts) -> dict:

@@ -17,8 +17,9 @@ from tlpc.core import (
     Atom, Fun, Param, Subst, TCon, TermSubst, Var, apply_subst, pars, vars_of,
 )
 from tlpc.parser import parse_program, parse_query
-from tlpc.trees import BOTTOM, DerivationTree
-from tlpc.unify import UnificationError
+from tlpc.srcheck import eq_of_type_skeleton, type_skeleton_of
+from tlpc.trees import BOTTOM, DerivationTree, enumerate_skeletons, is_proper_skeleton
+from tlpc.unify import UnificationError, mgu_types
 
 
 def corpus_path(name: str) -> str:
@@ -60,6 +61,44 @@ CORPUS_QUERIES = [
     ("fgs1", "fgs1(2, Y)"),
     ("fgs3", "fgs3(1, Y)"),
 ]
+
+EXTRA_QUERIES = [
+    ("append", "app(Xs, Ys, Zs), app(Ys, Zs, Ws)"),
+    ("hqpr", "h(X), q(Y)"),
+    ("semigen", "q(X, Y), q(Y, Z)"),
+    ("fgs1", "fs1(I, Y, J)"),
+    ("nest", "r(X), p(Y)"),
+]
+
+# Tree flattening: two recursive calls and an append per node, so skeletons
+# branch and share subtrees.
+FLAT_TEXT = """
+kind tree/1. kind list/1. kind int/0.
+func leaf : tree(U).  func node(tree(U), U, tree(U)) : tree(U).
+func nil : list(U).   func cons(U, list(U)) : list(U).
+pred flat(tree(U), list(U)).  pred app(list(U), list(U), list(U)).
+flat(leaf, []).
+flat(node(L, X, R), Zs) :- flat(L, Ls), flat(R, Rs), app(Ls, [X|Rs], Zs).
+app([], Ys, Ys).
+app([X|Xs], Ys, [X|Zs]) :- app(Xs, Ys, Zs).
+"""
+
+# flat with the nesting predicate r of the corpus program nest called on
+# the flattened list, under a top predicate fixing the element type to int.
+FLATNEST_TEXT = """
+kind tree/1. kind list/1. kind int/0.
+func leaf : tree(U).  func node(tree(U), U, tree(U)) : tree(U).
+func nil : list(U).   func cons(U, list(U)) : list(U).
+pred top(tree(int), list(int)).  pred flat(tree(U), list(U)).
+pred app(list(U), list(U), list(U)).  pred r(list(U)).
+top(T, Zs) :- flat(T, Zs).
+flat(leaf, []).
+flat(node(L, X, R), Zs) :- flat(L, Ls), flat(R, Rs), app(Ls, [X|Rs], Zs), r(Zs).
+app([], Ys, Ys).
+app([X|Xs], Ys, [X|Zs]) :- app(Xs, Ys, Zs).
+r([]).
+r([X]) :- r(X).
+"""
 
 
 def corpus_query(corpus, name, text):
@@ -368,3 +407,24 @@ def eager_mgu(eqs, rigid=()):
         for l, r in reversed(list(zip(left.args, right.args))):
             work.append((l, r, i))
     return Subst(binding)
+
+
+# -------------------------------------- reference subject-reduction check
+
+def reference_sr_check(program, query, depth):
+    """The bounded subject-reduction check by generate and check: every
+    skeleton's interface equations are solved whole, and every proper one
+    gets a type skeleton, typed node by node and solved whole.  Yields each
+    proper skeleton, smallest first, with its type skeleton and the failing
+    type equation (None when the type skeleton is proper)."""
+    sig = program.signature
+    for s in enumerate_skeletons(program, query, depth):
+        if is_proper_skeleton(s) is None:
+            continue
+        ts = type_skeleton_of(s, sig)
+        try:
+            mgu_types(eq_of_type_skeleton(ts))
+        except UnificationError as err:
+            yield s, ts, err
+        else:
+            yield s, ts, None

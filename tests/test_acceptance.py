@@ -77,6 +77,7 @@ from tlpc.unify import (
 
 from helpers import (
     CORPUS_QUERIES,
+    EXTRA_QUERIES,
     INT,
     SIG,
     corpus_path,
@@ -394,15 +395,6 @@ def test_prop_type_unification_mirrors_term_unification(eqs):
     via_terms = Fun("pack", tuple(t_theta.apply(embed_type(p)) for p in ps))
     assert match_terms(via_types, via_terms) is not None
     assert match_terms(via_terms, via_types) is not None
-
-
-EXTRA_QUERIES = [
-    ("append", "app(Xs, Ys, Zs), app(Ys, Zs, Ws)"),
-    ("hqpr", "h(X), q(Y)"),
-    ("semigen", "q(X, Y), q(Y, Z)"),
-    ("fgs1", "fs1(I, Y, J)"),
-    ("nest", "r(X), p(Y)"),
-]
 
 
 @pytest.mark.criterion(7)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from tlpc.core import EQ, GO, GO_CLAUSE_INDEX, Param, TCon
-from tlpc.parser import parse_query
+from helpers import EXTRA_QUERIES, FLAT_TEXT, FLATNEST_TEXT, reference_sr_check
+from tlpc.cli import _skeleton_text, _tree_lines, main
+from tlpc.core import EQ, GO, GO_CLAUSE_INDEX, Param, TCon, Var, resolution_clauses
+from tlpc.parser import parse_program, parse_query, render
 from tlpc.srcheck import (
     Partition,
     all_head_partition,
@@ -19,22 +21,25 @@ from tlpc.srcheck import (
     label,
     make_partition,
     monitor_derivation,
+    monitored_answers,
     search_partition,
     subject_reduction_counterexamples,
-    type_properness_failure,
+    subject_reduction_report,
     type_skeleton_of,
     type_skeleton_to_json,
+    typed_proper_skeletons,
 )
 from tlpc.trees import (
     BOTTOM,
+    answers,
     enumerate_skeletons,
     frontier,
     height,
     is_proper_skeleton,
     most_general_derivation_tree,
 )
-from tlpc.typecheck import UntypableError, judge
-from tlpc.unify import ordered_unifiable
+from tlpc.typecheck import UntypableError, judge, most_general_type
+from tlpc.unify import UnificationError, mgu_types, ordered_unifiable
 
 INT = TCon("int")
 
@@ -141,7 +146,9 @@ def test_append_type_skeleton_proper_all_int(append):
 def test_nesting_type_skeleton_not_proper(nest):
     ts = type_skeleton_of(chain_skeleton(nest, 2), nest.signature)
     assert is_proper_type_skeleton(ts) is None
-    err = type_properness_failure(ts)
+    with pytest.raises(UnificationError) as exc:
+        mgu_types(eq_of_type_skeleton(ts))
+    err = exc.value
     assert err.kind == "clash"
     assert {err.left, err.right} == {INT, list_of(Param("A", 1))}
 
@@ -361,6 +368,26 @@ def test_monitor_reports_depth_and_selection(nest):
     assert rep.passed and rep.depth_bound == 6
 
 
+def test_monitor_failure_keeps_collecting_answers():
+    # q([[]]) hands t a list of lists where t expects list(int).
+    program = parse_program("""
+        kind list/1. kind int/0.
+        func nil : list(U). func cons(U, list(U)) : list(U).
+        pred p(list(int)). pred q(list(U)). pred t(list(int)).
+        p(X) :- q(X), t(X).
+        q([[]]).
+        q([]).
+        t(Y).
+    """)
+    q = parse_query("p(X)", program.signature)
+    rep, found = monitored_answers(program, q, depth=5)
+    assert [f.witness for f in rep.findings] == [
+        "derived query t([[]]) has no typing (from p(X) via q(X_1), t(X_1) -> t([[]]))"]
+    assert found == answers(program, q, depth=5)
+    assert [render(a.apply(Var("X"))) for a in found] == ["[[]]", "[]"]
+    assert monitor_derivation(program, q, depth=5) == rep
+
+
 # ------------------------------------------------ ordered split equations
 
 def test_eq_prime_structure_and_order(semigen):
@@ -413,3 +440,93 @@ def test_report_json_shape(nest):
     f = doc["findings"][0]
     assert set(f) == {"clause", "condition", "witness"}
     assert f["clause"] is None
+
+
+# ------------------------------------------ against the generate-and-check oracle
+
+def _sr_cases(corpus):
+    """Every predicate with fresh variables, at depth 4 for the corpus and
+    at depth 2 for the branching flat programs, and the extra multi-atom
+    queries at depth 4.  flatnest's top also at depth 3, where its smallest
+    counterexample lies."""
+    flatnest = parse_program(FLATNEST_TEXT)
+    programs = [(p, 4) for p in corpus.values()]
+    programs += [(parse_program(FLAT_TEXT), 2), (flatnest, 2)]
+    for program, depth in programs:
+        for pred, decl in program.signature.preds.items():
+            args = ", ".join(f"V{i}" for i in range(len(decl.arg_types)))
+            yield program, f"{pred}({args})" if args else pred, depth
+    for name, text in EXTRA_QUERIES:
+        yield corpus[name], text, 4
+    yield flatnest, "top(T, L)", 3
+
+
+def _counterexample_text(found):
+    if found is None:
+        return None
+    s, ts, err = found
+    return (_tree_lines(s, _skeleton_text, 1), _tree_lines(ts, label, 1),
+            f"{render(err.left)} = {render(err.right)}")
+
+
+def test_sr_matches_generate_and_check_oracle(corpus):
+    failing = 0
+    for program, text, depth in _sr_cases(corpus):
+        q = parse_query(text, program.signature)
+        want = list(reference_sr_check(program, q, depth))
+        got = list(typed_proper_skeletons(program, q, depth))
+        assert len(got) == len(want), text
+        assert got == [(s, err is None) for s, _, err in want], text
+        first = next(((s, ts, err) for s, ts, err in want if err is not None), None)
+        rep, found = subject_reduction_report(program, q, depth)
+        assert rep.verdict == ("pass" if first is None else "fail"), text
+        assert _counterexample_text(found) == _counterexample_text(first), text
+        failing += first is not None
+    assert failing >= 3
+
+
+@pytest.fixture
+def typing_calls(monkeypatch):
+    """The clauses srcheck hands to most_general_type, in call order."""
+    import tlpc.srcheck as srcheck
+    calls = []
+
+    def counted(c, sig):
+        calls.append(c)
+        return most_general_type(c, sig)
+
+    monkeypatch.setattr(srcheck, "most_general_type", counted)
+    return calls
+
+
+def test_sr_types_each_clause_once(typing_calls, tmp_path):
+    flat = parse_program(FLAT_TEXT)
+    q = parse_query("flat(T, L)", flat.signature)
+    assert sum(1 for _ in typed_proper_skeletons(flat, q, 2)) > 20
+    assert len(typing_calls) <= len(resolution_clauses(flat)) + 1
+    typing_calls.clear()
+    path = tmp_path / "flat.tlp"
+    path.write_text(FLAT_TEXT)
+    assert main(["sr", str(path), "--query", "flat(T, L)", "--depth", "2"]) == 0
+    # _require_typable types each program clause once more
+    assert len(typing_calls) <= len(flat.clauses) + len(resolution_clauses(flat)) + 1
+
+
+def test_partition_search_types_each_clause_once(typing_calls, fgs2):
+    assert search_partition(fgs2) is None
+    assert 0 < len(typing_calls) <= len(fgs2.clauses)
+
+
+def test_sr_untypable_clause_reported_like_the_oracle(append):
+    import dataclasses
+    from tlpc.parser import parse_clause
+    bad = parse_clause("r([X, [X]]).", append.signature)
+    broken = dataclasses.replace(append,
+                                 clauses=append.clauses[:2] + (bad,) + append.clauses[3:])
+    q = parse_query("app(Xs, [], Zs), r(Xs)", broken.signature)
+    with pytest.raises(UntypableError) as want:
+        list(reference_sr_check(broken, q, 2))
+    with pytest.raises(UntypableError) as got:
+        list(typed_proper_skeletons(broken, q, 2))
+    assert str(got.value) == str(want.value)
+    assert "has no typing" in str(got.value)
