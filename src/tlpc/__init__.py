@@ -33,7 +33,6 @@ from .reports import CheckReport, Finding
 from .srcheck import (
     Partition,
     TypeSkeleton,
-    all_head_partition,
     check_head_condition,
     check_semi_generic,
     check_subject_reduction_bounded,
@@ -79,7 +78,7 @@ __all__ = [
     "JudgementProof", "ParseError", "Param", "Partition", "PredDecl",
     "Program", "Signature", "Skeleton", "Subst", "TCon", "TermSubst", "TypeSkeleton",
     "TypeSubst", "UnificationError", "UntypableError", "Var",
-    "all_head_partition", "answers", "check_head_condition",
+    "answers", "check_head_condition",
     "check_semi_generic", "check_subject_reduction_bounded", "corpus_names",
     "corpus_text", "derivations", "enumerate_skeletons", "frontier",
     "head_atom", "is_proper_skeleton", "is_proper_type_skeleton",

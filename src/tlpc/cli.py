@@ -229,45 +229,36 @@ def cmd_sr(args) -> int:
 
 def cmd_skeletons(args) -> int:
     program, query = _typable_query(args.file, args.query)
-    if not args.json:
-        shown = 0
-        for s in enumerate_skeletons(program, query, args.depth):
-            shown += 1
-            theta = is_proper_skeleton(s)
-            status = "proper" if theta is not None else "not proper"
-            extra = f", mgu {render(theta)}" if theta else ""
-            print(f"skeleton {shown} (height {height(s)}): {status}{extra}")
-            for ln in _tree_lines(s, _skeleton_text, 1):
-                print(ln)
-            if args.types:
-                ts = type_skeleton_of(s, program.signature)
-                tstat = "proper" if _type_proper(ts) else "not proper"
-                print(f"  type skeleton ({tstat}):")
-                for ln in _tree_lines(ts, label, 2):
-                    print(ln)
-        print(f"{shown} skeleton(s) up to depth {args.depth}")
-        return 0
     entries = []
     for s in enumerate_skeletons(program, query, args.depth):
         theta = is_proper_skeleton(s)
-        entry = {
-            "height": height(s),
-            "proper": theta is not None,
-            "mgu": render(theta) if theta is not None else None,
-            "skeleton": skeleton_to_json(s),
-        }
+        entry = {"height": height(s), "proper": theta is not None,
+                 "mgu": render(theta) if theta is not None else None}
+        if args.json:
+            entry["skeleton"] = skeleton_to_json(s)
+        else:
+            status = "proper" if theta is not None else "not proper"
+            extra = f", mgu {entry['mgu']}" if theta else ""
+            print(f"skeleton {len(entries) + 1} (height {entry['height']}): {status}{extra}")
+            for ln in _tree_lines(s, _skeleton_text, 1):
+                print(ln)
         if args.types:
             ts = type_skeleton_of(s, program.signature)
-            entry["typeSkeleton"] = type_skeleton_to_json(ts)
-            entry["typeProper"] = _type_proper(ts)
+            proper = is_proper_type_skeleton(ts) is not None
+            if args.json:
+                entry["typeSkeleton"] = type_skeleton_to_json(ts)
+                entry["typeProper"] = proper
+            else:
+                print(f"  type skeleton ({'proper' if proper else 'not proper'}):")
+                for ln in _tree_lines(ts, label, 2):
+                    print(ln)
         entries.append(entry)
-    print(json.dumps({"file": args.file, "query": render(query),
-                      "depth": args.depth, "skeletons": entries}, indent=2))
+    if args.json:
+        print(json.dumps({"file": args.file, "query": render(query),
+                          "depth": args.depth, "skeletons": entries}, indent=2))
+    else:
+        print(f"{len(entries)} skeleton(s) up to depth {args.depth}")
     return 0
-
-
-def _type_proper(ts) -> bool:
-    return is_proper_type_skeleton(ts) is not None
 
 
 def _build_parser() -> argparse.ArgumentParser:

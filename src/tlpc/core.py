@@ -224,6 +224,14 @@ class Subst(Mapping):
             raise ValueError(f"not idempotent: {sorted(x.printed() for x in hit)} bound and in range")
         self._m = m
 
+    @classmethod
+    def unchecked(cls, m: dict) -> "Subst":
+        """A Subst of a map known to be idempotent and free of identity
+        bindings, such as a solver's output, taken without checking."""
+        s = cls.__new__(cls)
+        s._m = m
+        return s
+
     def __getitem__(self, k):
         return self._m[k]
 
@@ -247,12 +255,6 @@ class Subst(Mapping):
 
     def apply(self, obj):
         return apply_subst(obj, self._m)
-
-    def compose(self, other: "Subst") -> "Subst":
-        m = {v: other.apply(t) for v, t in self._m.items()}
-        for v, t in other.items():
-            m.setdefault(v, t)
-        return Subst(m)
 
     def restrict(self, keep) -> "Subst":
         """Restriction to a set of variables or parameters, or to those

@@ -145,6 +145,16 @@ class _Parser:
             if self.next().text == ".":
                 return
 
+    def parse_args(self, item) -> tuple:
+        """An optional parenthesised, comma-separated list of `item()`s."""
+        out = []
+        if self.eat("punct", "("):
+            out.append(item())
+            while self.eat("punct", ","):
+                out.append(item())
+            self.expect("punct", ")")
+        return tuple(out)
+
     # -- types
 
     def parse_type(self) -> Type:
@@ -154,13 +164,7 @@ class _Parser:
             return Param(t.text)
         if t.kind == "ident":
             self.next()
-            args: list[Type] = []
-            if self.eat("punct", "("):
-                args.append(self.parse_type())
-                while self.eat("punct", ","):
-                    args.append(self.parse_type())
-                self.expect("punct", ")")
-            return TCon(t.text, tuple(args))
+            return TCon(t.text, self.parse_args(self.parse_type))
         raise _Bail(t, f"expected a type, found {t.text!r}")
 
     # -- declarations
@@ -179,16 +183,11 @@ class _Parser:
     def parse_func(self) -> None:
         self.expect("ident", "func")
         name = self.expect("ident")
-        args: list[Type] = []
-        if self.eat("punct", "("):
-            args.append(self.parse_type())
-            while self.eat("punct", ","):
-                args.append(self.parse_type())
-            self.expect("punct", ")")
+        args = self.parse_args(self.parse_type)
         self.expect("punct", ":")
         result = self.parse_type()
         self.expect("punct", ".")
-        self.declare(name, FuncDecl(name.text, tuple(args), result), self.sig.declare_func)
+        self.declare(name, FuncDecl(name.text, args, result), self.sig.declare_func)
 
     def declare(self, name: _Tok, decl, add) -> None:
         """Report the declaration's ill-formed types (and, for a function,
@@ -206,24 +205,14 @@ class _Parser:
     def parse_pred(self) -> None:
         self.expect("ident", "pred")
         name = self.expect("ident")
-        args: list[Type] = []
-        if self.eat("punct", "("):
-            args.append(self.parse_type())
-            while self.eat("punct", ","):
-                args.append(self.parse_type())
-            self.expect("punct", ")")
+        args = self.parse_args(self.parse_type)
         self.expect("punct", ".")
-        self.declare(name, PredDecl(name.text, tuple(args)), self.sig.declare_pred)
+        self.declare(name, PredDecl(name.text, args), self.sig.declare_pred)
 
     def parse_partition(self, partitions: dict[str, tuple[str, ...]]) -> None:
         self.expect("ident", "partition")
         name = self.expect("ident")
-        marks: list[str] = []
-        if self.eat("punct", "("):
-            marks.append(self.expect("ident").text)
-            while self.eat("punct", ","):
-                marks.append(self.expect("ident").text)
-            self.expect("punct", ")")
+        marks = self.parse_args(lambda: self.expect("ident").text)
         self.expect("punct", ".")
         decl = self.sig.pred_decl(name.text)
         if decl is None or name.text not in self.sig.preds:
@@ -240,7 +229,7 @@ class _Parser:
         if name.text in partitions:
             self.diags.error(name.line, name.col, f"partition for {name.text} given twice")
             return
-        partitions[name.text] = tuple(marks)
+        partitions[name.text] = marks
 
     # -- terms
 
@@ -280,13 +269,7 @@ class _Parser:
             return self.parse_list()
         if t.kind == "ident":
             self.next()
-            args: list[Term] = []
-            if self.eat("punct", "("):
-                args.append(self.parse_term())
-                while self.eat("punct", ","):
-                    args.append(self.parse_term())
-                self.expect("punct", ")")
-            return Fun(t.text, tuple(args))
+            return Fun(t.text, self.parse_args(self.parse_term))
         raise _Bail(t, f"expected a term, found {t.text!r}")
 
     def parse_list(self) -> Term:
@@ -358,13 +341,7 @@ class _Parser:
 
     def parse_head(self) -> Atom:
         tok = self.expect("ident")
-        args: list[Term] = []
-        if self.eat("punct", "("):
-            args.append(self.parse_term())
-            while self.eat("punct", ","):
-                args.append(self.parse_term())
-            self.expect("punct", ")")
-        return self.to_atom(Fun(tok.text, tuple(args)), tok)
+        return self.to_atom(Fun(tok.text, self.parse_args(self.parse_term)), tok)
 
     def parse_conj(self) -> Query:
         if self.at("ident", "true"):
@@ -421,52 +398,35 @@ def parse_program(text: str) -> Program:
     return Program(sig, tuple(clauses), partitions)
 
 
-def parse_query(text: str, sig: Signature) -> Query:
-    """Parse a query (a comma-separated conjunction, or `true`)."""
+def _parse_one(text: str, sig: Signature, item):
+    """Parse the whole text as one item, `item(parser)`, against an existing
+    signature."""
     diags = Diagnostics()
-    toks = _tokenize(text, diags)
-    p = _Parser(toks, diags, sig)
+    p = _Parser(_tokenize(text, diags), diags, sig)
     try:
-        q = p.parse_conj()
+        got = item(p)
         p.expect("eof")
     except _Bail as b:
         diags.error(b.tok.line, b.tok.col, b.message)
-        q = ()
-    if diags.has_errors:
+        got = None
+    if diags.has_errors or got is None:
         raise ParseError(diags)
-    return q
+    return got
+
+
+def parse_query(text: str, sig: Signature) -> Query:
+    """Parse a query (a comma-separated conjunction, or `true`)."""
+    return _parse_one(text, sig, _Parser.parse_conj)
 
 
 def parse_term(text: str, sig: Signature) -> Term:
     """Parse a single term against an existing signature."""
-    diags = Diagnostics()
-    toks = _tokenize(text, diags)
-    p = _Parser(toks, diags, sig)
-    try:
-        t = p.parse_term()
-        p.expect("eof")
-    except _Bail as b:
-        diags.error(b.tok.line, b.tok.col, b.message)
-        t = None
-    if diags.has_errors or t is None:
-        raise ParseError(diags)
-    return t
+    return _parse_one(text, sig, _Parser.parse_term)
 
 
 def parse_clause(text: str, sig: Signature) -> Clause:
     """Parse a single clause against an existing signature."""
-    diags = Diagnostics()
-    toks = _tokenize(text, diags)
-    p = _Parser(toks, diags, sig)
-    try:
-        c = p.parse_clause()
-        p.expect("eof")
-    except _Bail as b:
-        diags.error(b.tok.line, b.tok.col, b.message)
-        c = None
-    if diags.has_errors or c is None:
-        raise ParseError(diags)
-    return c
+    return _parse_one(text, sig, _Parser.parse_clause)
 
 
 # ---------------------------------------------------------------- printing

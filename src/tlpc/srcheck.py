@@ -200,10 +200,6 @@ def make_partition(program: Program,
     return Partition(out)
 
 
-def all_head_partition(program: Program) -> Partition:
-    return make_partition(program)
-
-
 # ------------------------------------------------------- per-clause checks
 
 def check_head_condition(program: Program) -> CheckReport:

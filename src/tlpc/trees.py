@@ -303,7 +303,16 @@ class Step:
 class Derivation:
     query: Query
     steps: tuple[Step, ...]
-    answer: Subst
+
+    @property
+    def answer(self) -> Subst:
+        """The composition of the steps' unifiers, restricted to the query's
+        variables, with ground subtractions evaluated.  Each unifier binds
+        only variables the earlier steps left free, so the composition is
+        the most general unifier of all their bindings, solved once."""
+        theta = mgu_terms([(v, t) for s in self.steps for v, t in s.mgu.items()])
+        return Subst({v: eval_arith(theta[v]) for v in vars_in_order(self.query)
+                      if v in theta})
 
     @property
     def final(self) -> Query:
@@ -337,20 +346,15 @@ def derivations(program: Program, query: Query, depth: int = 5,
 
     Clauses are tried in program order (builtin equality last); under
     "leftmost" only the first atom is selected, under "all" every position
-    is tried.  Each yielded Derivation carries the answer substitution
-    accumulated so far, restricted to the query's variables.
+    is tried.
     """
     if selection not in ("leftmost", "all"):
         raise ValueError(f"unknown selection rule: {selection}")
     clauses = resolution_clauses(program)
     ns = NameSource()
-    qvars = vars_in_order(query)
 
-    def answer(binding: dict) -> Subst:
-        return Subst({v: t for v, t in binding.items() if t != v})
-
-    def rec(cur: Query, binding: dict, steps: tuple) -> Iterator[Derivation]:
-        yield Derivation(query, steps, answer(binding))
+    def rec(cur: Query, steps: tuple) -> Iterator[Derivation]:
+        yield Derivation(query, steps)
         if len(steps) >= depth or not cur:
             return
         positions = range(1, len(cur) + 1) if selection == "all" else (1,)
@@ -361,11 +365,9 @@ def derivations(program: Program, query: Query, depth: int = 5,
                 if got is None:
                     continue
                 theta, nxt = got
-                nb = {v: eval_arith(theta.apply(t)) for v, t in binding.items()}
-                step = Step(k, idx, copy, theta, nxt)
-                yield from rec(nxt, binding=nb, steps=steps + (step,))
+                yield from rec(nxt, steps + (Step(k, idx, copy, theta, nxt),))
 
-    yield from rec(query, {v: v for v in qvars}, ())
+    yield from rec(query, ())
 
 
 def answers(program: Program, query: Query, depth: int = 5,

@@ -70,11 +70,13 @@ class _Infer:
         self.env: dict[Var, Type] = dict(fixed) if fixed is not None else {}
         self.rigid = set(rigid)
         self.eqs: list[tuple[Type, Type]] = []
-        self.notes: list[str] = []
+        # What each equation constrains: (argument position, term or atom),
+        # or (None, term) for a term's expected type; rendered on failure.
+        self.notes: list[tuple[int | None, object]] = []
 
-    def constrain(self, actual: Type, expected: Type, note: str) -> None:
+    def constrain(self, actual: Type, expected: Type, position: int | None, obj) -> None:
         self.eqs.append((actual, expected))
-        self.notes.append(note)
+        self.notes.append((position, obj))
 
     def copy_of(self, types: tuple[Type, ...]):
         cm = {p: self.ns.fresh_param(p.name) for p in pars_in_order(types)}
@@ -100,7 +102,7 @@ class _Infer:
         kids = []
         for i, (arg, ety) in enumerate(zip(t.args, copied[:-1])):
             aty, kid = self.term(arg)
-            self.constrain(aty, ety, f"argument {i + 1} of {render(t)}")
+            self.constrain(aty, ety, i, t)
             kids.append(kid)
         return copied[-1], _Pre("func", t, copied[-1], cm, kids)
 
@@ -115,7 +117,7 @@ class _Infer:
         kids = []
         for i, (arg, ety) in enumerate(zip(a.args, vec)):
             aty, kid = self.term(arg)
-            self.constrain(aty, ety, f"argument {i + 1} of {render(a)}")
+            self.constrain(aty, ety, i, a)
             kids.append(kid)
         return vec, _Pre("atom", a, None, cm, kids)
 
@@ -135,8 +137,11 @@ class _Infer:
         try:
             return mgu_types(self.eqs, rigid=self.rigid)
         except UnificationError as e:
+            position, obj = self.notes[e.index]
+            note = (f"type of {render(obj)}" if position is None
+                    else f"argument {position + 1} of {render(obj)}")
             raise UntypableError(
-                f"{self.notes[e.index]}: {e.kind} between {render(e.left)} and {render(e.right)}"
+                f"{note}: {e.kind} between {render(e.left)} and {render(e.right)}"
             ) from e
 
 
@@ -178,7 +183,7 @@ def judge(u: Mapping[Var, Type] | None, obj, expected: Type | None = None,
         if expected is None:
             raise ValueError("a term needs an expected type")
         ty, pre = inf.term(obj)
-        inf.constrain(ty, expected, f"type of {render(obj)}")
+        inf.constrain(ty, expected, None, obj)
     elif isinstance(obj, Atom):
         _, pre = inf.atom(obj)
     elif isinstance(obj, Clause):

@@ -39,8 +39,9 @@ def _functor(x) -> tuple:
 class _Resolved(dict):
     """Idempotent view of triangular bindings, filled on demand: looking a
     variable up applies its binding through every later one, once per
-    variable.  Chains of variable-to-variable bindings are followed in a
-    loop, so they cost no recursion."""
+    variable.  The bound variables a value mentions are resolved before
+    the value itself, from an explicit stack, so long chains of bindings
+    cost no recursion."""
 
     def __init__(self, binding: dict):
         super().__init__()
@@ -49,14 +50,35 @@ class _Resolved(dict):
     def get(self, v, default=None):
         if v not in self.binding:
             return default
-        chain = []
-        while _is_var(v) and v in self.binding and v not in self:
-            chain.append(v)
-            v = self.binding[v]
-        t = self[v] if v in self else apply_subst(v, self)
-        for x in chain:
-            self[x] = t
-        return t
+        if v not in self:
+            self._resolve(v)
+        return self[v]
+
+    def _resolve(self, v) -> None:
+        binding = self.binding
+        stack = [v]
+        while stack:
+            x = stack[-1]
+            if x in self:
+                stack.pop()
+                continue
+            t = binding[x]
+            pending, bound, todo = [], False, [t]
+            while todo:
+                y = todo.pop()
+                if type(y) is Var or type(y) is Param:
+                    if y in binding:
+                        bound = True
+                        if y not in self:
+                            pending.append(y)
+                else:
+                    todo.extend(y.args)
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            # A value mentioning no bound variable is already resolved.
+            self[x] = apply_subst(t, self) if bound else t
 
 
 def _occurs(v, t, binding: dict) -> bool:
@@ -107,7 +129,7 @@ def _mgu(eqs: Sequence[tuple], rigid: frozenset) -> Subst:
         if _functor(left) != _functor(right):
             raise fail("clash", left, right, i)
         work.extend((l, r, i) for l, r in zip(reversed(left.args), reversed(right.args)))
-    return Subst({v: resolved.get(v) for v in binding})
+    return Subst.unchecked({v: resolved.get(v) for v in binding})
 
 
 def mgu_terms(eqs: Iterable[tuple]) -> Subst:
@@ -141,13 +163,9 @@ def _match(pattern, target, binding: dict) -> dict | None:
 
 
 def match_terms(pattern, target) -> dict | None:
-    """One-sided unification: a plain mapping m with pattern.m == target,
-    or None.  (The mapping need not be idempotent: matching X against f(X)
-    legitimately yields X -> f(X).)"""
-    return _match(pattern, target, {})
-
-
-def match_types(pattern, target) -> dict | None:
+    """One-sided unification of terms or types: a plain mapping m with
+    pattern.m == target, or None.  (The mapping need not be idempotent:
+    matching X against f(X) legitimately yields X -> f(X).)"""
     return _match(pattern, target, {})
 
 

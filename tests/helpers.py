@@ -14,11 +14,14 @@ from hypothesis import strategies as st
 
 from tlpc import corpus as _corpus_pkg
 from tlpc.core import (
-    Atom, Fun, Param, Subst, TCon, TermSubst, Var, apply_subst, pars, vars_of,
+    Atom, Fun, NameSource, Param, Subst, TCon, TermSubst, Var, apply_subst, pars,
+    rename_apart, resolution_clauses, vars_in_order, vars_of,
 )
 from tlpc.parser import parse_program, parse_query
 from tlpc.srcheck import eq_of_type_skeleton, type_skeleton_of
-from tlpc.trees import BOTTOM, DerivationTree, enumerate_skeletons, is_proper_skeleton
+from tlpc.trees import (
+    BOTTOM, DerivationTree, derive_step, enumerate_skeletons, eval_arith, is_proper_skeleton,
+)
 from tlpc.unify import UnificationError, mgu_types
 
 
@@ -98,6 +101,16 @@ app([], Ys, Ys).
 app([X|Xs], Ys, [X|Zs]) :- app(Xs, Ys, Zs).
 r([]).
 r([X]) :- r(X).
+"""
+
+
+# Countdown lists: mk(N, Xs) gives Xs = [N, N-1, ..., 1].
+MK_TEXT = """
+kind list/1. kind int/0.
+func nil : list(U).  func cons(U, list(U)) : list(U).
+pred mk(int, list(int)).
+mk(0, []).
+mk(N, [N|Xs]) :- mk(N-1, Xs).
 """
 
 
@@ -407,6 +420,37 @@ def eager_mgu(eqs, rigid=()):
         for l, r in reversed(list(zip(left.args, right.args))):
             work.append((l, r, i))
     return Subst(binding)
+
+
+# ------------------------------------------------ reference answers
+
+def eager_answers(program, query, depth, selection="leftmost"):
+    """Reference for `Derivation.answer`: the search of `trees.derivations`,
+    in the same order and with the same fresh names, keeping the answer as
+    a binding map of the query's variables that every step rewrites with
+    its unifier (evaluating ground subtractions).  Yields the answer of
+    each derivation in search order."""
+    clauses = resolution_clauses(program)
+    ns = NameSource()
+
+    def rec(cur, binding, steps):
+        yield Subst({v: t for v, t in binding.items() if t != v})
+        if steps >= depth or not cur:
+            return
+        positions = range(1, len(cur) + 1) if selection == "all" else (1,)
+        for k in positions:
+            a = cur[k - 1]
+            for _, c in clauses:
+                if c.head.pred != a.pred or len(c.head.args) != len(a.args):
+                    continue
+                got = derive_step(cur, k, rename_apart(c, ns))
+                if got is None:
+                    continue
+                theta, nxt = got
+                nb = {v: eval_arith(theta.apply(t)) for v, t in binding.items()}
+                yield from rec(nxt, nb, steps + 1)
+
+    yield from rec(query, {v: v for v in vars_in_order(query)}, 0)
 
 
 # -------------------------------------- reference subject-reduction check

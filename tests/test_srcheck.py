@@ -10,7 +10,6 @@ from tlpc.core import EQ, GO, GO_CLAUSE_INDEX, Param, TCon, Var, resolution_clau
 from tlpc.parser import parse_program, parse_query, render
 from tlpc.srcheck import (
     Partition,
-    all_head_partition,
     assembled_variable_typing,
     check_head_condition,
     check_semi_generic,
@@ -200,7 +199,7 @@ def test_partition_marks_and_builtins(nestcount):
 
 
 def test_make_partition_validation(nestcount):
-    assert all_head_partition(nestcount).by_pred == {"r": ("h", "h")}
+    assert make_partition(nestcount).by_pred == {"r": ("h", "h")}
     with pytest.raises(ValueError):
         make_partition(nestcount, {"r": ("h",)})
     with pytest.raises(ValueError):
@@ -263,7 +262,7 @@ def test_semi_generic_failures_move_with_the_partition(fgs1):
 
 def test_all_head_partition_makes_every_query_semi_generic(append):
     q = parse_query("app(Xs, [], Zs), r(Xs)", append.signature)
-    rep = check_semi_generic(append, all_head_partition(append), queries=(q,))
+    rep = check_semi_generic(append, make_partition(append), queries=(q,))
     assert rep.passed
 
 
@@ -294,7 +293,7 @@ def test_search_partition_results(corpus):
         else:
             # Programs passing the head condition settle for all-head.
             assert got is not None
-            assert got.by_pred == all_head_partition(program).by_pred, name
+            assert got.by_pred == make_partition(program).by_pred, name
 
 
 def test_search_partition_is_deterministic(semigen):

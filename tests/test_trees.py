@@ -20,7 +20,7 @@ from tlpc.core import (
     variant_terms,
     vars_of,
 )
-from tlpc.parser import parse_query, parse_term, render
+from tlpc.parser import parse_program, parse_query, parse_term, render
 from tlpc.trees import (
     BOTTOM,
     Derivation,
@@ -54,7 +54,16 @@ from tlpc.trees import (
     tp_step,
 )
 
-from helpers import ground_trees, match_onto, variant_queries
+from helpers import (
+    CORPUS_QUERIES,
+    EXTRA_QUERIES,
+    MK_TEXT,
+    corpus_query,
+    eager_answers,
+    ground_trees,
+    match_onto,
+    variant_queries,
+)
 
 
 # ------------------------------------------------------------ single steps
@@ -109,7 +118,8 @@ def test_leftmost_derivations_yield_all_prefixes(nest):
 def test_depth_zero_single_empty_derivation(append):
     q = parse_query("r([1])", append.signature)
     ds = list(derivations(append, q, depth=0))
-    assert ds == [Derivation(q, (), TermSubst({}))]
+    assert ds == [Derivation(q, ())]
+    assert ds[0].answer == TermSubst({})
 
 
 def test_append_success_branch(append):
@@ -140,6 +150,20 @@ def test_all_selection_tries_every_position(append):
     assert {s.position for d in both for s in d.steps} == {1, 2}
     with pytest.raises(ValueError):
         next(derivations(append, q, depth=1, selection="bogus"))
+
+
+@pytest.mark.parametrize("selection", ["leftmost", "all"])
+def test_answers_match_eager_composer(corpus, selection):
+    mk = parse_program(MK_TEXT)
+    cases = [corpus_query(corpus, name, text) for name, text in CORPUS_QUERIES + EXTRA_QUERIES]
+    cases += [(mk, parse_query(text, mk.signature)) for text in ("mk(4, Xs)", "mk(N, Xs)", "mk(3-1, Xs)")]
+    cases += [corpus_query(corpus, "nestcount", text) for text in ("r(3, X)", "r(J, [[X]])")]
+    for program, q in cases:
+        ds = list(derivations(program, q, 6, selection))
+        want = list(eager_answers(program, q, 6, selection))
+        assert len(ds) == len(want), render(q)
+        for d, ref in zip(ds, want):
+            assert d.answer == ref, (render(q), [s.clause_index for s in d.steps])
 
 
 def test_answers(append, nest):

@@ -13,7 +13,6 @@ from tlpc.unify import (
     is_instance_of,
     is_typed_substitution,
     match_terms,
-    match_types,
     mgu_terms,
     mgu_types,
     ordered_unifiable,
@@ -116,8 +115,8 @@ def test_match_is_one_sided():
     assert match_terms(tgt, pat) is None
     assert is_instance_of(tgt, pat)
     assert not is_instance_of(pat, tgt)
-    assert match_types(list_of(U), list_of(INT)) == {U: INT}
-    assert match_types(list_of(INT), list_of(U)) is None
+    assert match_terms(list_of(U), list_of(INT)) == {U: INT}
+    assert match_terms(list_of(INT), list_of(U)) is None
 
 
 def test_is_typed_substitution(append):
@@ -167,7 +166,7 @@ def test_type_subst_composition_factors():
     theta = mgu_types(eqs)
     other = TypeSubst({U: INT, Param("V"): INT})
     pack = lambda s: TCon("pr", (s.apply(U), s.apply(Param("V"))))
-    assert match_types(pack(theta), pack(other)) is not None
+    assert match_terms(pack(theta), pack(other)) is not None
 
 
 # ------------------------------- differential test against the reference
@@ -244,6 +243,20 @@ def test_mgu_terms_matches_reference(eqs):
 def test_mgu_types_matches_reference(eqs, rigid):
     _assert_same(_outcome(mgu_types, eqs, rigid=rigid),
                  _outcome(eager_mgu, eqs, rigid=rigid))
+
+
+def test_mgu_resolves_long_term_chains():
+    # X_i = f(X_{i+1}): the solution binds X_i to f nested 2999 - i deep
+    # around the last variable, each resolved value read without recursion.
+    xs = [Var("X", i) for i in range(3000)]
+    theta = mgu_terms((a, Fun("f", (b,))) for a, b in zip(xs, xs[1:]))
+    assert len(theta) == len(xs) - 1
+    for i, x in enumerate(xs[:-1]):
+        t, depth = theta[x], 0
+        while isinstance(t, Fun):
+            assert t.name == "f" and len(t.args) == 1
+            t, depth = t.args[0], depth + 1
+        assert (t, depth) == (xs[-1], len(xs) - 1 - i)
 
 
 def test_mgu_resolves_long_binding_chains():
