@@ -2,7 +2,7 @@
 
 Exit codes: 0 when the requested analysis finds no violations, 1 when it
 reports at least one, 2 when the input is rejected before analysis (file,
-syntax, or typing errors).
+syntax, or typing errors), 3 when the analysis itself fails unexpectedly.
 """
 from __future__ import annotations
 
@@ -97,10 +97,7 @@ def _resolve_partition(program: Program, source: str | None):
         raise ValueError("the program has no partition annotations")
     if source != "auto" and program.partitions:
         return "annotated", make_partition(program, program.partitions)
-    found = search_partition(program)
-    if found is None:
-        return "search", None
-    return "search", found
+    return "search", search_partition(program)
 
 
 def cmd_check(args) -> int:
@@ -321,6 +318,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

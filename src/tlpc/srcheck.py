@@ -7,11 +7,13 @@ resolution can never produce an untypable query.  The bounded check types
 each clause once and decides each skeleton from its root: the clause copies
 of distinct nodes share no variables and no parameters, so a skeleton (or
 its type skeleton) is proper exactly when its subtrees are and the root's
-body atoms (or their types) unify with the subtrees' solved heads.  Solved
-subtrees are reused across the skeletons that share them.  Two decidable
-per-clause conditions imply this for all queries at once: the classical
-requirement that inferred head types be a renaming of the declared types,
-and its relaxation where each argument position is marked head-generic or
+body atoms (or their types) unify with the subtrees' solved heads.  Each
+subtree is solved where enumeration builds it and dropped there when
+improper; its solved head types are worked out once, on first need, for
+every skeleton that contains it.  Two decidable per-clause conditions
+imply this for all queries at once: the classical requirement that
+inferred head types be a renaming of the declared types, and its
+relaxation where each argument position is marked head-generic or
 body-generic.
 """
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .core import (
+    Atom,
     Clause,
     EQ,
     GO,
@@ -43,8 +46,8 @@ from .reports import CheckReport, Finding
 from .trees import (
     BOTTOM,
     Skeleton,
+    _by_height,
     derivations,
-    enumerate_skeletons,
     height,
     tree_to_json,
 )
@@ -346,107 +349,73 @@ def search_partition(program: Program) -> Partition | None:
 
 # --------------------------------------------------------- bounded checks
 
-# Marks a kept subtree whose solved head types are not computed yet.
-_UNSOLVED = object()
+@dataclass(eq=False, slots=True)
+class _Option:
+    """A proper option of one call site, made where enumeration builds it:
+    its skeleton, its height, its head under an mgu of its interface
+    equations, and its solved head types once they are first asked for."""
+    skeleton: Skeleton
+    height: int
+    head: Atom
+    children: tuple
+    types: tuple | None = None
+    typed: bool = False
 
-
-class _SkeletonSolver:
-    """Decides the skeletons of one bounded check from their roots.
-
-    Each clause is typed once, keyed by its clause index: the node copies of
-    one clause are renamings of it, with the same atom types.  A subtree's
-    solved head and solved head types are kept once the subtree is reached a
-    second time; most nodes hang under a single root, and keeping those would
-    only cost memory.  Kept entries hold their subtree, so its id stays
-    unique while kept.  Enumeration builds fresh subtrees for every height,
-    so `new_height` drops what was kept."""
-
-    def __init__(self, sig: Signature):
-        self.sig = sig
-        self.ns = NameSource()
-        self.typings: dict[int, tuple] = {}
-        self.reached: set[int] = set()
-        self.kept: dict[int, list] = {}
-
-    def new_height(self) -> None:
-        self.reached.clear()
-        self.kept.clear()
-
-    def head(self, node: Skeleton):
-        """The node's head under an mgu of its subtree's interface
-        equations, or None when they do not unify."""
+    def head_types(self, fresh_atom_types) -> tuple | None:
+        """The head types of the option's type skeleton under an mgu of its
+        equations, or None when they do not unify.  `fresh_atom_types(node)`
+        gives a node's clause atom types with fresh parameters."""
+        if self.typed:
+            return self.types
+        self.typed = True
+        vecs = fresh_atom_types(self.skeleton)
         eqs = []
-        for atom, child in zip(node.clause.body, node.children):
+        for vec, child in zip(vecs[1:], self.children):
             if child is not BOTTOM:
-                solved = self._subtree(child)[1]
-                if solved is None:
-                    return None
-                eqs.append((atom, solved))
-        if not eqs:
-            return node.clause.head
-        try:
-            return mgu_terms(eqs).apply(node.clause.head)
-        except UnificationError:
-            return None
-
-    def head_types(self, node: Skeleton):
-        """The head types of the node's type skeleton under an mgu of its
-        equations, or None when they do not unify.  For proper subtrees."""
-        vecs = self._fresh_atom_types(node)
-        eqs = []
-        for vec, child in zip(vecs[1:], node.children):
-            if child is not BOTTOM:
-                entry = self.kept.get(id(child))
-                if entry is None:
-                    solved = self.head_types(child)
-                elif entry[2] is _UNSOLVED:
-                    solved = entry[2] = self.head_types(child)
-                else:
-                    solved = entry[2]
+                solved = child.head_types(fresh_atom_types)
                 if solved is None:
                     return None
                 eqs.extend(zip(vec, solved))
-        if not eqs:
-            return vecs[0]
         try:
-            return mgu_types(eqs).apply(vecs[0])
+            self.types = mgu_types(eqs).apply(vecs[0]) if eqs else vecs[0]
         except UnificationError:
-            return None
+            pass  # not proper: types stays None
+        return self.types
 
-    def _subtree(self, node: Skeleton) -> list:
-        """[subtree, solved head, solved head types or _UNSOLVED]."""
-        entry = self.kept.get(id(node))
-        if entry is None:
-            entry = [node, self.head(node), _UNSOLVED]
-            if id(node) in self.reached:
-                self.kept[id(node)] = entry
-            else:
-                self.reached.add(id(node))
-        return entry
 
-    def _fresh_atom_types(self, node: Skeleton) -> tuple:
-        typed = self.typings.get(node.clause_index)
-        if typed is None:
-            ct = _node_typing(node, self.sig)
-            typed = self.typings[node.clause_index] = (ct.atom_types,
-                                                       pars_in_order(ct.atom_types))
-        vecs, params = typed
-        return apply_subst(vecs, {p: self.ns.fresh_param(p.name) for p in params})
+def _solved_option(copy: Clause, index: int, children: tuple) -> _Option | None:
+    """The option of `copy` over proper child options, or None when the
+    body atoms do not unify with the children's solved heads."""
+    eqs = [(atom, child.head) for atom, child in zip(copy.body, children)
+           if child is not BOTTOM]
+    try:
+        head = mgu_terms(eqs).apply(copy.head) if eqs else copy.head
+    except UnificationError:
+        return None
+    h = max((c.height + 1 for c in children if c is not BOTTOM), default=0)
+    kids = tuple(BOTTOM if c is BOTTOM else c.skeleton for c in children)
+    return _Option(Skeleton(copy, index, kids), h, head, children)
 
 
 def typed_proper_skeletons(program: Program, query: Query,
                            depth: int = 5) -> Iterator[tuple[Skeleton, bool]]:
     """The proper skeletons up to the given height, smallest first, each
-    paired with whether its type skeleton is proper."""
-    solver = _SkeletonSolver(program.signature)
-    level = 0
-    for s in enumerate_skeletons(program, query, depth):
-        h = height(s)
-        if h != level:
-            level = h
-            solver.new_height()
-        if solver.head(s) is not None:
-            yield s, solver.head_types(s) is not None
+    paired with whether its type skeleton is proper.  Each clause is typed
+    once, keyed by its clause index: the node copies of one clause are
+    renamings of it, with the same atom types."""
+    sig = program.signature
+    ns = NameSource()
+    typings: dict[int, tuple] = {}
+
+    def fresh_atom_types(node: Skeleton) -> tuple:
+        if node.clause_index not in typings:
+            ct = _node_typing(node, sig)
+            typings[node.clause_index] = ct.atom_types, pars_in_order(ct.atom_types)
+        vecs, params = typings[node.clause_index]
+        return apply_subst(vecs, {p: ns.fresh_param(p.name) for p in params})
+
+    for opt in _by_height(program, query, depth, _solved_option, lambda o: o.height):
+        yield opt.skeleton, opt.head_types(fresh_atom_types) is not None
 
 
 def subject_reduction_counterexamples(

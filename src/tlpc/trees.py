@@ -100,28 +100,51 @@ def _matching(clauses, atom: Atom):
             yield idx, c
 
 
-def _subtrees(clauses, atom: Atom, budget: int, ns: NameSource,
-              allow_bottom: bool) -> list:
+def _options(clauses, atom: Atom, budget: int, ns: NameSource,
+             allow_bottom: bool, build) -> Iterator:
     """Subtree options for one call site: BOTTOM (if allowed) plus every
-    skeleton of height <= budget rooted at a matching clause."""
-    out: list = [BOTTOM] if allow_bottom else []
+    skeleton of height <= budget rooted at a matching clause, each made by
+    `build(copy, index, children)` from options of the body atoms' call
+    sites.  Options for which `build` returns None are left out."""
+    if allow_bottom:
+        yield BOTTOM
     if budget < 0:
-        return out
+        return
     for idx, c in _matching(clauses, atom):
         copy = rename_apart(c, ns)
-        slots = [_subtrees(clauses, b, budget - 1, ns, allow_bottom)
+        # product takes its slots in full, one after the other, so fresh
+        # names are drawn in the same order whatever the consumer does.
+        slots = [_options(clauses, b, budget - 1, ns, allow_bottom, build)
                  for b in copy.body]
         for combo in itertools.product(*slots):
-            out.append(Skeleton(copy, idx, combo))
-    return out
+            opt = build(copy, idx, combo)
+            if opt is not None:
+                yield opt
 
 
 def _rooted(clauses, root: Clause, root_index: int, budget: int,
-            ns: NameSource, allow_bottom: bool) -> Iterator[Skeleton]:
-    slots = [_subtrees(clauses, b, budget - 1, ns, allow_bottom)
+            ns: NameSource, allow_bottom: bool, build=Skeleton) -> Iterator:
+    """The options rooted at `root`.  With one body atom they stream from
+    its call site; with more, every slot is built before the first option."""
+    slots = [_options(clauses, b, budget - 1, ns, allow_bottom, build)
              for b in root.body]
-    for combo in itertools.product(*slots):
-        yield Skeleton(root, root_index, combo)
+    combos = ((o,) for o in slots[0]) if len(slots) == 1 else itertools.product(*slots)
+    for combo in combos:
+        opt = build(root, root_index, combo)
+        if opt is not None:
+            yield opt
+
+
+def _by_height(program: Program, query: Query, depth: int, build, height_of) -> Iterator:
+    """The query's root options, made by `build`, of each height from 0 up
+    to `depth` in turn; `height_of(option)` gives an option's height."""
+    clauses = resolution_clauses(program)
+    root = wrap_query(query)
+    ns = NameSource()
+    for h in range(depth + 1):
+        for opt in _rooted(clauses, root, GO_CLAUSE_INDEX, h, ns, True, build):
+            if height_of(opt) == h:
+                yield opt
 
 
 def enumerate_skeletons(program: Program, query: Query,
@@ -133,13 +156,7 @@ def enumerate_skeletons(program: Program, query: Query,
     builtin equality clause participates like a program clause.  Heights run
     from 0 up to `depth`.
     """
-    clauses = resolution_clauses(program)
-    root = wrap_query(query)
-    ns = NameSource()
-    for h in range(depth + 1):
-        for s in _rooted(clauses, root, GO_CLAUSE_INDEX, h, ns, True):
-            if height(s) == h:
-                yield s
+    yield from _by_height(program, query, depth, Skeleton, height)
 
 
 def enumerate_proof_skeletons(program: Program, depth: int) -> Iterator[Skeleton]:
@@ -268,23 +285,35 @@ def same_shape(a, b) -> bool:
 
 def eval_arith(obj):
     """Replace every ground subtraction of integer literals with its value.
-    Works on terms, atoms, queries, and clauses."""
-    if isinstance(obj, Var):
-        return obj
+    Works on terms, atoms, queries, and clauses.  Terms are walked with an
+    explicit stack, so their depth is not bounded by the recursion limit."""
     if isinstance(obj, tuple):
         return tuple(eval_arith(a) for a in obj)
     if isinstance(obj, Atom):
-        return Atom(obj.pred, tuple(eval_arith(a) for a in obj.args))
+        return Atom(obj.pred, eval_arith(obj.args))
     if isinstance(obj, Clause):
         return Clause(eval_arith(obj.head), eval_arith(obj.body))
-    if isinstance(obj, Fun):
-        args = tuple(eval_arith(a) for a in obj.args)
-        if (obj.name == MINUS and len(args) == 2
-                and all(isinstance(a, Fun) and not a.args and is_int_literal(a.name)
-                        for a in args)):
-            return Fun(str(int(args[0].name) - int(args[1].name)))
-        return Fun(obj.name, args)
-    raise TypeError(f"cannot evaluate {obj!r}")
+    if not isinstance(obj, (Var, Fun)):
+        raise TypeError(f"cannot evaluate {obj!r}")
+    done: list[Term] = []
+    todo: list[tuple[Term, bool]] = [(obj, False)]
+    while todo:
+        t, ready = todo.pop()
+        if isinstance(t, Var) or not t.args:
+            done.append(t)
+        elif not ready:
+            todo.append((t, True))
+            todo.extend((a, False) for a in reversed(t.args))
+        else:
+            args = tuple(done[-len(t.args):])
+            del done[-len(t.args):]
+            if (t.name == MINUS and len(args) == 2
+                    and all(isinstance(a, Fun) and not a.args and is_int_literal(a.name)
+                            for a in args)):
+                done.append(Fun(str(int(args[0].name) - int(args[1].name))))
+            else:
+                done.append(Fun(t.name, args))
+    return done[0]
 
 
 @dataclass(frozen=True)

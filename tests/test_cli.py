@@ -170,15 +170,30 @@ def test_run_fgs1(capsys):
 
 
 def test_run_long_countdown(capsys, tmp_path):
-    # 401 steps: the answer is solved from the steps' unifiers once, at the end.
+    # n + 1 steps: the answer is solved from the steps' unifiers once, at the
+    # end, and its subtractions are evaluated without recursion.
     f = tmp_path / "mk.tlp"
     f.write_text(MK_TEXT)
-    code, out, err = run_cli(capsys, "run", str(f), "--query", "mk(400, Xs)",
-                             "--depth", "401")
-    assert code == 0
-    countdown = ", ".join(str(n) for n in range(400, 0, -1))
-    assert out.splitlines()[0] == f"answer: Xs = [{countdown}]"
-    assert err == ""
+    for n in (400, 600):
+        code, out, err = run_cli(capsys, "run", str(f), "--query", f"mk({n}, Xs)",
+                                 "--depth", str(n + 1))
+        assert code == 0
+        countdown = ", ".join(str(k) for k in range(n, 0, -1))
+        assert out.splitlines()[0] == f"answer: Xs = [{countdown}]"
+        assert err == ""
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    import tlpc.cli as cli
+
+    def crash(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "cmd_sr", crash)
+    code, out, err = run_cli(capsys, "sr", corpus_path("nest"), "--query", "p(X)")
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal error: RecursionError: maximum recursion depth exceeded\n"
 
 
 def test_run_json(capsys):

@@ -30,6 +30,7 @@ from tlpc.srcheck import (
 )
 from tlpc.trees import (
     BOTTOM,
+    Skeleton,
     answers,
     enumerate_skeletons,
     frontier,
@@ -509,6 +510,23 @@ def test_sr_types_each_clause_once(typing_calls, tmp_path):
     assert main(["sr", str(path), "--query", "flat(T, L)", "--depth", "2"]) == 0
     # _require_typable types each program clause once more
     assert len(typing_calls) <= len(flat.clauses) + len(resolution_clauses(flat)) + 1
+
+
+@pytest.mark.parametrize("search", ["enumerate", "typed"])
+def test_root_options_stream(search):
+    # A one-atom query's root options stream from its call site: at the first
+    # height-3 skeleton only the current option's subtree lists are alive,
+    # not the thousands of skeletons among all the root's options.
+    import gc
+    flat = parse_program(FLAT_TEXT)
+    q = parse_query("flat(T, L)", flat.signature)
+    if search == "enumerate":
+        found = enumerate_skeletons(flat, q, 3)
+    else:
+        found = (s for s, _ in typed_proper_skeletons(flat, q, 3))
+    next(s for s in found if height(s) == 3)  # the search stays suspended in found
+    gc.collect()
+    assert sum(isinstance(o, Skeleton) for o in gc.get_objects()) < 500
 
 
 def test_partition_search_types_each_clause_once(typing_calls, fgs2):
