@@ -31,6 +31,7 @@ from .trees import (
     enumerate_skeletons,
     height,
     is_proper_skeleton,
+    nodes,
     skeleton_to_json,
 )
 from .typecheck import UntypableError, is_typable, most_general_type
@@ -72,13 +73,8 @@ def _print_report(title: str, rep: CheckReport) -> None:
 def _tree_lines(node, text, depth: int) -> list[str]:
     """One line per node of a (type) skeleton in prefix order, indented by
     depth; `text` labels a clause node."""
-    pad = "  " * depth
-    if node is BOTTOM:
-        return [f"{pad}_|_"]
-    out = [f"{pad}{text(node)}"]
-    for c in node.children:
-        out.extend(_tree_lines(c, text, depth + 1))
-    return out
+    return [f"{'  ' * (depth + d)}{'_|_' if n is BOTTOM else text(n)}"
+            for _, _, n, d in nodes(node)]
 
 
 def _skeleton_text(node) -> str:

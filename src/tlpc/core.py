@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping, Union
 
 from .reports import CheckReport, Finding
@@ -393,6 +394,13 @@ class Program:
     signature: Signature
     clauses: tuple[Clause, ...]
     partitions: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+
+    @cached_property
+    def clause_typings(self) -> tuple:
+        """The most general type of each clause, worked out once, on first
+        use.  Raises the first untypable clause's UntypableError."""
+        from .typecheck import most_general_type
+        return tuple(most_general_type(c, self.signature) for c in self.clauses)
 
     def __repr__(self) -> str:
         from .parser import render

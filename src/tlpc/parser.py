@@ -369,6 +369,15 @@ class _Bail(Exception):
         self.message = message
 
 
+def _report(p: _Parser, err: _Bail | RecursionError) -> None:
+    """Record an aborted item.  The parser recurses once per nesting level,
+    so a term nested past the recursion limit is reported at the token
+    reached, as bad input."""
+    tok, message = ((err.tok, err.message) if isinstance(err, _Bail)
+                    else (p.peek(), "term nested too deeply"))
+    p.diags.error(tok.line, tok.col, message)
+
+
 def parse_program(text: str) -> Program:
     """Parse a .tlp source text.  Raises ParseError carrying Diagnostics
     when the text (or its signature) is ill-formed."""
@@ -390,8 +399,8 @@ def parse_program(text: str) -> Program:
                 p.parse_partition(partitions)
             else:
                 clauses.append(p.parse_clause())
-        except _Bail as b:
-            diags.error(b.tok.line, b.tok.col, b.message)
+        except (_Bail, RecursionError) as err:
+            _report(p, err)
             p.skip_to_dot()
     if diags.has_errors:
         raise ParseError(diags)
@@ -406,8 +415,8 @@ def _parse_one(text: str, sig: Signature, item):
     try:
         got = item(p)
         p.expect("eof")
-    except _Bail as b:
-        diags.error(b.tok.line, b.tok.col, b.message)
+    except (_Bail, RecursionError) as err:
+        _report(p, err)
         got = None
     if diags.has_errors or got is None:
         raise ParseError(diags)

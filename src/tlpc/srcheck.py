@@ -33,6 +33,7 @@ from .core import (
     Query,
     Signature,
     Subst,
+    TCon,
     Type,
     Var,
     apply_subst,
@@ -49,6 +50,8 @@ from .trees import (
     _by_height,
     derivations,
     height,
+    nodes,
+    rebuild,
     tree_to_json,
 )
 from .typecheck import ClauseTyping, UntypableError, is_typable, most_general_type
@@ -102,12 +105,11 @@ def type_skeleton_of(s: Skeleton, sig: Signature) -> TypeSkeleton:
     naming the offending clause when some node has no typing."""
     ns = NameSource()
 
-    def conv(node: Skeleton) -> TypeSkeleton:
+    def make(node: Skeleton):
         ct = _node_typing(node, sig)
         ren = {p: ns.fresh_param(p.name) for p in pars_in_order(ct.atom_types)}
         vecs = apply_subst(ct.atom_types, ren)
-        kids = tuple(BOTTOM if c is BOTTOM else conv(c) for c in node.children)
-        return TypeSkeleton(
+        return lambda kids: TypeSkeleton(
             clause_index=node.clause_index,
             head_pred=node.clause.head.pred,
             head_types=vecs[0],
@@ -117,23 +119,15 @@ def type_skeleton_of(s: Skeleton, sig: Signature) -> TypeSkeleton:
             children=kids,
         )
 
-    return conv(s)
+    return rebuild(s, make)
 
 
 def eq_of_type_skeleton(ts: TypeSkeleton) -> list[tuple[Type, Type]]:
     """Interface equations between argument types: each expanded body-atom
     type paired with the child's head type, componentwise, parent before
     child, left to right."""
-    eqs: list[tuple[Type, Type]] = []
-
-    def walk(node: TypeSkeleton) -> None:
-        for vec, child in zip(node.body_types, node.children):
-            if child is not BOTTOM:
-                eqs.extend(zip(vec, child.head_types))
-                walk(child)
-
-    walk(ts)
-    return eqs
+    return [eq for p, i, n, _ in nodes(ts) if p is not None and n is not BOTTOM
+            for eq in zip(p.body_types[i], n.head_types)]
 
 
 def is_proper_type_skeleton(ts: TypeSkeleton) -> Subst | None:
@@ -147,17 +141,8 @@ def assembled_variable_typing(ts: TypeSkeleton, theta: Subst) -> dict[Var, Type]
     """One variable typing covering every node's clause copy: the per-node
     typings instantiated by a solution of the type skeleton's equations.
     Sound because distinct nodes share no variables."""
-    out: dict[Var, Type] = {}
-
-    def walk(node: TypeSkeleton) -> None:
-        for v, t in node.variable_typing.items():
-            out[v] = theta.apply(t)
-        for c in node.children:
-            if c is not BOTTOM:
-                walk(c)
-
-    walk(ts)
-    return out
+    return {v: theta.apply(t) for _, _, n, _ in nodes(ts) if n is not BOTTOM
+            for v, t in n.variable_typing.items()}
 
 
 # ------------------------------------------------------------ partitions
@@ -210,8 +195,8 @@ def check_head_condition(program: Program) -> CheckReport:
     predicate's declared types.  Raises UntypableError on untypable clauses."""
     sig = program.signature
     findings: list[Finding] = []
-    for i, c in enumerate(program.clauses):
-        got = most_general_type(c, sig).atom_types[0]
+    for i, (c, ct) in enumerate(zip(program.clauses, program.clause_typings)):
+        got = ct.atom_types[0]
         declared = sig.pred_decl(c.head.pred).arg_types
         if not variant_types(got, declared):
             findings.append(Finding(
@@ -284,23 +269,13 @@ def _semi_generic_findings(program: Program, part: Partition, clause: Clause,
     return findings
 
 
-def _typed(clauses, sig: Signature) -> list[tuple[Clause, ClauseTyping]]:
-    return [(c, most_general_type(c, sig)) for c in clauses]
-
-
 def check_semi_generic(program: Program, part: Partition,
                        queries: tuple[Query, ...] = ()) -> CheckReport:
     """Semi-genericity of every clause, and of each supplied query (a query
     counts as the body of a clause with the 0-ary head `go`)."""
-    sig = program.signature
-    return _semi_generic_report(program, part, _typed(program.clauses, sig),
-                                _typed(map(wrap_query, queries), sig))
-
-
-def _semi_generic_report(program: Program, part: Partition, typed,
-                         typed_queries=()) -> CheckReport:
-    """check_semi_generic over clauses already paired with their most
-    general types."""
+    typed = zip(program.clauses, program.clause_typings)
+    typed_queries = [(c, most_general_type(c, program.signature))
+                     for c in map(wrap_query, queries)]
     findings: list[Finding] = []
     for i, (c, ct) in enumerate(typed):
         findings.extend(_semi_generic_findings(program, part, c, ct, i))
@@ -316,7 +291,7 @@ def search_partition(program: Program) -> Partition | None:
     all-head-generic partition is found first whenever it works.  A clause is
     checked as soon as all its predicates are assigned, pruning the search."""
     sig = program.signature
-    typed = _typed(program.clauses, sig)
+    typed = list(zip(program.clauses, program.clause_typings))
     names = list(sig.preds)
 
     def decidable(c: Clause, have: set[str]) -> bool:
@@ -325,7 +300,7 @@ def search_partition(program: Program) -> Partition | None:
     def rec(i: int, assigned: dict[str, tuple[str, ...]]) -> Partition | None:
         if i == len(names):
             part = Partition(dict(assigned))
-            if _semi_generic_report(program, part, typed).passed:
+            if check_semi_generic(program, part).passed:
                 return part
             return None
         arity = len(sig.preds[names[i]].arg_types)
@@ -364,22 +339,30 @@ class _Option:
     def head_types(self, fresh_atom_types) -> tuple | None:
         """The head types of the option's type skeleton under an mgu of its
         equations, or None when they do not unify.  `fresh_atom_types(node)`
-        gives a node's clause atom types with fresh parameters."""
-        if self.typed:
-            return self.types
-        self.typed = True
-        vecs = fresh_atom_types(self.skeleton)
-        eqs = []
-        for vec, child in zip(vecs[1:], self.children):
-            if child is not BOTTOM:
-                solved = child.head_types(fresh_atom_types)
-                if solved is None:
-                    return None
-                eqs.extend(zip(vec, solved))
-        try:
-            self.types = mgu_types(eqs).apply(vecs[0]) if eqs else vecs[0]
-        except UnificationError:
-            pass  # not proper: types stays None
+        gives a node's clause atom types with fresh parameters.  Options are
+        solved from an explicit stack holding the path to the one in hand:
+        its children left to right, up to the first that is not proper."""
+        path = [(self, None)]
+        while path:
+            opt, vecs = path.pop()
+            if opt.typed:
+                continue
+            if vecs is None:
+                vecs = fresh_atom_types(opt.skeleton)
+            waiting = next((c for c in opt.children if c is not BOTTOM
+                            and (not c.typed or c.types is None)), None)
+            if waiting is not None and not waiting.typed:
+                path += [(opt, vecs), (waiting, None)]
+                continue
+            opt.typed = True
+            if waiting is not None:
+                continue  # an improper child: types stays None
+            eqs = [eq for vec, c in zip(vecs[1:], opt.children) if c is not BOTTOM
+                   for eq in zip(vec, c.types)]
+            try:
+                opt.types = mgu_types(eqs).apply(vecs[0]) if eqs else vecs[0]
+            except UnificationError:
+                pass  # not proper: types stays None
         return self.types
 
 
@@ -433,8 +416,7 @@ def subject_reduction_counterexamples(
 
 
 def _require_typable(program: Program, query: Query) -> None:
-    for c in program.clauses:
-        most_general_type(c, program.signature)
+    program.clause_typings  # raises on the first untypable clause
     if not is_typable(query, program.signature):
         raise UntypableError(f"query {render(query)} has no typing")
 
@@ -506,25 +488,18 @@ def eq_prime_of_type_skeleton(ts: TypeSkeleton, part: Partition) -> list[tuple[T
     the right) and one over the body-generic positions (parent's types on
     the right).  Each side is packed into a single type so the pair stays
     one equation."""
-    from .core import TCon
-
     eqs: list[tuple[Type, Type]] = []
 
     def pack(types: tuple[Type, ...]) -> Type:
         return TCon("$vec", tuple(types))
 
-    def walk(node: TypeSkeleton) -> None:
-        for pred, vec, child in zip(node.body_preds, node.body_types, node.children):
-            if child is BOTTOM:
-                continue
-            marks = part.marks(pred, len(vec))
-            parent_h = _split(vec, marks, HEAD_GENERIC)
-            parent_b = _split(vec, marks, BODY_GENERIC)
-            child_h = _split(child.head_types, marks, HEAD_GENERIC)
-            child_b = _split(child.head_types, marks, BODY_GENERIC)
-            eqs.append((pack(parent_h), pack(child_h)))
-            eqs.append((pack(child_b), pack(parent_b)))
-            walk(child)
-
-    walk(ts)
+    for parent, i, child, _ in nodes(ts):
+        if parent is None or child is BOTTOM:
+            continue
+        vec = parent.body_types[i]
+        marks = part.marks(parent.body_preds[i], len(vec))
+        eqs.append((pack(_split(vec, marks, HEAD_GENERIC)),
+                    pack(_split(child.head_types, marks, HEAD_GENERIC))))
+        eqs.append((pack(_split(child.head_types, marks, BODY_GENERIC)),
+                    pack(_split(vec, marks, BODY_GENERIC))))
     return eqs

@@ -5,11 +5,19 @@ bindings; gluing its node interfaces together (parent body atom against child
 head) gives an equation set whose unifiability decides whether the skeleton
 describes a real derivation.  When it does, applying the most general unifier
 node by node yields the most general derivation tree of that shape.
+
+Every walk over a tree of clause nodes (skeletons, derivation trees and type
+skeletons) reads `nodes`, which lists them in one order: prefix, parent
+before child, left to right.  That order fixes the order of interface
+equations, and so which type equation a check reports as failing.  Copies
+are made by `rebuild`, bottom-up from that list.  No tree walk recurses, so
+tree height is not bounded by the recursion limit.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, Literal
 
 from .core import (
@@ -78,18 +86,50 @@ class DerivationTree:
             raise ValueError("one child per body atom required")
 
 
+def nodes(root) -> Iterator[tuple]:
+    """Every node of a tree of clause nodes in prefix order, BOTTOM leaves
+    included, as (parent, index, node, depth): `node` is child `index` of
+    `parent`, `depth` levels below the root (whose parent and index are
+    None)."""
+    stack = [(None, None, root, 0)]
+    while stack:
+        item = stack.pop()
+        yield item
+        _, _, node, depth = item
+        if node is not BOTTOM:
+            kids = node.children
+            stack.extend((node, i, kids[i], depth + 1) for i in range(len(kids) - 1, -1, -1))
+
+
+def _assemble(plan) -> object:
+    """The tree described by `plan`, a prefix-order list of (make, arity)
+    pairs: `make(children)` builds a clause node from its built children,
+    and a None `make` stands for BOTTOM.  Built bottom-up from a list."""
+    built: list = []
+    for make, arity in reversed(plan):
+        built.append(BOTTOM if make is None else make(tuple(built.pop() for _ in range(arity))))
+    return built[0]
+
+
+def rebuild(root, make):
+    """A copy of a tree: `make(node)` is called on each clause node in prefix
+    order and gives a function from the node's copied children to its copy.
+    BOTTOM leaves stay BOTTOM."""
+    return _assemble([(None, 0) if n is BOTTOM else (make(n), len(n.children))
+                      for _, _, n, _ in nodes(root)])
+
+
 def height(node) -> int:
     """Levels of complete nodes below the root (BOTTOM leaves do not count)."""
-    kids = [height(c) for c in node.children if c is not BOTTOM]
-    return 1 + max(kids) if kids else 0
+    return max(d for _, _, n, d in nodes(node) if n is not BOTTOM)
 
 
 def complete_node_count(node) -> int:
-    return 1 + sum(complete_node_count(c) for c in node.children if c is not BOTTOM)
+    return sum(n is not BOTTOM for _, _, n, _ in nodes(node))
 
 
 def is_complete(node) -> bool:
-    return all(c is not BOTTOM and is_complete(c) for c in node.children)
+    return all(n is not BOTTOM for _, _, n, _ in nodes(node))
 
 
 # ------------------------------------------------------------ enumeration
@@ -177,16 +217,8 @@ def enumerate_proof_skeletons(program: Program, depth: int) -> Iterator[Skeleton
 def eq_of_skeleton(s: Skeleton) -> list[tuple[Atom, Atom]]:
     """Interface equations: each expanded body atom equated with its child's
     head, parent before child, left to right."""
-    eqs: list[tuple[Atom, Atom]] = []
-
-    def walk(node: Skeleton) -> None:
-        for a, child in zip(node.clause.body, node.children):
-            if child is not BOTTOM:
-                eqs.append((a, child.clause.head))
-                walk(child)
-
-    walk(s)
-    return eqs
+    return [(p.clause.body[i], n.clause.head) for p, i, n, _ in nodes(s)
+            if p is not None and n is not BOTTOM]
 
 
 def is_proper_skeleton(s: Skeleton) -> Subst | None:
@@ -204,13 +236,8 @@ def most_general_derivation_tree(s: Skeleton) -> DerivationTree | None:
     theta = is_proper_skeleton(s)
     if theta is None:
         return None
-
-    def label(node: Skeleton) -> DerivationTree:
-        local = theta.restrict(vars_of(node.clause))
-        kids = tuple(BOTTOM if c is BOTTOM else label(c) for c in node.children)
-        return DerivationTree(node.clause, node.clause_index, local, kids)
-
-    return label(s)
+    return rebuild(s, lambda n: partial(DerivationTree, n.clause, n.clause_index,
+                                        theta.restrict(vars_of(n.clause))))
 
 
 def head_atom(t: DerivationTree) -> Atom:
@@ -220,65 +247,36 @@ def head_atom(t: DerivationTree) -> Atom:
 def node_atoms(t: DerivationTree) -> list[Atom]:
     """All atoms of the tree in prefix order: each node's instantiated head,
     with unexpanded body atoms appearing where their child would."""
-    out: list[Atom] = []
-
-    def walk(node: DerivationTree) -> None:
-        out.append(node.subst.apply(node.clause.head))
-        for a, child in zip(node.clause.body, node.children):
-            if child is BOTTOM:
-                out.append(node.subst.apply(a))
-            else:
-                walk(child)
-
-    walk(t)
-    return out
+    return [p.subst.apply(p.clause.body[i]) if n is BOTTOM else n.subst.apply(n.clause.head)
+            for p, i, n, _ in nodes(t)]
 
 
 def frontier(t: DerivationTree) -> Query:
     """The instantiated unexpanded body atoms, left to right: the query still
     to be solved."""
-    out: list[Atom] = []
-
-    def walk(node: DerivationTree) -> None:
-        for a, child in zip(node.clause.body, node.children):
-            if child is BOTTOM:
-                out.append(node.subst.apply(a))
-            else:
-                walk(child)
-
-    walk(t)
-    return tuple(out)
+    return tuple(p.subst.apply(p.clause.body[i]) for p, i, n, _ in nodes(t) if n is BOTTOM)
 
 
 def skeleton_of(t: DerivationTree) -> Skeleton:
-    kids = tuple(BOTTOM if c is BOTTOM else skeleton_of(c) for c in t.children)
-    return Skeleton(t.clause, t.clause_index, kids)
+    return rebuild(t, lambda n: partial(Skeleton, n.clause, n.clause_index))
 
 
 def check_derivation_tree(t: DerivationTree) -> bool:
     """Do the node labels actually agree on every interface?  (Each expanded
     body atom instance must equal its child's head instance.)"""
-    for a, child in zip(t.clause.body, t.children):
-        if child is BOTTOM:
-            continue
-        if t.subst.apply(a) != child.subst.apply(child.clause.head):
-            return False
-        if not check_derivation_tree(child):
-            return False
-    return True
+    return all(p.subst.apply(p.clause.body[i]) == n.subst.apply(n.clause.head)
+               for p, i, n, _ in nodes(t) if p is not None and n is not BOTTOM)
 
 
 def same_shape(a, b) -> bool:
     """Same clause choices in the same arrangement; node clauses may be
-    renamed copies of one another."""
-    if a is BOTTOM or b is BOTTOM:
-        return a is b
-    if a.clause_index != b.clause_index or len(a.children) != len(b.children):
-        return False
-    if not variant_terms((a.clause.head,) + a.clause.body,
-                         (b.clause.head,) + b.clause.body):
-        return False
-    return all(same_shape(x, y) for x, y in zip(a.children, b.children))
+    renamed copies of one another.  A prefix sequence with each node's child
+    count fixes its tree, so the two sequences are compared pairwise."""
+    return all(
+        x is y if x is BOTTOM or y is BOTTOM else
+        x.clause_index == y.clause_index and len(x.children) == len(y.children)
+        and variant_terms((x.clause.head,) + x.clause.body, (y.clause.head,) + y.clause.body)
+        for (_, _, x, _), (_, _, y, _) in zip(nodes(a), nodes(b)))
 
 
 # ------------------------------------------------------------- derivations
@@ -582,20 +580,18 @@ def tree_to_json(root, fields) -> dict:
     """Serialise a tree of clause nodes (a Skeleton, DerivationTree, or type
     skeleton).  Nodes are listed in prefix order and refer to their children
     by id; `fields(node)` gives the node's own entries."""
-    nodes: list[dict] = []
-
-    def emit(node) -> int:
-        me = len(nodes)
-        if node is BOTTOM:
-            nodes.append({"id": me, "kind": "bottom"})
-            return me
-        rec = {"id": me, "kind": "clause", "clauseIndex": node.clause_index, **fields(node)}
-        nodes.append(rec)
-        rec["children"] = [emit(c) for c in node.children]
-        return me
-
-    emit(root)
-    return {"root": 0, "nodes": nodes}
+    out: list[dict] = []
+    latest: list[dict] = []  # the last record seen at each depth
+    for _, _, node, depth in nodes(root):
+        rec = ({"id": len(out), "kind": "bottom"} if node is BOTTOM else
+               {"id": len(out), "kind": "clause", "clauseIndex": node.clause_index,
+                **fields(node), "children": []})
+        if depth:
+            latest[depth - 1]["children"].append(rec["id"])
+        del latest[depth:]
+        latest.append(rec)
+        out.append(rec)
+    return {"root": 0, "nodes": out}
 
 
 def skeleton_to_json(s) -> dict:
@@ -617,21 +613,23 @@ def skeleton_from_json(doc: dict, sig: Signature) -> Skeleton | DerivationTree:
     (variable names included)."""
     from .parser import parse_clause, parse_term
 
-    nodes = {n["id"]: n for n in doc["nodes"]}
-
-    def build(nid: int):
-        n = nodes[nid]
+    by_id = {n["id"]: n for n in doc["nodes"]}
+    plan: list = []
+    todo = [doc["root"]]
+    while todo:
+        n = by_id[todo.pop()]
         if n["kind"] == "bottom":
-            return BOTTOM
+            plan.append((None, 0))
+            continue
         clause = parse_clause(n["clause"], sig)
-        kids = tuple(build(k) for k in n["children"])
         if "subst" in n:
             theta = Subst({Var(name): parse_term(text, sig)
                            for name, text in n["subst"].items()})
-            return DerivationTree(clause, n["clauseIndex"], theta, kids)
-        return Skeleton(clause, n["clauseIndex"], kids)
-
-    root = build(doc["root"])
-    if root is BOTTOM:
+            make = partial(DerivationTree, clause, n["clauseIndex"], theta)
+        else:
+            make = partial(Skeleton, clause, n["clauseIndex"])
+        plan.append((make, len(n["children"])))
+        todo.extend(reversed(n["children"]))
+    if plan[0][0] is None:
         raise ValueError("root cannot be an unexpanded leaf")
-    return root
+    return _assemble(plan)

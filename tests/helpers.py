@@ -472,3 +472,68 @@ def reference_sr_check(program, query, depth):
             yield s, ts, err
         else:
             yield s, ts, None
+
+
+# ------------------------------------------------- reference tree walks
+
+def recursive_eq_of_skeleton(s):
+    """Reference for `trees.eq_of_skeleton`: one recursive call per node."""
+    eqs = []
+
+    def walk(node):
+        for a, child in zip(node.clause.body, node.children):
+            if child is not BOTTOM:
+                eqs.append((a, child.clause.head))
+                walk(child)
+
+    walk(s)
+    return eqs
+
+
+def recursive_eq_of_type_skeleton(ts):
+    """Reference for `srcheck.eq_of_type_skeleton`."""
+    eqs = []
+
+    def walk(node):
+        for vec, child in zip(node.body_types, node.children):
+            if child is not BOTTOM:
+                eqs.extend(zip(vec, child.head_types))
+                walk(child)
+
+    walk(ts)
+    return eqs
+
+
+def recursive_node_atoms(t):
+    """Reference for `trees.node_atoms`."""
+    out = []
+
+    def walk(node):
+        out.append(node.subst.apply(node.clause.head))
+        for a, child in zip(node.clause.body, node.children):
+            if child is BOTTOM:
+                out.append(node.subst.apply(a))
+            else:
+                walk(child)
+
+    walk(t)
+    return out
+
+
+def recursive_tree_to_json(root, fields):
+    """Reference for `trees.tree_to_json`: records made on the way down,
+    children attached on the way back up."""
+    nodes = []
+
+    def emit(node):
+        me = len(nodes)
+        if node is BOTTOM:
+            nodes.append({"id": me, "kind": "bottom"})
+            return me
+        rec = {"id": me, "kind": "clause", "clauseIndex": node.clause_index, **fields(node)}
+        nodes.append(rec)
+        rec["children"] = [emit(c) for c in node.children]
+        return me
+
+    emit(root)
+    return {"root": 0, "nodes": nodes}

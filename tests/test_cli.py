@@ -196,6 +196,15 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert err == "error: internal error: RecursionError: maximum recursion depth exceeded\n"
 
 
+def test_too_deep_query_is_input_error(capsys):
+    deep = "[" * 3000 + "]" * 3000
+    code, out, err = run_cli(capsys, "run", corpus_path("nest"), "--query", f"p({deep})")
+    assert code == 2
+    assert out == ""
+    assert "term nested too deeply" in err
+    assert "internal error" not in err
+
+
 def test_run_json(capsys):
     code, out, _ = run_cli(capsys, "run", corpus_path("append"),
                            "--query", "app(Xs, [], Zs), r(Xs)",

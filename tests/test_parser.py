@@ -108,6 +108,18 @@ def test_roundtrip_all_corpus_programs():
         assert again.partitions == once.partitions, name
 
 
+def test_too_deep_term_is_a_parse_error(nest):
+    deep = "[" * 3000 + "]" * 3000
+    with pytest.raises(ParseError) as err:
+        parse_query(f"p({deep})", nest.signature)
+    assert "term nested too deeply" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_program(corpus_text("nest") + f"p({deep}).\np(X :- r.\n")
+    # each clause is reported, and parsing resumes after the deep one
+    assert [d.message for d in err.value.diagnostics.entries] == [
+        "term nested too deeply", "expected ')', found ':-'"]
+
+
 def test_parse_clause_single(append):
     c = parse_clause("app([], Ys, Ys).", append.signature)
     assert c == append.clauses[0]

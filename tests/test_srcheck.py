@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import EXTRA_QUERIES, FLAT_TEXT, FLATNEST_TEXT, reference_sr_check
+from helpers import EXTRA_QUERIES, FLAT_TEXT, FLATNEST_TEXT, corpus_path, reference_sr_check
 from tlpc.cli import _skeleton_text, _tree_lines, main
 from tlpc.core import EQ, GO, GO_CLAUSE_INDEX, Param, TCon, Var, resolution_clauses
+from tlpc.corpus import corpus_names, load_corpus
 from tlpc.parser import parse_program, parse_query, render
 from tlpc.srcheck import (
     Partition,
@@ -487,15 +488,18 @@ def test_sr_matches_generate_and_check_oracle(corpus):
 
 @pytest.fixture
 def typing_calls(monkeypatch):
-    """The clauses srcheck hands to most_general_type, in call order."""
+    """The clauses handed to most_general_type, in call order: by srcheck,
+    and by `Program.clause_typings`, which reads it from typecheck."""
     import tlpc.srcheck as srcheck
+    import tlpc.typecheck as typecheck
     calls = []
 
     def counted(c, sig):
         calls.append(c)
         return most_general_type(c, sig)
 
-    monkeypatch.setattr(srcheck, "most_general_type", counted)
+    for module in (srcheck, typecheck):
+        monkeypatch.setattr(module, "most_general_type", counted)
     return calls
 
 
@@ -529,9 +533,21 @@ def test_root_options_stream(search):
     assert sum(isinstance(o, Skeleton) for o in gc.get_objects()) < 500
 
 
-def test_partition_search_types_each_clause_once(typing_calls, fgs2):
+def test_partition_search_types_each_clause_once(typing_calls):
+    fgs2 = load_corpus("fgs2")  # not the shared fixture, whose typings may be cached
     assert search_partition(fgs2) is None
     assert 0 < len(typing_calls) <= len(fgs2.clauses)
+
+
+def test_check_types_each_clause_once(typing_calls, tmp_path, capsys):
+    path = tmp_path / "flat.tlp"
+    path.write_text(FLAT_TEXT)
+    files = [str(path)] + [corpus_path(name) for name in corpus_names()]
+    for f in files:
+        typing_calls.clear()
+        main(["check", f])
+        with open(f) as fh:
+            assert len(typing_calls) <= len(parse_program(fh.read()).clauses), f
 
 
 def test_sr_untypable_clause_reported_like_the_oracle(append):

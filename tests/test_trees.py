@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from functools import partial
 
 import pytest
 
@@ -19,6 +20,7 @@ from tlpc.core import (
     rename_apart,
     variant_terms,
     vars_of,
+    wrap_query,
 )
 from tlpc.parser import parse_program, parse_query, parse_term, render
 from tlpc.trees import (
@@ -45,6 +47,7 @@ from tlpc.trees import (
     is_proper_skeleton,
     most_general_derivation_tree,
     node_atoms,
+    rebuild,
     same_shape,
     skeleton_from_json,
     skeleton_of,
@@ -52,16 +55,29 @@ from tlpc.trees import (
     term_depth,
     tp_fixpoint,
     tp_step,
+    tree_to_json,
+)
+from tlpc.cli import _skeleton_text, _tree_lines
+from tlpc.srcheck import (
+    eq_of_type_skeleton,
+    is_proper_type_skeleton,
+    label,
+    type_skeleton_of,
 )
 
 from helpers import (
     CORPUS_QUERIES,
     EXTRA_QUERIES,
+    FLAT_TEXT,
     MK_TEXT,
     corpus_query,
     eager_answers,
     ground_trees,
     match_onto,
+    recursive_eq_of_skeleton,
+    recursive_eq_of_type_skeleton,
+    recursive_node_atoms,
+    recursive_tree_to_json,
     variant_queries,
 )
 
@@ -330,6 +346,79 @@ def test_shape_helpers(hqpr):
     assert same_shape(s, fig1_skeleton(hqpr))
     assert not same_shape(s, s.children[0])
     assert not same_shape(s, BOTTOM)
+
+
+def _all_skeletons(corpus):
+    for name, text in CORPUS_QUERIES + EXTRA_QUERIES:
+        program, q = corpus_query(corpus, name, text)
+        yield from ((program, s) for s in enumerate_skeletons(program, q, 3))
+    flat = parse_program(FLAT_TEXT)
+    q = parse_query("flat(T, L)", flat.signature)
+    yield from ((flat, s) for s in enumerate_skeletons(flat, q, 2))
+
+
+def test_walks_keep_the_recursive_prefix_order(corpus):
+    # Every skeleton, proper or not, of the corpus queries at depth 3 (multi-
+    # atom roots included, where prefix order and per-node order differ) and
+    # of flat at depth 2 (three children per node).
+    def clause_fields(node):
+        return {"clause": render(node.clause)}
+
+    def label_fields(node):
+        return {"label": label(node)}
+
+    def copy_node(node):
+        made.append(render(node.clause))
+        return partial(Skeleton, node.clause, node.clause_index)
+
+    seen = 0
+    for program, s in _all_skeletons(corpus):
+        assert eq_of_skeleton(s) == recursive_eq_of_skeleton(s)
+        want = recursive_tree_to_json(s, clause_fields)
+        # dumped, so that the order of each record's keys is compared too
+        assert json.dumps(tree_to_json(s, clause_fields)) == json.dumps(want)
+        made: list[str] = []
+        assert rebuild(s, copy_node) == s
+        assert made == [r["clause"] for r in want["nodes"] if r["kind"] == "clause"]
+        ts = type_skeleton_of(s, program.signature)
+        assert eq_of_type_skeleton(ts) == recursive_eq_of_type_skeleton(ts)
+        assert (json.dumps(tree_to_json(ts, label_fields))
+                == json.dumps(recursive_tree_to_json(ts, label_fields)))
+        t = most_general_derivation_tree(s)
+        if t is not None:
+            assert node_atoms(t) == recursive_node_atoms(t)
+            assert skeleton_of(t) == s
+            seen += 1
+    assert seen > 50
+
+
+def test_tall_skeleton_walks_do_not_recurse():
+    # A 2000-level chain, built directly: far past the recursion limit.
+    program = parse_program("pred p(U).\np(X) :- p(X).\n")
+    sig = program.signature
+    ns = NameSource()
+    s = BOTTOM
+    for _ in range(2000):
+        s = Skeleton(rename_apart(program.clauses[0], ns), 0, (s,))
+    s = Skeleton(wrap_query(parse_query("p(X)", sig)), GO_CLAUSE_INDEX, (s,))
+    assert height(s) == 2000
+    assert complete_node_count(s) == 2001
+    assert not is_complete(s)
+    assert is_proper_skeleton(s) is not None
+    t = most_general_derivation_tree(s)
+    atoms = node_atoms(t)
+    assert len(atoms) == 2002 and len(set(atoms[1:])) == 1
+    assert frontier(t) == (atoms[-1],)
+    assert check_derivation_tree(t)
+    assert same_shape(skeleton_of(t), s)
+    ts = type_skeleton_of(s, sig)
+    assert is_proper_type_skeleton(ts) is not None
+    back = skeleton_from_json(json.loads(json.dumps(skeleton_to_json(s))), sig)
+    assert same_shape(back, s)
+    assert same_shape(s, s)
+    lines = _tree_lines(s, _skeleton_text, 1)
+    assert len(lines) == 2002 and lines[-1] == "  " * 2002 + "_|_"
+    assert len(_tree_lines(ts, label, 1)) == 2002
 
 
 # -------------------------------------------------------------- arithmetic
