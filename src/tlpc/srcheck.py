@@ -9,12 +9,11 @@ of distinct nodes share no variables and no parameters, so a skeleton (or
 its type skeleton) is proper exactly when its subtrees are and the root's
 body atoms (or their types) unify with the subtrees' solved heads.  Each
 subtree is solved where enumeration builds it and dropped there when
-improper; its solved head types are worked out once, on first need, for
-every skeleton that contains it.  Two decidable per-clause conditions
-imply this for all queries at once: the classical requirement that
-inferred head types be a renaming of the declared types, and its
-relaxation where each argument position is marked head-generic or
-body-generic.
+improper; its head types are solved where it is built, once for every
+skeleton that contains it.  Two decidable per-clause conditions imply
+this for all queries at once: the classical requirement that inferred
+head types be a renaming of the declared types, and its relaxation where
+each argument position is marked head-generic or body-generic.
 """
 from __future__ import annotations
 
@@ -328,56 +327,12 @@ def search_partition(program: Program) -> Partition | None:
 class _Option:
     """A proper option of one call site, made where enumeration builds it:
     its skeleton, its height, its head under an mgu of its interface
-    equations, and its solved head types once they are first asked for."""
+    equations, and its head types under an mgu of its type skeleton's
+    equations (None when those do not unify)."""
     skeleton: Skeleton
     height: int
     head: Atom
-    children: tuple
-    types: tuple | None = None
-    typed: bool = False
-
-    def head_types(self, fresh_atom_types) -> tuple | None:
-        """The head types of the option's type skeleton under an mgu of its
-        equations, or None when they do not unify.  `fresh_atom_types(node)`
-        gives a node's clause atom types with fresh parameters.  Options are
-        solved from an explicit stack holding the path to the one in hand:
-        its children left to right, up to the first that is not proper."""
-        path = [(self, None)]
-        while path:
-            opt, vecs = path.pop()
-            if opt.typed:
-                continue
-            if vecs is None:
-                vecs = fresh_atom_types(opt.skeleton)
-            waiting = next((c for c in opt.children if c is not BOTTOM
-                            and (not c.typed or c.types is None)), None)
-            if waiting is not None and not waiting.typed:
-                path += [(opt, vecs), (waiting, None)]
-                continue
-            opt.typed = True
-            if waiting is not None:
-                continue  # an improper child: types stays None
-            eqs = [eq for vec, c in zip(vecs[1:], opt.children) if c is not BOTTOM
-                   for eq in zip(vec, c.types)]
-            try:
-                opt.types = mgu_types(eqs).apply(vecs[0]) if eqs else vecs[0]
-            except UnificationError:
-                pass  # not proper: types stays None
-        return self.types
-
-
-def _solved_option(copy: Clause, index: int, children: tuple) -> _Option | None:
-    """The option of `copy` over proper child options, or None when the
-    body atoms do not unify with the children's solved heads."""
-    eqs = [(atom, child.head) for atom, child in zip(copy.body, children)
-           if child is not BOTTOM]
-    try:
-        head = mgu_terms(eqs).apply(copy.head) if eqs else copy.head
-    except UnificationError:
-        return None
-    h = max((c.height + 1 for c in children if c is not BOTTOM), default=0)
-    kids = tuple(BOTTOM if c is BOTTOM else c.skeleton for c in children)
-    return _Option(Skeleton(copy, index, kids), h, head, children)
+    types: tuple | None
 
 
 def typed_proper_skeletons(program: Program, query: Query,
@@ -385,20 +340,39 @@ def typed_proper_skeletons(program: Program, query: Query,
     """The proper skeletons up to the given height, smallest first, each
     paired with whether its type skeleton is proper.  Each clause is typed
     once, keyed by its clause index: the node copies of one clause are
-    renamings of it, with the same atom types."""
+    renamings of it, with the same atom types.  Each option's head types
+    are solved where it is built, from its children's, under fresh
+    parameters."""
     sig = program.signature
     ns = NameSource()
     typings: dict[int, tuple] = {}
 
-    def fresh_atom_types(node: Skeleton) -> tuple:
-        if node.clause_index not in typings:
-            ct = _node_typing(node, sig)
-            typings[node.clause_index] = ct.atom_types, pars_in_order(ct.atom_types)
-        vecs, params = typings[node.clause_index]
-        return apply_subst(vecs, {p: ns.fresh_param(p.name) for p in params})
+    def build(copy: Clause, index: int, children: tuple) -> _Option | None:
+        kids = [(i, c) for i, c in enumerate(children) if c is not BOTTOM]
+        try:
+            head = (mgu_terms([(copy.body[i], c.head) for i, c in kids]).apply(copy.head)
+                    if kids else copy.head)
+        except UnificationError:
+            return None  # not proper: enumeration leaves the option out
+        skeleton = Skeleton(copy, index, tuple(BOTTOM if c is BOTTOM else c.skeleton
+                                               for c in children))
+        if index not in typings:
+            ct = _node_typing(skeleton, sig)
+            typings[index] = ct.atom_types, pars_in_order(ct.atom_types)
+        vecs, params = typings[index]
+        types = None
+        if all(c.types is not None for _, c in kids):
+            vecs = apply_subst(vecs, {p: ns.fresh_param(p.name) for p in params})
+            eqs = [eq for i, c in kids for eq in zip(vecs[1 + i], c.types)]
+            try:
+                types = mgu_types(eqs).apply(vecs[0]) if eqs else vecs[0]
+            except UnificationError:
+                pass  # term-proper, type-improper: kept with types None
+        return _Option(skeleton, max((c.height + 1 for _, c in kids), default=0),
+                       head, types)
 
-    for opt in _by_height(program, query, depth, _solved_option, lambda o: o.height):
-        yield opt.skeleton, opt.head_types(fresh_atom_types) is not None
+    for opt in _by_height(program, query, depth, build, lambda o: o.height):
+        yield opt.skeleton, opt.types is not None
 
 
 def subject_reduction_counterexamples(

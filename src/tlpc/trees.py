@@ -39,7 +39,6 @@ from .core import (
     resolution_clauses,
     variant_terms,
     vars_in_order,
-    vars_of,
     wrap_query,
     MINUS,
 )
@@ -236,8 +235,10 @@ def most_general_derivation_tree(s: Skeleton) -> DerivationTree | None:
     theta = is_proper_skeleton(s)
     if theta is None:
         return None
-    return rebuild(s, lambda n: partial(DerivationTree, n.clause, n.clause_index,
-                                        theta.restrict(vars_of(n.clause))))
+    # A restriction of an idempotent unifier is idempotent.  Looking up each
+    # clause's own variables keeps the labelling linear in the tree's size.
+    return rebuild(s, lambda n: partial(DerivationTree, n.clause, n.clause_index, Subst.unchecked(
+        {v: theta[v] for v in vars_in_order(n.clause) if v in theta})))
 
 
 def head_atom(t: DerivationTree) -> Atom:

@@ -169,10 +169,6 @@ def match_terms(pattern, target) -> dict | None:
     return _match(pattern, target, {})
 
 
-def is_instance_of(target, pattern) -> bool:
-    return _match(pattern, target, {}) is not None
-
-
 def is_typed_substitution(theta: Subst, u, sig) -> bool:
     """Does binding each variable read as a well-typed equation query under
     the variable typing u?  (Checked with the typing judgements.)"""

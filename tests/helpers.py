@@ -17,11 +17,12 @@ from tlpc.core import (
     Atom, Fun, NameSource, Param, Subst, TCon, TermSubst, Var, apply_subst, pars,
     rename_apart, resolution_clauses, vars_in_order, vars_of,
 )
-from tlpc.parser import parse_program, parse_query
+from tlpc.parser import parse_clause, parse_program, parse_query
 from tlpc.srcheck import eq_of_type_skeleton, type_skeleton_of
 from tlpc.trees import (
     BOTTOM, DerivationTree, derive_step, enumerate_skeletons, eval_arith, is_proper_skeleton,
 )
+from tlpc.typecheck import UntypableError, most_general_type
 from tlpc.unify import UnificationError, mgu_types
 
 
@@ -451,6 +452,88 @@ def eager_answers(program, query, depth, selection="leftmost"):
                 yield from rec(nxt, nb, steps + 1)
 
     yield from rec(query, {v: v for v in vars_in_order(query)}, 0)
+
+
+# ------------------------------------------------ random typed programs
+
+RANDOM_SIG_TEXT = """
+kind list/1. kind int/0.
+func nil : list(U).  func cons(U, list(U)) : list(U).
+"""
+
+# The declared argument types of the random programs' predicates.
+DECLARED_POOL = ["U", "int", "list(U)", "list(int)", "list(list(U))"]
+
+
+def _term_text(draw, depth=2):
+    kinds = ["var", "var", "var", "nil", "lit"] + (["singleton", "singleton", "cons"]
+                                                    if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "var":
+        return draw(st.sampled_from("XY"))
+    if kind == "nil":
+        return "[]"
+    if kind == "lit":
+        return draw(st.sampled_from("01"))
+    if kind == "singleton":
+        return f"[{_term_text(draw, depth - 1)}]"
+    return f"[{_term_text(draw, depth - 1)}|{_term_text(draw, depth - 1)}]"
+
+
+def _atom_text(draw, pred, arity):
+    return f"{pred}({', '.join(_term_text(draw) for _ in range(arity))})"
+
+
+def _skeleton_count(program, budget):
+    """The most subtree options any predicate's call site has up to the
+    budget: the enumeration's size, before any properness check."""
+    count = {pred: 1 for pred in program.signature.preds}
+    for _ in range(budget + 1):
+        nxt = dict.fromkeys(count, 1)
+        for c in program.clauses:
+            k = 1
+            for a in c.body:
+                k *= count[a.pred]
+            nxt[c.head.pred] += k
+        count = nxt
+    return max(count.values())
+
+
+@st.composite
+def typed_programs(draw, max_skeletons=400):
+    """Small programs over lists and ints: two or three predicates with
+    declared types from DECLARED_POOL, and up to four clauses with at most
+    two body atoms and shallow argument terms, keeping only the typable
+    ones.  Heads such as r([X]) over a body r(X) make type skeletons whose
+    nodes need their parameters renamed apart.  Programs whose enumeration
+    would exceed `max_skeletons` options per call site at depth 3 are
+    trimmed clause by clause from the end."""
+    arities = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+    preds = {name: draw(st.lists(st.sampled_from(DECLARED_POOL), min_size=n, max_size=n))
+             for name, n in zip("pqr", arities)}
+    decls = "".join(f"pred {name}({', '.join(ts)}).\n" for name, ts in preds.items())
+    sig = parse_program(RANDOM_SIG_TEXT + decls).signature
+    clauses = []
+    wanted = draw(st.integers(2, 4))
+    for _ in range(4 * wanted):  # untypable draws are skipped
+        if len(clauses) == wanted:
+            break
+        head = draw(st.sampled_from(sorted(preds)))
+        body = [draw(st.sampled_from(sorted(preds)))
+                for _ in range(draw(st.sampled_from([0, 1, 1, 2])))]
+        text = _atom_text(draw, head, len(preds[head]))
+        if body:
+            text += " :- " + ", ".join(_atom_text(draw, b, len(preds[b])) for b in body)
+        try:
+            most_general_type(parse_clause(text + ".", sig), sig)
+        except UntypableError:
+            continue
+        clauses.append(text + ".\n")
+    program = parse_program(RANDOM_SIG_TEXT + decls + "".join(clauses))
+    while _skeleton_count(program, 2) > max_skeletons:
+        clauses.pop()
+        program = parse_program(RANDOM_SIG_TEXT + decls + "".join(clauses))
+    return program
 
 
 # -------------------------------------- reference subject-reduction check

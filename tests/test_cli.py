@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -337,6 +339,37 @@ def test_unknown_predicate_in_query(capsys):
                            "--query", "zzz(X)", "--depth", "2")
     assert code == 2
     assert "zzz" in err
+
+
+# ------------------------------------------------------- README transcripts
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def readme_transcripts() -> list[tuple[str, str]]:
+    """Each `$ tlpc ...` line of the README's text blocks with the output
+    printed under it, up to the next such line or the end of the block."""
+    found = []
+    for block in re.findall(r"^```text\n(.*?)^```", (REPO / "README.md").read_text(),
+                            re.S | re.M):
+        for part in re.split(r"^(?=\$ tlpc )", block, flags=re.M):
+            if part.startswith("$ tlpc "):
+                command, _, output = part.partition("\n")
+                found.append((command[len("$ tlpc "):], output))
+    return found
+
+
+def test_readme_has_transcripts():
+    assert len(readme_transcripts()) == 5
+
+
+@pytest.mark.parametrize("command, output",
+                         [pytest.param(c, o, id=c) for c, o in readme_transcripts()])
+def test_readme_transcript(capsys, monkeypatch, command, output):
+    # The README wraps long lines, so whitespace is compared normalized.
+    monkeypatch.chdir(REPO)
+    main(shlex.split(command))
+    assert capsys.readouterr().out.split() == output.split()
 
 
 # ------------------------------------------------------------- entry point

@@ -3,8 +3,11 @@ bounded subject-reduction checks."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from helpers import EXTRA_QUERIES, FLAT_TEXT, FLATNEST_TEXT, corpus_path, reference_sr_check
+from helpers import (
+    EXTRA_QUERIES, FLAT_TEXT, FLATNEST_TEXT, corpus_path, reference_sr_check, typed_programs,
+)
 from tlpc.cli import _skeleton_text, _tree_lines, main
 from tlpc.core import EQ, GO, GO_CLAUSE_INDEX, Param, TCon, Var, resolution_clauses
 from tlpc.corpus import corpus_names, load_corpus
@@ -484,6 +487,25 @@ def test_sr_matches_generate_and_check_oracle(corpus):
         assert _counterexample_text(found) == _counterexample_text(first), text
         failing += first is not None
     assert failing >= 3
+
+
+def test_sr_matches_the_oracle_on_random_programs():
+    verdicts = set()
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=(HealthCheck.too_slow,))
+    @given(typed_programs())
+    def check(program):
+        for pred, decl in program.signature.preds.items():
+            args = ", ".join(f"V{i}" for i in range(len(decl.arg_types)))
+            q = parse_query(f"{pred}({args})", program.signature)
+            want = [(s, err is None) for s, _, err in reference_sr_check(program, q, 3)]
+            got = list(typed_proper_skeletons(program, q, 3))
+            assert got == want, (program, pred)
+            verdicts.update(proper for _, proper in got)
+
+    check()
+    assert verdicts == {True, False}
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ from tlpc.core import Atom, Fun, Param, TCon, TermSubst, TypeSubst, Var, apply_s
 from tlpc.parser import parse_query, parse_term
 from tlpc.unify import (
     UnificationError,
-    is_instance_of,
     is_typed_substitution,
     match_terms,
     mgu_terms,
@@ -113,8 +112,6 @@ def test_match_is_one_sided():
     tgt = Fun("cons", (Fun("1"), Fun("nil")))
     assert match_terms(pat, tgt) == {X: Fun("1"), Y: Fun("nil")}
     assert match_terms(tgt, pat) is None
-    assert is_instance_of(tgt, pat)
-    assert not is_instance_of(pat, tgt)
     assert match_terms(list_of(U), list_of(INT)) == {U: INT}
     assert match_terms(list_of(INT), list_of(U)) is None
 
