@@ -33,6 +33,7 @@ from .trees import (
     is_proper_skeleton,
     nodes,
     skeleton_to_json,
+    tp_fixpoint,
 )
 from .typecheck import UntypableError, is_typable, most_general_type
 
@@ -254,6 +255,18 @@ def cmd_skeletons(args) -> int:
     return 0
 
 
+def cmd_tp(args) -> int:
+    program = _load(args.file)
+    atoms = sorted(render(a) for a in tp_fixpoint(program, args.depth).atoms)
+    if args.json:
+        print(json.dumps({"depth": args.depth, "atoms": atoms}, indent=2))
+    else:
+        for a in atoms:
+            print(a)
+        print(f"{len(atoms)} ground atom(s) up to depth {args.depth}")
+    return 0
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="tlpc",
@@ -293,6 +306,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, query=True)
     p.add_argument("--types", action="store_true", help="include type skeletons")
     p.set_defaults(fn=cmd_skeletons)
+
+    p = sub.add_parser("tp", help="ground atoms derivable bottom-up within a term depth")
+    common(p)
+    p.add_argument("--depth", type=int, required=True,
+                   help="bound on the depth of the terms in each atom")
+    p.set_defaults(fn=cmd_tp)
 
     return ap
 

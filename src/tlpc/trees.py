@@ -407,54 +407,62 @@ def answers(program: Program, query: Query, depth: int = 5,
 
 # ------------------------------------------------- bounded consequences
 
+def _leaf_depths(terms: Iterable[Term]) -> Iterator[tuple[Term, int]]:
+    """Each leaf occurrence (a variable or a constant) under the given terms,
+    with the number of applications above it.  Walked with an explicit
+    stack, so nesting is not bounded by the recursion limit."""
+    stack = [(t, 0) for t in terms]
+    while stack:
+        t, d = stack.pop()
+        if type(t) is Var or not t.args:
+            yield t, d
+        else:
+            stack.extend((a, d + 1) for a in t.args)
+
+
 def term_depth(t: Term) -> int:
-    if isinstance(t, Var) or not t.args:
-        return 0
-    return 1 + max(term_depth(a) for a in t.args)
+    return max(d for _, d in _leaf_depths((t,)))
 
 
 def atom_depth(a: Atom) -> int:
-    return max((term_depth(t) for t in a.args), default=0)
+    return _head_depths(a)[0]
+
+
+def _head_depths(a: Atom) -> tuple[int, dict[Var, int]]:
+    """The atom's depth, its variables counted as constants, and the
+    deepest occurrence of each variable below the atom's argument roots."""
+    base, occ = 0, {}
+    for t, d in _leaf_depths(a.args):
+        if d > base:
+            base = d
+        if type(t) is Var and occ.get(t, -1) < d:
+            occ[t] = d
+    return base, occ
 
 
 def int_literals(program: Program, query: Query = ()) -> list[str]:
     """Integer constants appearing anywhere in the program or query text."""
-    seen: set[str] = set()
-
-    def walk(o):
-        if isinstance(o, Fun):
-            if not o.args and is_int_literal(o.name):
-                seen.add(o.name)
-            for a in o.args:
-                walk(a)
-
-    for c in program.clauses:
-        for a in c.atoms():
-            for t in a.args:
-                walk(t)
-    for a in query:
-        for t in a.args:
-            walk(t)
-    return sorted(seen, key=int)
+    atoms = [a for c in program.clauses for a in c.atoms()] + list(query)
+    return sorted({t.name for t, _ in _leaf_depths(t for a in atoms for t in a.args)
+                   if type(t) is Fun and is_int_literal(t.name)}, key=int)
 
 
-def ground_terms(sig: Signature, depth: int, literals: Iterable[str] = ()) -> set[Term]:
-    """All ground terms of depth <= depth over the declared functions.  The
-    integer type contributes only the supplied literals (the type itself is
-    infinite)."""
+def ground_terms(sig: Signature, depth: int, literals: Iterable[str] = ()) -> dict[Term, int]:
+    """All ground terms of depth <= depth over the declared functions, each
+    mapped to its depth, shallowest first.  The integer type contributes
+    only the supplied literals (the type itself is infinite).  Terms are
+    built level by level: a term first made at level i has depth i."""
     funcs = list(sig.funcs.values())
-    base: set[Term] = {Fun(f.name) for f in funcs if not f.arg_types}
+    out: dict[Term, int] = {Fun(f.name): 0 for f in funcs if not f.arg_types}
     if sig.has_int():
-        base |= {Fun(l) for l in literals}
-    cur = set(base)
-    for _ in range(depth):
-        nxt = set(cur)
+        out.update((Fun(l), 0) for l in literals)
+    for level in range(1, depth + 1):
+        below = list(out)
         for f in funcs:
             if f.arg_types:
-                for combo in itertools.product(cur, repeat=len(f.arg_types)):
-                    nxt.add(Fun(f.name, combo))
-        cur = nxt
-    return {t for t in cur if term_depth(t) <= depth}
+                for combo in itertools.product(below, repeat=len(f.arg_types)):
+                    out.setdefault(Fun(f.name, combo), level)
+    return out
 
 
 @dataclass(frozen=True)
@@ -469,20 +477,33 @@ class GroundAtomSet:
         return len(self.atoms)
 
 
-def _var_occ_depths(a: Atom) -> dict[Var, int]:
-    """Deepest occurrence of each variable below the atom's argument roots."""
-    out: dict[Var, int] = {}
+class _Index:
+    """Ground atoms by predicate, arity and the functor of the first
+    argument, and by predicate and arity alone for a call whose first
+    argument is a variable."""
 
-    def walk(t: Term, d: int) -> None:
-        if isinstance(t, Var):
-            out[t] = max(out.get(t, 0), d)
-        else:
-            for s in t.args:
-                walk(s, d + 1)
+    def __init__(self, atoms: Iterable[Atom] = ()):
+        self.by_first: dict[tuple, list[Atom]] = {}
+        self.by_pred: dict[tuple, list[Atom]] = {}
+        self.add(atoms)
 
-    for t in a.args:
-        walk(t, 0)
-    return out
+    def add(self, atoms: Iterable[Atom]) -> None:
+        for a in atoms:
+            self.by_pred.setdefault((a.pred, len(a.args)), []).append(a)
+            if a.args:
+                f = a.args[0]
+                self.by_first.setdefault((a.pred, len(a.args), f.name, len(f.args)), []).append(a)
+
+    def candidates(self, call: Atom) -> list[Atom]:
+        """The indexed atoms that `call` may match."""
+        if call.args and type(call.args[0]) is Fun:
+            f = call.args[0]
+            return self.by_first.get((call.pred, len(call.args), f.name, len(f.args)), [])
+        return self.by_pred.get((call.pred, len(call.args)), [])
+
+
+def _is_equation(a: Atom) -> bool:
+    return a.pred == EQ and len(a.args) == 2
 
 
 def _extend(binding: dict, more) -> dict:
@@ -492,87 +513,93 @@ def _extend(binding: dict, more) -> dict:
     return out
 
 
-def _body_matches(body: Query, by_pred: dict, binding: dict) -> Iterator[dict]:
+def _body_matches(body: Query, sources: tuple, binding: dict) -> Iterator[dict]:
+    """Bindings under which the body holds, left to right.  An equation
+    holds for any instance making both sides equal; grounding of leftover
+    variables is deferred to the head.  The k-th other atom, a call,
+    matches one of the ground atoms that `sources[k]`, a function of the
+    call's instance, lists."""
     if not body:
         yield binding
         return
     first = apply_subst(body[0], binding)
-    if first.pred == EQ and len(first.args) == 2:
-        # Equality holds for any instance making both sides equal; grounding
-        # of leftover variables is deferred to the head.
+    if _is_equation(first):
         try:
             theta = mgu_terms([(first.args[0], first.args[1])])
         except UnificationError:
             return
-        yield from _body_matches(body[1:], by_pred, _extend(binding, theta))
+        yield from _body_matches(body[1:], sources, _extend(binding, theta))
         return
-    for g in by_pred.get((first.pred, len(first.args)), ()):
+    for g in sources[0](first):
         more = match_terms(first, g)
         if more is not None:
-            yield from _body_matches(body[1:], by_pred, _extend(binding, more))
-
-
-def tp_step(program: Program, current: GroundAtomSet,
-            universe: set[Term] | None = None) -> GroundAtomSet:
-    """One application of the immediate-consequence operator, keeping only
-    ground heads within the depth bound.  Head variables not fixed by the
-    body are instantiated from the ground-term universe.  Only program
-    clauses produce heads; body equations are satisfied by unification.
-    Subtraction is treated as a plain constructor here."""
-    bound = current.depth_bound
-    if universe is None:
-        universe = ground_terms(program.signature, bound, int_literals(program))
-    depth_of = {t: term_depth(t) for t in universe}
-    pool_cache: dict[int, list[Term]] = {}
-
-    def pool(allowed: int) -> list[Term]:
-        if allowed not in pool_cache:
-            pool_cache[allowed] = [t for t, d in depth_of.items()
-                                   if d <= allowed]
-        return pool_cache[allowed]
-
-    by_pred: dict[tuple[str, int], list[Atom]] = {}
-    for a in current.atoms:
-        by_pred.setdefault((a.pred, len(a.args)), []).append(a)
-
-    produced: set[Atom] = set()
-    for c in program.clauses:
-        for binding in _body_matches(c.body, by_pred, {}):
-            h = apply_subst(c.head, binding)
-            # Variables add at least nothing to the depth, so this minimum
-            # rules the head out for every grounding.
-            if atom_depth(h) > bound:
-                continue
-            frees = vars_in_order(h)
-            if not frees:
-                produced.add(h)
-                continue
-            depths = _var_occ_depths(h)
-            pools = [pool(bound - depths[v]) for v in frees]
-            for combo in itertools.product(*pools):
-                g = apply_subst(h, dict(zip(frees, combo)))
-                if atom_depth(g) <= bound:
-                    produced.add(g)
-    return GroundAtomSet(frozenset(produced), bound)
+            yield from _body_matches(body[1:], sources[1:], _extend(binding, more))
 
 
 def tp_fixpoint(program: Program, depth: int,
                 max_iters: int | None = None,
                 extra_literals: Iterable[str] = ()) -> GroundAtomSet:
-    """Iterate the bounded consequence operator from the empty set until it
-    stabilises (the universe is finite, so it always does) or until
-    `max_iters` applications have been made."""
+    """Iterate the bounded immediate-consequence operator from the empty set
+    until it stabilises (the universe is finite, so it always does) or until
+    `max_iters` rounds have been made; round k gives the k-th iterate.
+
+    Only program clauses produce heads, and only ground heads within the
+    depth bound are kept.  Body equations are satisfied by unification;
+    head variables the body leaves free are instantiated from the ground
+    term universe.  Subtraction is treated as a plain constructor here.
+
+    Evaluation is semi-naive.  The first round fires every clause against
+    the empty set, so only the clauses without calls (body atoms other than
+    equations) produce heads, once.  Every later round fires each clause
+    once per call i: call i matches the atoms new in the previous round,
+    the calls before it the atoms known before that round, and those after
+    it all atoms known.  So every consequence not yet known is found, and
+    each from at least one new atom."""
     lits = set(int_literals(program)) | set(extra_literals)
-    universe = ground_terms(program.signature, depth, lits)
-    m = GroundAtomSet(frozenset(), depth)
+    depth_of = ground_terms(program.signature, depth, lits)
+    pools = [[t for t, d in depth_of.items() if d <= allowed] for allowed in range(depth + 1)]
+    atoms: set[Atom] = set()
+
+    def ground(head: Atom, binding: dict, fresh: list[Atom]) -> None:
+        h = apply_subst(head, binding)
+        base, occ = _head_depths(h)
+        # Variables add at least nothing to the depth, so this minimum rules
+        # the head out for every grounding.
+        if base > depth:
+            return
+        # A grounding's depth is the larger of the head's own and, for each
+        # variable, its deepest occurrence plus the depth of its term.
+        frees = list(occ)
+        for combo in itertools.product(*(pools[depth - occ[v]] for v in frees)):
+            if max([base] + [occ[v] + depth_of[t] for v, t in zip(frees, combo)]) <= depth:
+                g = apply_subst(h, dict(zip(frees, combo))) if frees else h
+                known = len(atoms)
+                atoms.add(g)  # hashes g once, where a membership test would add a second
+                if len(atoms) > known:
+                    fresh.append(g)
+
+    old, delta, last = _Index(), _Index(), []
+
+    def everything(call: Atom) -> Iterable[Atom]:
+        return itertools.chain(old.candidates(call), delta.candidates(call))
+
+    rules = [(c, sum(not _is_equation(b) for b in c.body)) for c in program.clauses]
     done = 0
     while max_iters is None or done < max_iters:
-        nxt = tp_step(program, m, universe)
+        fresh: list[Atom] = []
+        for c, calls in rules:
+            variants = ([(old.candidates,) * calls] if done == 0 else
+                        [(old.candidates,) * i + (delta.candidates,) + (everything,) * (calls - i - 1)
+                         for i in range(calls)])
+            for sources in variants:
+                for binding in _body_matches(c.body, sources, {}):
+                    ground(c.head, binding, fresh)
         done += 1
-        if nxt.atoms == m.atoms:
-            return nxt
-        m = nxt
-    return m
+        if not fresh:
+            break
+        old.add(last)
+        delta, last = _Index(fresh), fresh
+    return GroundAtomSet(frozenset(atoms), depth)
 
 
 # ---------------------------------------------------------------- JSON

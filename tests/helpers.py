@@ -14,16 +14,17 @@ from hypothesis import strategies as st
 
 from tlpc import corpus as _corpus_pkg
 from tlpc.core import (
-    Atom, Fun, NameSource, Param, Subst, TCon, TermSubst, Var, apply_subst, pars,
-    rename_apart, resolution_clauses, vars_in_order, vars_of,
+    Atom, Fun, NameSource, Param, Subst, TCon, TermSubst, Var, apply_subst, is_int_literal,
+    pars, rename_apart, resolution_clauses, vars_in_order, vars_of,
 )
 from tlpc.parser import parse_clause, parse_program, parse_query
 from tlpc.srcheck import eq_of_type_skeleton, type_skeleton_of
 from tlpc.trees import (
-    BOTTOM, DerivationTree, derive_step, enumerate_skeletons, eval_arith, is_proper_skeleton,
+    BOTTOM, DerivationTree, GroundAtomSet, derive_step, enumerate_skeletons, eval_arith,
+    is_proper_skeleton,
 )
 from tlpc.typecheck import UntypableError, most_general_type
-from tlpc.unify import UnificationError, mgu_types
+from tlpc.unify import UnificationError, match_terms, mgu_terms, mgu_types
 
 
 def corpus_path(name: str) -> str:
@@ -555,6 +556,140 @@ def reference_sr_check(program, query, depth):
             yield s, ts, err
         else:
             yield s, ts, None
+
+
+# ------------------------------------------ reference ground consequences
+
+def _reference_depth(t):
+    if isinstance(t, Var) or not t.args:
+        return 0
+    return 1 + max(_reference_depth(a) for a in t.args)
+
+
+def _reference_atom_depth(a):
+    return max((_reference_depth(t) for t in a.args), default=0)
+
+
+def _reference_literals(program):
+    seen = set()
+
+    def walk(t):
+        if isinstance(t, Fun):
+            if not t.args and is_int_literal(t.name):
+                seen.add(t.name)
+            for a in t.args:
+                walk(a)
+
+    for c in program.clauses:
+        for a in c.atoms():
+            for t in a.args:
+                walk(t)
+    return seen
+
+
+def _reference_universe(sig, depth, literals=()):
+    """The ground terms of depth <= depth, grown by whole rounds and then
+    filtered by depth."""
+    funcs = list(sig.funcs.values())
+    cur = {Fun(f.name) for f in funcs if not f.arg_types}
+    if sig.has_int():
+        cur |= {Fun(l) for l in literals}
+    for _ in range(depth):
+        nxt = set(cur)
+        for f in funcs:
+            if f.arg_types:
+                for combo in itertools.product(cur, repeat=len(f.arg_types)):
+                    nxt.add(Fun(f.name, combo))
+        cur = nxt
+    return {t for t in cur if _reference_depth(t) <= depth}
+
+
+def _reference_extend(binding, more):
+    out = {v: apply_subst(t, more) for v, t in binding.items()}
+    for v, t in more.items():
+        out.setdefault(v, t)
+    return out
+
+
+def _reference_body_matches(body, by_pred, binding):
+    if not body:
+        yield binding
+        return
+    first = apply_subst(body[0], binding)
+    if first.pred == "=" and len(first.args) == 2:
+        try:
+            theta = mgu_terms([(first.args[0], first.args[1])])
+        except UnificationError:
+            return
+        yield from _reference_body_matches(body[1:], by_pred,
+                                           _reference_extend(binding, theta))
+        return
+    for g in by_pred.get((first.pred, len(first.args)), ()):
+        more = match_terms(first, g)
+        if more is not None:
+            yield from _reference_body_matches(body[1:], by_pred,
+                                               _reference_extend(binding, more))
+
+
+def reference_tp_step(program, current, universe=None):
+    """One naive application of the bounded immediate-consequence operator
+    to a GroundAtomSet: every clause is fired against the whole set.  A
+    head variable ranges over the universe terms that fit under the bound
+    at its deepest occurrence, and every grounded head's depth is walked
+    afresh."""
+    bound = current.depth_bound
+    if universe is None:
+        universe = _reference_universe(program.signature, bound, _reference_literals(program))
+    depth_of = {t: _reference_depth(t) for t in universe}
+    pool_cache = {}
+
+    def pool(allowed):
+        if allowed not in pool_cache:
+            pool_cache[allowed] = [t for t, d in depth_of.items() if d <= allowed]
+        return pool_cache[allowed]
+
+    by_pred = {}
+    for a in current.atoms:
+        by_pred.setdefault((a.pred, len(a.args)), []).append(a)
+    produced = set()
+    for c in program.clauses:
+        for binding in _reference_body_matches(c.body, by_pred, {}):
+            h = apply_subst(c.head, binding)
+            if _reference_atom_depth(h) > bound:
+                continue
+            occ = {}
+
+            def walk(t, d):
+                if isinstance(t, Var):
+                    occ[t] = max(occ.get(t, 0), d)
+                else:
+                    for s in t.args:
+                        walk(s, d + 1)
+
+            for t in h.args:
+                walk(t, 0)
+            frees = vars_in_order(h)
+            for combo in itertools.product(*(pool(bound - occ[v]) for v in frees)):
+                g = apply_subst(h, dict(zip(frees, combo)))
+                if _reference_atom_depth(g) <= bound:
+                    produced.add(g)
+    return GroundAtomSet(frozenset(produced), bound)
+
+
+def reference_tp_fixpoint(program, depth, max_iters=None, extra_literals=()):
+    """The naive iteration of `reference_tp_step` from the empty set: the
+    k-th round gives the k-th iterate."""
+    universe = _reference_universe(program.signature, depth,
+                                  _reference_literals(program) | set(extra_literals))
+    m = GroundAtomSet(frozenset(), depth)
+    done = 0
+    while max_iters is None or done < max_iters:
+        nxt = reference_tp_step(program, m, universe)
+        done += 1
+        if nxt.atoms == m.atoms:
+            return nxt
+        m = nxt
+    return m
 
 
 # ------------------------------------------------- reference tree walks

@@ -12,8 +12,8 @@ import pytest
 
 import tlpc
 from tlpc.cli import main
-from tlpc.parser import parse_program
-from tlpc.trees import DerivationTree, Skeleton, skeleton_from_json
+from tlpc.parser import parse_program, render
+from tlpc.trees import DerivationTree, Skeleton, skeleton_from_json, tp_fixpoint
 
 from helpers import MK_TEXT, corpus_path
 
@@ -304,6 +304,59 @@ def test_skeletons_untypable_query_is_input_error(capsys):
     assert "not typable" in err
 
 
+# ---------------------------------------------------------------------- tp
+
+def test_tp_text(capsys, append):
+    code, out, err = run_cli(capsys, "tp", corpus_path("append"), "--depth", "2")
+    assert code == 0 and err == ""
+    *lines, count = out.splitlines()
+    want = tp_fixpoint(append, 2).atoms
+    assert lines == sorted(render(a) for a in want)
+    assert count == f"{len(want)} ground atom(s) up to depth 2"
+    assert "app([1], [], [1])" in lines and "go" in lines
+
+
+def test_tp_json(capsys, append):
+    code, out, _ = run_cli(capsys, "tp", corpus_path("append"), "--depth", "1", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert set(doc) == {"depth", "atoms"}
+    assert doc["depth"] == 1
+    assert doc["atoms"] == sorted(render(a) for a in tp_fixpoint(append, 1).atoms)
+    assert len(doc["atoms"]) == 12
+
+
+def test_tp_empty_fixpoint(capsys):
+    code, out, _ = run_cli(capsys, "tp", corpus_path("nest"), "--depth", "2")
+    assert code == 0
+    assert out == "0 ground atom(s) up to depth 2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["tp", "no_such_file.tlp", "--depth", "1"],
+    ["tp", corpus_path("append"), "--depth", "-1"],
+])
+def test_tp_bad_input(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and "error" in err
+
+
+def test_tp_requires_a_depth(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tp", corpus_path("append")])
+    assert exc.value.code == 2
+    assert "--depth" in capsys.readouterr().err
+
+
+def test_tp_syntax_error(capsys, tmp_path):
+    bad = tmp_path / "bad.tlp"
+    bad.write_text("pred p(U).\np(X :- p(X).\n")
+    code, out, err = run_cli(capsys, "tp", str(bad), "--depth", "1")
+    assert code == 2
+    assert out == "" and err
+
+
 # ------------------------------------------------------------- input errors
 
 def test_syntax_error(capsys, tmp_path):
@@ -360,7 +413,7 @@ def readme_transcripts() -> list[tuple[str, str]]:
 
 
 def test_readme_has_transcripts():
-    assert len(readme_transcripts()) == 5
+    assert len(readme_transcripts()) == 6
 
 
 @pytest.mark.parametrize("command, output",

@@ -5,13 +5,17 @@ from __future__ import annotations
 import dataclasses
 import json
 from functools import partial
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tlpc.core import (
     EQ_CLAUSE_INDEX,
     GO_CLAUSE_INDEX,
     Atom,
+    Clause,
     Fun,
     NameSource,
     Program,
@@ -22,12 +26,14 @@ from tlpc.core import (
     vars_of,
     wrap_query,
 )
+from tlpc.corpus import corpus_names
 from tlpc.parser import parse_program, parse_query, parse_term, render
 from tlpc.trees import (
     BOTTOM,
     Derivation,
     DerivationTree,
     Skeleton,
+    _head_depths,
     answers,
     atom_depth,
     check_derivation_tree,
@@ -54,7 +60,6 @@ from tlpc.trees import (
     skeleton_to_json,
     term_depth,
     tp_fixpoint,
-    tp_step,
     tree_to_json,
 )
 from tlpc.cli import _skeleton_text, _tree_lines
@@ -78,6 +83,9 @@ from helpers import (
     recursive_eq_of_type_skeleton,
     recursive_node_atoms,
     recursive_tree_to_json,
+    reference_tp_fixpoint,
+    reference_tp_step,
+    typed_programs,
     variant_queries,
 )
 
@@ -445,6 +453,26 @@ def test_term_and_atom_depth(append):
     assert atom_depth(parse_query("r([1])", sig)[0]) == 1
 
 
+def test_head_depths(append):
+    a = parse_query("app([X|Xs], [[X]], Zs)", append.signature)[0]
+    assert _head_depths(a) == (2, {Var("X"): 2, Var("Xs"): 1, Var("Zs"): 0})
+    assert _head_depths(Atom("go", ())) == (0, {})
+
+
+def test_term_walks_do_not_recurse():
+    # A 5000-level chain, built directly and never hashed: the parser and
+    # the dataclass hash would both pass the recursion limit.
+    t = Var("X")
+    for _ in range(5000):
+        t = Fun("s", (Fun("7"), t))
+    a = Atom("p", (t,))
+    assert term_depth(t) == 5000
+    assert atom_depth(a) == 5000
+    assert _head_depths(a) == (5000, {Var("X"): 5000})
+    program = Program(parse_program("pred p(U).").signature, (Clause(a),))
+    assert int_literals(program) == ["7"]
+
+
 def test_int_literals(fgs1, nestcount, hqpr):
     assert int_literals(fgs1) == ["0", "1"]
     assert int_literals(nestcount) == ["1"]
@@ -455,13 +483,15 @@ def test_int_literals(fgs1, nestcount, hqpr):
 
 def test_ground_terms(hqpr, append):
     nil = Fun("nil")
-    assert ground_terms(hqpr.signature, 0) == {nil}
-    assert ground_terms(hqpr.signature, 1) == {nil, Fun("cons", (nil, nil))}
+    assert ground_terms(hqpr.signature, 0) == {nil: 0}
+    assert ground_terms(hqpr.signature, 1) == {nil: 0, Fun("cons", (nil, nil)): 1}
     # Integer literals only enter through the explicit list.
-    assert ground_terms(append.signature, 0, ["1"]) == {nil, Fun("1")}
-    assert ground_terms(append.signature, 0) == {nil}
-    assert all(term_depth(t) <= 2
-               for t in ground_terms(append.signature, 2, ["1"]))
+    assert ground_terms(append.signature, 0, ["1"]) == {nil: 0, Fun("1"): 0}
+    assert ground_terms(append.signature, 0) == {nil: 0}
+    terms = ground_terms(append.signature, 2, ["1"])
+    assert all(term_depth(t) == d for t, d in terms.items())
+    assert list(terms.values()) == sorted(terms.values())
+    assert len(terms) == 2 + 6 ** 2
 
 
 # ------------------------------------------------------------ consequences
@@ -501,8 +531,8 @@ def test_tp_subtraction_is_uninterpreted(nestcount):
 
 def test_tp_step_monotone_and_stable(append):
     m0 = tp_fixpoint(append, depth=2)
-    assert tp_step(append, m0).atoms == m0.atoms
-    start = tp_step(append, dataclasses.replace(m0, atoms=frozenset()))
+    assert reference_tp_step(append, m0).atoms == m0.atoms
+    start = reference_tp_step(append, dataclasses.replace(m0, atoms=frozenset()))
     assert start.atoms <= m0.atoms
 
 
@@ -517,6 +547,44 @@ def test_tp_max_iters(append):
     full = tp_fixpoint(append, depth=2)
     assert m1.atoms <= full.atoms
     assert parse_query("app([1], [], [1])", append.signature)[0] not in m1
+
+
+BENCH_PROGRAMS = Path(__file__).resolve().parent.parent / "bench" / "programs"
+
+# Every corpus program at depths 1-3, every bench program at depth 1, and
+# flatnest at depth 2.  (flat at depth 2 is left out: the naive oracle
+# alone takes seconds there.)
+TP_CASES = ([(name, d) for name in corpus_names() for d in (1, 2, 3)]
+            + [(BENCH_PROGRAMS / f"{name}.tlp", 1) for name in ("chain", "flat", "flatnest", "mk")]
+            + [(BENCH_PROGRAMS / "flatnest.tlp", 2)])
+
+
+def _assert_tp_matches_oracle(program, depth):
+    for max_iters in (None, 0, 1, 2, 3):
+        got = tp_fixpoint(program, depth, max_iters)
+        assert got.depth_bound == depth
+        assert got.atoms == reference_tp_fixpoint(program, depth, max_iters).atoms, max_iters
+
+
+@pytest.mark.parametrize("source, depth", TP_CASES,
+                         ids=[f"{getattr(s, 'stem', s)}-{d}" for s, d in TP_CASES])
+def test_tp_fixpoint_matches_the_naive_oracle(corpus, source, depth):
+    program = corpus[source] if isinstance(source, str) else parse_program(source.read_text())
+    _assert_tp_matches_oracle(program, depth)
+
+
+def test_tp_fixpoint_matches_the_naive_oracle_on_random_programs():
+    sizes = set()
+
+    @settings(max_examples=60, derandomize=True, deadline=None,
+              suppress_health_check=(HealthCheck.too_slow,))
+    @given(typed_programs(), st.integers(1, 2))
+    def check(program, depth):
+        _assert_tp_matches_oracle(program, depth)
+        sizes.add(len(tp_fixpoint(program, depth)) > 0)
+
+    check()
+    assert sizes == {True, False}
 
 
 # ---------------------------------------------------------------- round trip
