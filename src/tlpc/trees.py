@@ -478,27 +478,18 @@ class GroundAtomSet:
 
 
 class _Index:
-    """Ground atoms by predicate, arity and the functor of the first
-    argument, and by predicate and arity alone for a call whose first
-    argument is a variable."""
+    """Ground atoms by predicate and arity."""
 
     def __init__(self, atoms: Iterable[Atom] = ()):
-        self.by_first: dict[tuple, list[Atom]] = {}
         self.by_pred: dict[tuple, list[Atom]] = {}
         self.add(atoms)
 
     def add(self, atoms: Iterable[Atom]) -> None:
         for a in atoms:
             self.by_pred.setdefault((a.pred, len(a.args)), []).append(a)
-            if a.args:
-                f = a.args[0]
-                self.by_first.setdefault((a.pred, len(a.args), f.name, len(f.args)), []).append(a)
 
     def candidates(self, call: Atom) -> list[Atom]:
         """The indexed atoms that `call` may match."""
-        if call.args and type(call.args[0]) is Fun:
-            f = call.args[0]
-            return self.by_first.get((call.pred, len(call.args), f.name, len(f.args)), [])
         return self.by_pred.get((call.pred, len(call.args)), [])
 
 
@@ -568,15 +559,15 @@ def tp_fixpoint(program: Program, depth: int,
         if base > depth:
             return
         # A grounding's depth is the larger of the head's own and, for each
-        # variable, its deepest occurrence plus the depth of its term.
+        # variable, its deepest occurrence plus the depth of its term; each
+        # variable's pool holds only the terms that keep it within the bound.
         frees = list(occ)
         for combo in itertools.product(*(pools[depth - occ[v]] for v in frees)):
-            if max([base] + [occ[v] + depth_of[t] for v, t in zip(frees, combo)]) <= depth:
-                g = apply_subst(h, dict(zip(frees, combo))) if frees else h
-                known = len(atoms)
-                atoms.add(g)  # hashes g once, where a membership test would add a second
-                if len(atoms) > known:
-                    fresh.append(g)
+            g = apply_subst(h, dict(zip(frees, combo))) if frees else h
+            known = len(atoms)
+            atoms.add(g)  # hashes g once, where a membership test would add a second
+            if len(atoms) > known:
+                fresh.append(g)
 
     old, delta, last = _Index(), _Index(), []
 
@@ -588,7 +579,8 @@ def tp_fixpoint(program: Program, depth: int,
     while max_iters is None or done < max_iters:
         fresh: list[Atom] = []
         for c, calls in rules:
-            variants = ([(old.candidates,) * calls] if done == 0 else
+            # Only clauses without calls fire in the first round.
+            variants = (([()] if calls == 0 else []) if done == 0 else
                         [(old.candidates,) * i + (delta.candidates,) + (everything,) * (calls - i - 1)
                          for i in range(calls)])
             for sources in variants:
