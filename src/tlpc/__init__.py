@@ -12,8 +12,6 @@ from .core import (
     Signature,
     Subst,
     TCon,
-    TermSubst,
-    TypeSubst,
     Var,
     validate_signature,
     variant_terms,
@@ -76,8 +74,8 @@ __all__ = [
     "Atom", "BOTTOM", "CheckReport", "Clause", "ClauseTyping", "Derivation",
     "DerivationTree", "Finding", "Fun", "FuncDecl", "GroundAtomSet",
     "JudgementProof", "ParseError", "Param", "Partition", "PredDecl",
-    "Program", "Signature", "Skeleton", "Subst", "TCon", "TermSubst", "TypeSkeleton",
-    "TypeSubst", "UnificationError", "UntypableError", "Var",
+    "Program", "Signature", "Skeleton", "Subst", "TCon", "TypeSkeleton",
+    "UnificationError", "UntypableError", "Var",
     "answers", "check_head_condition",
     "check_semi_generic", "check_subject_reduction_bounded", "corpus_names",
     "corpus_text", "derivations", "enumerate_skeletons", "frontier",

@@ -35,7 +35,7 @@ from .trees import (
     skeleton_to_json,
     tp_fixpoint,
 )
-from .typecheck import UntypableError, is_typable, most_general_type
+from .typecheck import UntypableError, most_general_type, require_typable
 
 
 def _use_color() -> bool:
@@ -161,16 +161,9 @@ def cmd_infer(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _typable_query(file: str, query_text: str):
-    program = _load(file)
-    query = parse_query(query_text, program.signature)
-    if not is_typable(query, program.signature):
-        raise UntypableError(f"query is not typable: {render(query)}")
-    return program, query
-
-
 def cmd_run(args) -> int:
-    program, query = _typable_query(args.file, args.query)
+    program = _load(args.file)
+    query = parse_query(args.query, program.signature)
     monitor, found = monitored_answers(program, query, args.depth, args.selection)
     if args.json:
         print(json.dumps({
@@ -222,7 +215,9 @@ def cmd_sr(args) -> int:
 
 
 def cmd_skeletons(args) -> int:
-    program, query = _typable_query(args.file, args.query)
+    program = _load(args.file)
+    query = parse_query(args.query, program.signature)
+    require_typable(program, query)
     entries = []
     for s in enumerate_skeletons(program, query, args.depth):
         theta = is_proper_skeleton(s)
@@ -237,7 +232,7 @@ def cmd_skeletons(args) -> int:
             for ln in _tree_lines(s, _skeleton_text, 1):
                 print(ln)
         if args.types:
-            ts = type_skeleton_of(s, program.signature)
+            ts = type_skeleton_of(s, program)
             proper = is_proper_type_skeleton(ts) is not None
             if args.json:
                 entry["typeSkeleton"] = type_skeleton_to_json(ts)

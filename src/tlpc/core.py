@@ -204,9 +204,6 @@ def apply_subst(obj, theta: Mapping):
     raise TypeError(f"cannot substitute in {obj!r}")
 
 
-apply_term_subst = apply_type_subst = apply_subst
-
-
 class Subst(Mapping):
     """Finite idempotent map from variables to terms, or from parameters
     to types.
@@ -256,16 +253,6 @@ class Subst(Mapping):
 
     def apply(self, obj):
         return apply_subst(obj, self._m)
-
-    def restrict(self, keep) -> "Subst":
-        """Restriction to a set of variables or parameters, or to those
-        occurring in a syntax object."""
-        if not isinstance(keep, (set, frozenset)):
-            keep = set(_free_in_order(keep, (Var, Param)))
-        return Subst({v: t for v, t in self._m.items() if v in keep})
-
-
-TermSubst = TypeSubst = Subst
 
 
 def rename_apart(obj, fresh: NameSource):
@@ -398,9 +385,17 @@ class Program:
     @cached_property
     def clause_typings(self) -> tuple:
         """The most general type of each clause, worked out once, on first
-        use.  Raises the first untypable clause's UntypableError."""
-        from .typecheck import most_general_type
-        return tuple(most_general_type(c, self.signature) for c in self.clauses)
+        use.  Raises UntypableError naming the first untypable clause by
+        number and text."""
+        from .parser import render
+        from .typecheck import UntypableError, most_general_type
+        out = []
+        for i, c in enumerate(self.clauses):
+            try:
+                out.append(most_general_type(c, self.signature))
+            except UntypableError as e:
+                raise UntypableError(f"clause {i + 1}: {render(c)} has no typing: {e}") from e
+        return tuple(out)
 
     def __repr__(self) -> str:
         from .parser import render

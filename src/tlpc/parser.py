@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 
 from .core import (
-    CONS, EQ, GO, INT, MINUS, NIL,
+    CONS, EQ, MINUS, NIL,
     Atom, Clause, Fun, FuncDecl, Param, PredDecl, Program, Query, Signature,
     Subst, TCon, Type, Var, decl_problems, is_int_literal,
 )

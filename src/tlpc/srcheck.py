@@ -25,12 +25,12 @@ from .core import (
     Atom,
     Clause,
     EQ,
+    EQ_CLAUSE,
     GO,
     GO_CLAUSE_INDEX,
     NameSource,
     Program,
     Query,
-    Signature,
     Subst,
     TCon,
     Type,
@@ -39,6 +39,7 @@ from .core import (
     pars,
     pars_in_order,
     variant_types,
+    vars_in_order,
     wrap_query,
 )
 from .parser import render, render_types
@@ -53,7 +54,7 @@ from .trees import (
     rebuild,
     tree_to_json,
 )
-from .typecheck import ClauseTyping, UntypableError, is_typable, most_general_type
+from .typecheck import ClauseTyping, is_typable, most_general_type, require_typable
 from .unify import UnificationError, mgu_terms, mgu_types
 
 HEAD_GENERIC = "h"
@@ -91,30 +92,34 @@ def label(ts: TypeSkeleton) -> str:
     return f"{head} <- {body}"
 
 
-def _node_typing(node: Skeleton, sig: Signature) -> ClauseTyping:
-    try:
-        return most_general_type(node.clause, sig)
-    except UntypableError as e:
-        raise UntypableError(f"clause {render(node.clause)} has no typing: {e}") from e
-
-
-def type_skeleton_of(s: Skeleton, sig: Signature) -> TypeSkeleton:
+def type_skeleton_of(s: Skeleton, program: Program) -> TypeSkeleton:
     """Relabel every complete node of s with the most general type of its
-    clause, renaming parameters apart across nodes.  Raises UntypableError
-    naming the offending clause when some node has no typing."""
+    clause, renaming parameters apart across nodes.  A node copying program
+    clause i reads `program.clause_typings[i]`: the copy is a renaming of
+    the clause, so its atom types are the same and its variable typing
+    follows the renaming.  The query root and the built-in `=` clause are
+    typed as they are.  Raises UntypableError naming the first untypable
+    program clause."""
     ns = NameSource()
 
     def make(node: Skeleton):
-        ct = _node_typing(node, sig)
+        i = node.clause_index
+        if i >= 0:
+            ct = program.clause_typings[i]
+            renaming = dict(zip(vars_in_order(program.clauses[i]), vars_in_order(node.clause)))
+            u = {renaming[v]: t for v, t in ct.variable_typing.items()}
+        else:
+            ct = most_general_type(node.clause, program.signature)
+            u = ct.variable_typing
         ren = {p: ns.fresh_param(p.name) for p in pars_in_order(ct.atom_types)}
         vecs = apply_subst(ct.atom_types, ren)
         return lambda kids: TypeSkeleton(
-            clause_index=node.clause_index,
+            clause_index=i,
             head_pred=node.clause.head.pred,
             head_types=vecs[0],
             body_preds=tuple(a.pred for a in node.clause.body),
             body_types=vecs[1:],
-            variable_typing=apply_subst(ct.variable_typing, ren),
+            variable_typing=apply_subst(u, ren),
             children=kids,
         )
 
@@ -338,14 +343,17 @@ class _Option:
 def typed_proper_skeletons(program: Program, query: Query,
                            depth: int = 5) -> Iterator[tuple[Skeleton, bool]]:
     """The proper skeletons up to the given height, smallest first, each
-    paired with whether its type skeleton is proper.  Each clause is typed
-    once, keyed by its clause index: the node copies of one clause are
-    renamings of it, with the same atom types.  Each option's head types
-    are solved where it is built, from its children's, under fresh
+    paired with whether its type skeleton is proper.  A node reads its
+    clause's atom types by clause index, since the node copies of one
+    clause are renamings of it: `program.clause_typings` for a program
+    clause, the typing `require_typable` gives the query for the root, and
+    the built-in `=` clause is typed on first use.  Each option's head
+    types are solved where it is built, from its children's, under fresh
     parameters."""
-    sig = program.signature
+    typings = {GO_CLAUSE_INDEX: require_typable(program, query),
+               **dict(enumerate(program.clause_typings))}
+    vectors: dict[int, tuple] = {}  # atom types and their parameters, by clause index
     ns = NameSource()
-    typings: dict[int, tuple] = {}
 
     def build(copy: Clause, index: int, children: tuple) -> _Option | None:
         kids = [(i, c) for i, c in enumerate(children) if c is not BOTTOM]
@@ -356,10 +364,12 @@ def typed_proper_skeletons(program: Program, query: Query,
             return None  # not proper: enumeration leaves the option out
         skeleton = Skeleton(copy, index, tuple(BOTTOM if c is BOTTOM else c.skeleton
                                                for c in children))
-        if index not in typings:
-            ct = _node_typing(skeleton, sig)
-            typings[index] = ct.atom_types, pars_in_order(ct.atom_types)
-        vecs, params = typings[index]
+        if index not in vectors:
+            ct = typings.get(index)
+            if ct is None:  # the built-in `=` clause
+                ct = most_general_type(EQ_CLAUSE, program.signature)
+            vectors[index] = ct.atom_types, pars_in_order(ct.atom_types)
+        vecs, params = vectors[index]
         types = None
         if all(c.types is not None for _, c in kids):
             vecs = apply_subst(vecs, {p: ns.fresh_param(p.name) for p in params})
@@ -382,17 +392,11 @@ def subject_reduction_counterexamples(
     with the type skeleton and the failing type equation."""
     for s, type_proper in typed_proper_skeletons(program, query, depth):
         if not type_proper:
-            ts = type_skeleton_of(s, program.signature)
+            ts = type_skeleton_of(s, program)
             try:
                 mgu_types(eq_of_type_skeleton(ts))
             except UnificationError as err:
                 yield s, ts, err
-
-
-def _require_typable(program: Program, query: Query) -> None:
-    program.clause_typings  # raises on the first untypable clause
-    if not is_typable(query, program.signature):
-        raise UntypableError(f"query {render(query)} has no typing")
 
 
 def subject_reduction_report(
@@ -400,7 +404,6 @@ def subject_reduction_report(
 ) -> tuple[CheckReport, tuple[Skeleton, TypeSkeleton, UnificationError] | None]:
     """The report of check_subject_reduction_bounded together with the
     counterexample its finding describes (None on a pass)."""
-    _require_typable(program, query)
     found = next(subject_reduction_counterexamples(program, query, depth), None)
     findings: list[Finding] = []
     if found is not None:
@@ -426,12 +429,13 @@ def monitored_answers(program: Program, query: Query, depth: int = 5,
                       selection: str = "leftmost") -> tuple[CheckReport, list[Subst]]:
     """One bounded search giving the report of monitor_derivation and the
     answers of trees.answers: derived queries are checked for typability up
-    to the first untypable one, and answers are collected throughout."""
-    _require_typable(program, query)
+    to the first untypable one, and answers are collected throughout.  The
+    query itself passes `require_typable` first."""
+    require_typable(program, query)
     findings: list[Finding] = []
     found: list[Subst] = []
     for d in derivations(program, query, depth, selection):
-        if not findings and not is_typable(d.final, program.signature):
+        if not findings and d.steps and not is_typable(d.final, program.signature):
             trace = " -> ".join(render(s.query) for s in d.steps)
             findings.append(Finding(
                 "query-untypable",

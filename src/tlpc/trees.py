@@ -100,22 +100,16 @@ def nodes(root) -> Iterator[tuple]:
             stack.extend((node, i, kids[i], depth + 1) for i in range(len(kids) - 1, -1, -1))
 
 
-def _assemble(plan) -> object:
-    """The tree described by `plan`, a prefix-order list of (make, arity)
-    pairs: `make(children)` builds a clause node from its built children,
-    and a None `make` stands for BOTTOM.  Built bottom-up from a list."""
-    built: list = []
-    for make, arity in reversed(plan):
-        built.append(BOTTOM if make is None else make(tuple(built.pop() for _ in range(arity))))
-    return built[0]
-
-
 def rebuild(root, make):
     """A copy of a tree: `make(node)` is called on each clause node in prefix
     order and gives a function from the node's copied children to its copy.
-    BOTTOM leaves stay BOTTOM."""
-    return _assemble([(None, 0) if n is BOTTOM else (make(n), len(n.children))
-                      for _, _, n, _ in nodes(root)])
+    BOTTOM leaves stay BOTTOM.  The copy is assembled bottom-up from a list."""
+    plan = [(None, 0) if n is BOTTOM else (make(n), len(n.children))
+            for _, _, n, _ in nodes(root)]
+    built: list = []
+    for copy, arity in reversed(plan):
+        built.append(BOTTOM if copy is None else copy(tuple(built.pop() for _ in range(arity))))
+    return built[0]
 
 
 def height(node) -> int:
@@ -528,8 +522,7 @@ def _body_matches(body: Query, sources: tuple, binding: dict) -> Iterator[dict]:
 
 
 def tp_fixpoint(program: Program, depth: int,
-                max_iters: int | None = None,
-                extra_literals: Iterable[str] = ()) -> GroundAtomSet:
+                max_iters: int | None = None) -> GroundAtomSet:
     """Iterate the bounded immediate-consequence operator from the empty set
     until it stabilises (the universe is finite, so it always does) or until
     `max_iters` rounds have been made; round k gives the k-th iterate.
@@ -546,8 +539,7 @@ def tp_fixpoint(program: Program, depth: int,
     the calls before it the atoms known before that round, and those after
     it all atoms known.  So every consequence not yet known is found, and
     each from at least one new atom."""
-    lits = set(int_literals(program)) | set(extra_literals)
-    depth_of = ground_terms(program.signature, depth, lits)
+    depth_of = ground_terms(program.signature, depth, int_literals(program))
     pools = [[t for t, d in depth_of.items() if d <= allowed] for allowed in range(depth + 1)]
     atoms: set[Atom] = set()
 
@@ -626,30 +618,3 @@ def skeleton_to_json(s) -> dict:
 
     return tree_to_json(s, fields)
 
-
-def skeleton_from_json(doc: dict, sig: Signature) -> Skeleton | DerivationTree:
-    """Rebuild a skeleton (or, when substitutions are present, a derivation
-    tree) from its JSON form.  Node clauses come back exactly as serialised
-    (variable names included)."""
-    from .parser import parse_clause, parse_term
-
-    by_id = {n["id"]: n for n in doc["nodes"]}
-    plan: list = []
-    todo = [doc["root"]]
-    while todo:
-        n = by_id[todo.pop()]
-        if n["kind"] == "bottom":
-            plan.append((None, 0))
-            continue
-        clause = parse_clause(n["clause"], sig)
-        if "subst" in n:
-            theta = Subst({Var(name): parse_term(text, sig)
-                           for name, text in n["subst"].items()})
-            make = partial(DerivationTree, clause, n["clauseIndex"], theta)
-        else:
-            make = partial(Skeleton, clause, n["clauseIndex"])
-        plan.append((make, len(n["children"])))
-        todo.extend(reversed(n["children"]))
-    if plan[0][0] is None:
-        raise ValueError("root cannot be an unexpanded leaf")
-    return _assemble(plan)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .core import (
-    Atom, Clause, Fun, INT_TYPE, NameSource, Param, Program, Query, Signature,
+    Atom, Clause, Fun, NameSource, Param, Program, Query, Signature,
     Term, Type, Var, apply_subst, canonical_param_map, is_int_literal,
     pars, pars_in_order, wrap_query,
 )
@@ -237,3 +237,16 @@ def is_typable(q: Query, sig: Signature) -> bool:
         return True
     except UntypableError:
         return False
+
+
+def require_typable(program: Program, query: Query) -> ClauseTyping:
+    """The one admission gate: every clause of the program and the query
+    must have a typing.  Forces `program.clause_typings`, which types each
+    clause once, and returns the most general type of the query's wrapper
+    clause `go :- query`.  Raises UntypableError naming the first untypable
+    clause, or the query."""
+    program.clause_typings  # raises on the first untypable clause
+    try:
+        return most_general_type(wrap_query(query), program.signature)
+    except UntypableError as e:
+        raise UntypableError(f"query is not typable: {render(query)}") from e

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from tlpc import corpus as _corpus_pkg
 from tlpc.core import (
-    Atom, Fun, NameSource, Param, Subst, TCon, TermSubst, Var, apply_subst, is_int_literal,
+    Atom, Fun, NameSource, Param, Subst, TCon, Var, apply_subst, is_int_literal,
     pars, rename_apart, resolution_clauses, vars_in_order, vars_of,
 )
 from tlpc.parser import parse_clause, parse_program, parse_query
@@ -29,6 +29,9 @@ from tlpc.unify import UnificationError, match_terms, mgu_terms, mgu_types
 
 def corpus_path(name: str) -> str:
     return str(Path(_corpus_pkg.__file__).parent / f"{name}.tlp")
+
+
+BENCH_PROGRAMS = Path(__file__).resolve().parent.parent / "bench" / "programs"
 
 SMALL_SIG_TEXT = """
 kind int/0.
@@ -370,7 +373,7 @@ def ground_trees(skeleton, universe, max_free=3):
                 continue
             for kids in itertools.product(*child_lists):
                 yield DerivationTree(node.clause, node.clause_index,
-                                     TermSubst(binding), tuple(kids))
+                                     Subst(binding), tuple(kids))
 
     trees = list(at_node(skeleton, {}))
     return None if overflow else trees
@@ -545,11 +548,10 @@ def reference_sr_check(program, query, depth):
     gets a type skeleton, typed node by node and solved whole.  Yields each
     proper skeleton, smallest first, with its type skeleton and the failing
     type equation (None when the type skeleton is proper)."""
-    sig = program.signature
     for s in enumerate_skeletons(program, query, depth):
         if is_proper_skeleton(s) is None:
             continue
-        ts = type_skeleton_of(s, sig)
+        ts = type_skeleton_of(s, program)
         try:
             mgu_types(eq_of_type_skeleton(ts))
         except UnificationError as err:
@@ -676,11 +678,10 @@ def reference_tp_step(program, current, universe=None):
     return GroundAtomSet(frozenset(produced), bound)
 
 
-def reference_tp_fixpoint(program, depth, max_iters=None, extra_literals=()):
+def reference_tp_fixpoint(program, depth, max_iters=None):
     """The naive iteration of `reference_tp_step` from the empty set: the
     k-th round gives the k-th iterate."""
-    universe = _reference_universe(program.signature, depth,
-                                  _reference_literals(program) | set(extra_literals))
+    universe = _reference_universe(program.signature, depth, _reference_literals(program))
     m = GroundAtomSet(frozenset(), depth)
     done = 0
     while max_iters is None or done < max_iters:

@@ -22,10 +22,10 @@ from tlpc.core import (
     GO_CLAUSE_INDEX,
     NameSource,
     Param,
+    Subst,
     TCon,
-    TypeSubst,
     Var,
-    apply_term_subst,
+    apply_subst,
     pars,
     vars_of,
 )
@@ -217,7 +217,7 @@ def test_append_success_branch_type_skeleton(append):
                and s.children[0].clause_index == 1
                and s.children[0].children[0] is not BOTTOM
                and s.children[1] is not BOTTOM)
-    ts = type_skeleton_of(hit, append.signature)
+    ts = type_skeleton_of(hit, append)
     assert label(ts) == ("go <- app(list(int), list(int), list(int)), "
                          "r(list(int))")
     theta = is_proper_type_skeleton(ts)
@@ -258,7 +258,7 @@ def test_semigen_two_fact_type_skeleton_proper(semigen):
                  (Skeleton(rename_apart(semigen.clauses[1], ns), 1),
                   Skeleton(rename_apart(semigen.clauses[1], ns), 1)))
     assert is_proper_skeleton(s) is not None
-    ts = type_skeleton_of(s, semigen.signature)
+    ts = type_skeleton_of(s, semigen)
     assert label(ts).startswith("p(")
     assert is_proper_type_skeleton(ts) is not None
 
@@ -314,7 +314,7 @@ def test_fgs1_computes_nested_applications(fgs1, capsys):
 @given(data=st.data())
 def test_prop_typing_survives_parameter_grounding(data):
     u, t, ty = data.draw(wt_term())
-    theta = TypeSubst(data.draw(ground_subst_st(
+    theta = Subst(data.draw(ground_subst_st(
         pars(tuple(u.values())) | pars(ty))))
     ground_u = {v: theta.apply(s) for v, s in u.items()}
     proof = judge(ground_u, t, theta.apply(ty), sig=SIG)
@@ -327,7 +327,7 @@ def test_prop_typing_survives_parameter_grounding(data):
 def test_prop_well_typed_equations_stay_judgeable(data):
     u, eqs = data.draw(wt_equations())
     judge(u, eqs, sig=SIG)
-    theta = TypeSubst(data.draw(ground_subst_st(pars(tuple(u.values())))))
+    theta = Subst(data.draw(ground_subst_st(pars(tuple(u.values())))))
     judge({v: theta.apply(s) for v, s in u.items()}, eqs, sig=SIG)
 
 
@@ -341,8 +341,8 @@ def test_prop_mgu_of_well_typed_equations_is_typed(data):
     except UnificationError:
         assume(False)
     assert is_typed_substitution(theta, u, SIG)
-    judge(u, apply_term_subst(eqs, theta), sig=SIG)
-    judge(u, apply_term_subst(extra, theta), sig=SIG)
+    judge(u, apply_subst(eqs, theta), sig=SIG)
+    judge(u, apply_subst(extra, theta), sig=SIG)
 
 
 @pytest.mark.criterion(7)

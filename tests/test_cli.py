@@ -12,8 +12,9 @@ import pytest
 
 import tlpc
 from tlpc.cli import main
-from tlpc.parser import parse_program, render
-from tlpc.trees import DerivationTree, Skeleton, skeleton_from_json, tp_fixpoint
+from tlpc.parser import parse_program, parse_query, render
+from tlpc.srcheck import subject_reduction_report, type_skeleton_of, type_skeleton_to_json
+from tlpc.trees import enumerate_skeletons, skeleton_to_json, tp_fixpoint
 
 from helpers import MK_TEXT, corpus_path
 
@@ -254,8 +255,9 @@ def test_sr_json_round_trips_the_skeleton(capsys, nest):
     doc = json.loads(out)
     assert doc["report"]["verdict"] == "fail"
     ce = doc["counterexample"]
-    back = skeleton_from_json(ce["skeleton"], nest.signature)
-    assert isinstance(back, Skeleton)
+    s, ts, _ = subject_reduction_report(nest, parse_query("p(X)", nest.signature), 3)[1]
+    assert ce["skeleton"] == skeleton_to_json(s)
+    assert ce["typeSkeleton"] == type_skeleton_to_json(ts)
     assert ce["typeSkeleton"]["nodes"][0]["label"] == "go <- p(list(int))"
     assert ce["equation"] == "int = list(A_1)"
 
@@ -289,9 +291,10 @@ def test_skeletons_json(capsys, append):
     assert doc["depth"] == 2
     assert [e["height"] for e in doc["skeletons"]] == \
         sorted(e["height"] for e in doc["skeletons"])
-    for e in doc["skeletons"]:
-        back = skeleton_from_json(e["skeleton"], append.signature)
-        assert isinstance(back, (Skeleton, DerivationTree))
+    want = enumerate_skeletons(append, parse_query("app(Xs, [], Zs), r(Xs)", append.signature), 2)
+    for e, s in zip(doc["skeletons"], want, strict=True):
+        assert e["skeleton"] == skeleton_to_json(s)
+        assert e["typeSkeleton"] == type_skeleton_to_json(type_skeleton_of(s, append))
         assert "typeProper" in e
         if e["proper"]:
             assert e["mgu"].startswith("{") or e["mgu"] == "{}"
@@ -302,6 +305,32 @@ def test_skeletons_untypable_query_is_input_error(capsys):
                            "--query", "p([[X]])", "--depth", "1")
     assert code == 2
     assert "not typable" in err
+
+
+# ------------------------------------------------------------ typing gate
+
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["run", "--query", "r(Xs)", "--depth", "1"],
+    ["sr", "--query", "r(Xs)", "--depth", "1"],
+    ["skeletons", "--query", "r(Xs)", "--depth", "1"],
+    ["skeletons", "--query", "r(Xs)", "--depth", "1", "--types"],
+], ids=lambda argv: " ".join(argv[:1] + argv[5:]))
+def test_untypable_clause_is_named_before_any_output(capsys, tmp_path, argv):
+    text = Path(corpus_path("append")).read_text() + "r([X, [X]]).\n"
+    path = tmp_path / "broken.tlp"
+    path.write_text(text)
+    n = len(parse_program(text).clauses)
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: clause {n}: r([X, [X]]). has no typing: ")
+
+
+@pytest.mark.parametrize("command", ["sr", "run", "skeletons"])
+def test_untypable_query_is_rejected_alike(capsys, command):
+    code, out, err = run_cli(capsys, command, corpus_path("nest"),
+                             "--query", "p([[X]])", "--depth", "2")
+    assert (code, out, err) == (2, "", "error: query is not typable: p([[X]])\n")
 
 
 # ---------------------------------------------------------------------- tp

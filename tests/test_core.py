@@ -15,12 +15,10 @@ from tlpc.core import (
     Param,
     PredDecl,
     Signature,
+    Subst,
     TCon,
-    TermSubst,
-    TypeSubst,
     Var,
-    apply_term_subst,
-    apply_type_subst,
+    apply_subst,
     canonical_types,
     pars,
     rename_apart,
@@ -59,14 +57,14 @@ def test_vars_of_atom(append):
 
 
 def test_apply_type_subst():
-    assert apply_type_subst(list_of(U), {U: INT}) == list_of(INT)
-    assert apply_type_subst(U, {}) == U
-    assert apply_type_subst(list_of(U), {V: INT}) == list_of(U)
+    assert apply_subst(list_of(U), {U: INT}) == list_of(INT)
+    assert apply_subst(U, {}) == U
+    assert apply_subst(list_of(U), {V: INT}) == list_of(U)
 
 
 def test_type_subst_compose_agrees_with_sequencing():
-    th1 = TypeSubst({U: list_of(V)})
-    th2 = TypeSubst({V: INT})
+    th1 = Subst({U: list_of(V)})
+    th2 = Subst({V: INT})
     # Composition solves both substitutions' bindings as one equation set.
     both = mgu_types(list(th1.items()) + list(th2.items()))
     for ty in (U, V, list_of(U), TCon("pair", (U, V))):
@@ -74,43 +72,36 @@ def test_type_subst_compose_agrees_with_sequencing():
 
 
 def test_type_subst_idempotent_on_application():
-    th = TypeSubst({U: list_of(V)})
+    th = Subst({U: list_of(V)})
     ty = TCon("pair", (U, list_of(U)))
     assert th.apply(th.apply(ty)) == th.apply(ty)
 
 
 def test_type_subst_rejects_nonidempotent():
     with pytest.raises(ValueError):
-        TypeSubst({U: list_of(U)})
+        Subst({U: list_of(U)})
 
 
 def test_type_subst_drops_identity_bindings():
-    assert len(TypeSubst({U: U})) == 0
+    assert len(Subst({U: U})) == 0
 
 
 def test_apply_term_subst(hqpr):
     sig = hqpr.signature
     p_x = parse_query("p(X)", sig)[0]
-    assert apply_term_subst(p_x, {Var("X"): Fun("nil")}) == \
+    assert apply_subst(p_x, {Var("X"): Fun("nil")}) == \
         parse_query("p([])", sig)[0]
-    assert apply_term_subst(Var("X"), {}) == Var("X")
-    got = apply_term_subst(parse_term("[X|Y]", sig), {Var("X"): Fun("nil")})
+    assert apply_subst(Var("X"), {}) == Var("X")
+    got = apply_subst(parse_term("[X|Y]", sig), {Var("X"): Fun("nil")})
     assert got == parse_term("[[]|Y]", sig)
 
 
 def test_term_subst_is_simultaneous():
     x, y = Var("X"), Var("Y")
     with pytest.raises(ValueError):
-        TermSubst({x: y, y: Fun("nil")})
-    th = TermSubst({x: Fun("cons", (y, Fun("nil")))})
+        Subst({x: y, y: Fun("nil")})
+    th = Subst({x: Fun("cons", (y, Fun("nil")))})
     assert th.apply(th.apply(x)) == th.apply(x)
-
-
-def test_term_subst_restrict(hqpr):
-    th = TermSubst({Var("X"): Fun("nil"), Var("Y"): Fun("nil")})
-    q = parse_query("p(X)", hqpr.signature)
-    assert set(th.restrict(q)) == {Var("X")}
-    assert set(th.restrict({Var("Y")})) == {Var("Y")}
 
 
 def test_rename_apart_consistent(nest):
@@ -150,7 +141,7 @@ def test_rename_apart_invertible(nest):
     copy = rename_apart(c, ns)
     pairs = dict(zip(sorted(vars_of(copy), key=lambda v: (v.name, v.idx)),
                      sorted(vars_of(c), key=lambda v: (v.name, v.idx))))
-    assert apply_term_subst(copy, pairs) == c
+    assert apply_subst(copy, pairs) == c
 
 
 def test_canonical_types_first_occurrence_order():

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from tlpc.core import Atom, Fun, Param, TCon, TermSubst, Var
+from tlpc.core import Atom, Fun, Param, Subst, TCon, Var
 from tlpc.corpus import corpus_names, corpus_text
 from tlpc.parser import (
     ParseError,
@@ -95,7 +95,7 @@ def test_render_infix_equality(eqnil):
 
 
 def test_render_substitution():
-    th = TermSubst({Var("X"): Fun("nil"), Var("A"): Fun("1")})
+    th = Subst({Var("X"): Fun("nil"), Var("A"): Fun("1")})
     assert render(th) == "{A/1, X/[]}"
 
 

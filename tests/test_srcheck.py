@@ -9,7 +9,7 @@ from helpers import (
     EXTRA_QUERIES, FLAT_TEXT, FLATNEST_TEXT, corpus_path, reference_sr_check, typed_programs,
 )
 from tlpc.cli import _skeleton_text, _tree_lines, main
-from tlpc.core import EQ, GO, GO_CLAUSE_INDEX, Param, TCon, Var, resolution_clauses
+from tlpc.core import EQ, GO, GO_CLAUSE_INDEX, Param, TCon, Var, variant_terms, wrap_query
 from tlpc.corpus import corpus_names, load_corpus
 from tlpc.parser import parse_program, parse_query, render
 from tlpc.srcheck import (
@@ -42,7 +42,7 @@ from tlpc.trees import (
     is_proper_skeleton,
     most_general_derivation_tree,
 )
-from tlpc.typecheck import UntypableError, judge, most_general_type
+from tlpc.typecheck import UntypableError, judge
 from tlpc.unify import UnificationError, mgu_types, ordered_unifiable
 
 INT = TCon("int")
@@ -69,7 +69,7 @@ def chain_skeleton(nest, levels):
 # ------------------------------------------------------------ type skeletons
 
 def test_type_skeleton_of_nesting_chain(nest):
-    ts = type_skeleton_of(chain_skeleton(nest, 3), nest.signature)
+    ts = type_skeleton_of(chain_skeleton(nest, 3), nest)
     assert label(ts) == "go <- p(list(int))"
     p = ts.children[0]
     assert label(p) == "p(list(int)) <- r(list(int))"
@@ -84,7 +84,7 @@ def test_type_skeleton_of_nesting_chain(nest):
 def test_type_skeleton_parameters_disjoint_per_node(nest, semigen):
     for program, qt in ((nest, "p(X)"), (semigen, "p(X, Y)")):
         for s in proper_skeletons(program, qt, 2):
-            ts = type_skeleton_of(s, program.signature)
+            ts = type_skeleton_of(s, program)
             seen: set = set()
 
             def walk(node):
@@ -102,7 +102,7 @@ def test_type_skeleton_parameters_disjoint_per_node(nest, semigen):
 
 def test_type_skeleton_preserves_shape(append):
     for s in proper_skeletons(append, "app(Xs, [], Zs), r(Xs)", 2):
-        ts = type_skeleton_of(s, append.signature)
+        ts = type_skeleton_of(s, append)
 
         def walk(sk, tk):
             assert len(sk.children) == len(tk.children)
@@ -125,7 +125,7 @@ def test_type_skeleton_of_untypable_clause_reports_node(append):
                                  clauses=append.clauses[:2] + (bad,) + append.clauses[3:])
     with pytest.raises(UntypableError) as exc:
         for s in proper_skeletons(broken, "r(Xs)", 1):
-            type_skeleton_of(s, broken.signature)
+            type_skeleton_of(s, broken)
     assert "r([[1]])" in str(exc.value)
 
 
@@ -140,7 +140,7 @@ def test_append_type_skeleton_proper_all_int(append):
             hit = s
             break
     assert hit is not None
-    ts = type_skeleton_of(hit, append.signature)
+    ts = type_skeleton_of(hit, append)
     assert label(ts) == "go <- app(list(int), list(int), list(int)), r(list(int))"
     theta = is_proper_type_skeleton(ts)
     assert theta is not None
@@ -148,7 +148,7 @@ def test_append_type_skeleton_proper_all_int(append):
 
 
 def test_nesting_type_skeleton_not_proper(nest):
-    ts = type_skeleton_of(chain_skeleton(nest, 2), nest.signature)
+    ts = type_skeleton_of(chain_skeleton(nest, 2), nest)
     assert is_proper_type_skeleton(ts) is None
     with pytest.raises(UnificationError) as exc:
         mgu_types(eq_of_type_skeleton(ts))
@@ -160,7 +160,7 @@ def test_nesting_type_skeleton_not_proper(nest):
 def test_single_node_type_skeleton(nest):
     q = parse_query("p(X)", nest.signature)
     root = next(enumerate_skeletons(nest, q, depth=0))
-    ts = type_skeleton_of(root, nest.signature)
+    ts = type_skeleton_of(root, nest)
     assert eq_of_type_skeleton(ts) == []
     assert dict(is_proper_type_skeleton(ts)) == {}
 
@@ -168,7 +168,7 @@ def test_single_node_type_skeleton(nest):
 def test_semigen_root_label(semigen):
     root = next(s for s in proper_skeletons(semigen, "p(X, Y)", 1)
                 if height(s) == 1)
-    ts = type_skeleton_of(root, semigen.signature)
+    ts = type_skeleton_of(root, semigen)
     child = ts.children[0]
     a, b = child.head_types
     assert isinstance(a, Param) and b.name == "list"
@@ -180,7 +180,7 @@ def test_semigen_root_label(semigen):
 
 def test_type_skeleton_json(append):
     s = next(proper_skeletons(append, "app(Xs, [], Zs), r(Xs)", 1))
-    ts = type_skeleton_of(s, append.signature)
+    ts = type_skeleton_of(s, append)
     doc = type_skeleton_to_json(ts)
     assert doc["root"] == 0
     root = doc["nodes"][0]
@@ -398,7 +398,7 @@ def test_eq_prime_structure_and_order(semigen):
     part = make_partition(semigen, {"p": ("h", "b"), "q": ("h", "b")})
     root = next(s for s in proper_skeletons(semigen, "p(X, Y)", 1)
                 if height(s) == 1)
-    ts = type_skeleton_of(root, semigen.signature)
+    ts = type_skeleton_of(root, semigen)
     child = ts.children[0]
     pack = lambda ts_: TCon("$vec", ts_)
     assert eq_prime_of_type_skeleton(ts, part) == [
@@ -411,7 +411,7 @@ def test_eq_prime_guaranteed_for_semi_generic(semigen):
     part = make_partition(semigen, {"p": ("h", "b"), "q": ("h", "b")})
     seen = 0
     for s in proper_skeletons(semigen, "p(X, Y)", 3):
-        ts = type_skeleton_of(s, semigen.signature)
+        ts = type_skeleton_of(s, semigen)
         assert ordered_unifiable(eq_prime_of_type_skeleton(ts, part)) == \
             "guaranteed"
         seen += 1
@@ -425,7 +425,7 @@ def test_assembled_typing_types_the_frontier(nest, semigen):
     for program, qt in ((nest, "p(X)"), (semigen, "p(X, Y)"),
                         (nest, "r(X), p(Y)")):
         for s in proper_skeletons(program, qt, 2):
-            ts = type_skeleton_of(s, program.signature)
+            ts = type_skeleton_of(s, program)
             theta = is_proper_type_skeleton(ts)
             if theta is None:
                 continue
@@ -510,32 +510,53 @@ def test_sr_matches_the_oracle_on_random_programs():
 
 @pytest.fixture
 def typing_calls(monkeypatch):
-    """The clauses handed to most_general_type, in call order: by srcheck,
-    and by `Program.clause_typings`, which reads it from typecheck."""
-    import tlpc.srcheck as srcheck
+    """The clauses typed, in call order: every typing passes through
+    `typecheck._clause_typing`."""
     import tlpc.typecheck as typecheck
     calls = []
+    real = typecheck._clause_typing
 
-    def counted(c, sig):
+    def counted(c, sig, fixed):
         calls.append(c)
-        return most_general_type(c, sig)
+        return real(c, sig, fixed)
 
-    for module in (srcheck, typecheck):
-        monkeypatch.setattr(module, "most_general_type", counted)
+    monkeypatch.setattr(typecheck, "_clause_typing", counted)
     return calls
 
 
 def test_sr_types_each_clause_once(typing_calls, tmp_path):
+    # One typing per program clause, then one of the query: no node copy
+    # is typed, and flat has no `=` atom.
     flat = parse_program(FLAT_TEXT)
     q = parse_query("flat(T, L)", flat.signature)
     assert sum(1 for _ in typed_proper_skeletons(flat, q, 2)) > 20
-    assert len(typing_calls) <= len(resolution_clauses(flat)) + 1
+    assert typing_calls == list(flat.clauses) + [wrap_query(q)]
     typing_calls.clear()
     path = tmp_path / "flat.tlp"
     path.write_text(FLAT_TEXT)
-    assert main(["sr", str(path), "--query", "flat(T, L)", "--depth", "2"]) == 0
-    # _require_typable types each program clause once more
-    assert len(typing_calls) <= len(flat.clauses) + len(resolution_clauses(flat)) + 1
+    assert main(["sr", str(path), "--query", "flat(T, L)", "--depth", "3"]) == 0
+    assert typing_calls == list(flat.clauses) + [wrap_query(q)]
+
+
+def test_sr_counterexample_types_only_its_root_again(typing_calls, nest):
+    q = parse_query("p(X)", nest.signature)
+    assert main(["sr", corpus_path("nest"), "--query", "p(X)", "--depth", "6"]) == 1
+    assert typing_calls == list(nest.clauses) + [wrap_query(q)] * 2
+
+
+def test_run_types_its_query_once(typing_calls, nestcount):
+    q = parse_query("r(3, X)", nestcount.signature)
+    assert main(["run", corpus_path("nestcount"), "--query", "r(3, X)", "--depth", "4"]) == 0
+    assert typing_calls.count(wrap_query(q)) == 1
+
+
+def test_skeletons_type_each_clause_once(typing_calls, tmp_path):
+    flat = parse_program(FLAT_TEXT)
+    path = tmp_path / "flat.tlp"
+    path.write_text(FLAT_TEXT)
+    assert main(["skeletons", str(path), "--query", "flat(T, L)", "--depth", "2", "--types"]) == 0
+    for c in flat.clauses:
+        assert sum(variant_terms(c, t) for t in typing_calls) == 1, c
 
 
 @pytest.mark.parametrize("search", ["enumerate", "typed"])

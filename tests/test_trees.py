@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import json
 from functools import partial
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +18,7 @@ from tlpc.core import (
     Fun,
     NameSource,
     Program,
-    TermSubst,
+    Subst,
     Var,
     rename_apart,
     variant_terms,
@@ -55,7 +54,6 @@ from tlpc.trees import (
     node_atoms,
     rebuild,
     same_shape,
-    skeleton_from_json,
     skeleton_of,
     skeleton_to_json,
     term_depth,
@@ -71,6 +69,7 @@ from tlpc.srcheck import (
 )
 
 from helpers import (
+    BENCH_PROGRAMS,
     CORPUS_QUERIES,
     EXTRA_QUERIES,
     FLAT_TEXT,
@@ -143,7 +142,7 @@ def test_depth_zero_single_empty_derivation(append):
     q = parse_query("r([1])", append.signature)
     ds = list(derivations(append, q, depth=0))
     assert ds == [Derivation(q, ())]
-    assert ds[0].answer == TermSubst({})
+    assert ds[0].answer == Subst({})
 
 
 def test_append_success_branch(append):
@@ -317,7 +316,7 @@ def test_most_general_derivation_tree_labels(hqpr):
 def test_fact_only_tree(hqpr):
     s = Skeleton(hqpr.clauses[1], 1)
     t = most_general_derivation_tree(s)
-    assert t == DerivationTree(hqpr.clauses[1], 1, TermSubst({}))
+    assert t == DerivationTree(hqpr.clauses[1], 1, Subst({}))
     assert frontier(t) == ()
     assert is_complete(t)
 
@@ -388,7 +387,7 @@ def test_walks_keep_the_recursive_prefix_order(corpus):
         made: list[str] = []
         assert rebuild(s, copy_node) == s
         assert made == [r["clause"] for r in want["nodes"] if r["kind"] == "clause"]
-        ts = type_skeleton_of(s, program.signature)
+        ts = type_skeleton_of(s, program)
         assert eq_of_type_skeleton(ts) == recursive_eq_of_type_skeleton(ts)
         assert (json.dumps(tree_to_json(ts, label_fields))
                 == json.dumps(recursive_tree_to_json(ts, label_fields)))
@@ -419,10 +418,11 @@ def test_tall_skeleton_walks_do_not_recurse():
     assert frontier(t) == (atoms[-1],)
     assert check_derivation_tree(t)
     assert same_shape(skeleton_of(t), s)
-    ts = type_skeleton_of(s, sig)
+    ts = type_skeleton_of(s, program)
     assert is_proper_type_skeleton(ts) is not None
-    back = skeleton_from_json(json.loads(json.dumps(skeleton_to_json(s))), sig)
-    assert same_shape(back, s)
+    doc = json.loads(json.dumps(skeleton_to_json(s)))
+    assert [n["children"] for n in doc["nodes"][:-1]] == [[i + 1] for i in range(2001)]
+    assert doc["nodes"][-1] == {"id": 2001, "kind": "bottom"}
     assert same_shape(s, s)
     lines = _tree_lines(s, _skeleton_text, 1)
     assert len(lines) == 2002 and lines[-1] == "  " * 2002 + "_|_"
@@ -536,20 +536,12 @@ def test_tp_step_monotone_and_stable(append):
     assert start.atoms <= m0.atoms
 
 
-def test_tp_extra_literals(append):
-    m = tp_fixpoint(append, depth=1, extra_literals=("2",))
-    two = parse_query("app([], [2], [2])", append.signature)[0]
-    assert two in m
-
-
 def test_tp_max_iters(append):
     m1 = tp_fixpoint(append, depth=2, max_iters=1)
     full = tp_fixpoint(append, depth=2)
     assert m1.atoms <= full.atoms
     assert parse_query("app([1], [], [1])", append.signature)[0] not in m1
 
-
-BENCH_PROGRAMS = Path(__file__).resolve().parent.parent / "bench" / "programs"
 
 # Every corpus program at depths 1-3, every bench program at depth 1, and
 # flatnest at depth 2.  (flat at depth 2 is left out: the naive oracle
@@ -590,30 +582,28 @@ def test_tp_fixpoint_matches_the_naive_oracle_on_random_programs():
 # ---------------------------------------------------------------- round trip
 
 def test_skeleton_json_round_trip(hqpr):
-    s = fig1_skeleton(hqpr)
-    doc = skeleton_to_json(s)
-    assert doc["root"] == 0
-    kinds = [n["kind"] for n in doc["nodes"]]
-    assert kinds.count("bottom") == 1
-    back = skeleton_from_json(json.loads(json.dumps(doc)), hqpr.signature)
-    assert isinstance(back, Skeleton)
-    assert skeleton_to_json(back) == doc
-    assert same_shape(back, s)
+    doc = skeleton_to_json(fig1_skeleton(hqpr))
+    assert json.loads(json.dumps(doc)) == doc
+    assert doc == {"root": 0, "nodes": [
+        {"id": 0, "kind": "clause", "clauseIndex": 0, "clause": "h(X) :- q(X), p(X).",
+         "children": [1, 2]},
+        {"id": 1, "kind": "clause", "clauseIndex": 1, "clause": "q([]).", "children": []},
+        {"id": 2, "kind": "clause", "clauseIndex": 2, "clause": "p(X_1) :- r(X_1).",
+         "children": [3]},
+        {"id": 3, "kind": "bottom"}]}
 
 
 def test_derivation_tree_json_round_trip(hqpr):
-    t = most_general_derivation_tree(fig1_skeleton(hqpr))
-    doc = skeleton_to_json(t)
-    back = skeleton_from_json(doc, hqpr.signature)
-    assert isinstance(back, DerivationTree)
-    assert skeleton_to_json(back) == doc
-    assert node_atoms(back) == node_atoms(t)
-
-
-def test_json_root_cannot_be_bottom(hqpr):
-    with pytest.raises(ValueError):
-        skeleton_from_json({"root": 0, "nodes": [{"id": 0, "kind": "bottom"}]},
-                           hqpr.signature)
+    doc = skeleton_to_json(most_general_derivation_tree(fig1_skeleton(hqpr)))
+    assert json.loads(json.dumps(doc)) == doc
+    assert doc == {"root": 0, "nodes": [
+        {"id": 0, "kind": "clause", "clauseIndex": 0, "clause": "h(X) :- q(X), p(X).",
+         "subst": {"X": "[]"}, "children": [1, 2]},
+        {"id": 1, "kind": "clause", "clauseIndex": 1, "clause": "q([]).", "subst": {},
+         "children": []},
+        {"id": 2, "kind": "clause", "clauseIndex": 2, "clause": "p(X_1) :- r(X_1).",
+         "subst": {"X_1": "[]"}, "children": [3]},
+        {"id": 3, "kind": "bottom"}]}
 
 
 # ------------------------------------------------- most generality, concretely

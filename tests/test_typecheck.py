@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from tlpc.core import Atom, Fun, Param, TCon, Var, variant_types
-from tlpc.parser import parse_clause, parse_query
+from tlpc.core import (
+    Atom, Fun, NameSource, Param, TCon, Var, rename_apart, variant_types, vars_in_order,
+)
+from tlpc.parser import parse_clause, parse_program, parse_query
 from tlpc.typecheck import (
     UntypableError,
     is_typable,
@@ -13,7 +16,7 @@ from tlpc.typecheck import (
     most_general_type_wrt,
 )
 
-from helpers import SIG
+from helpers import BENCH_PROGRAMS, SIG, typed_programs
 
 X = Var("X")
 INT = TCon("int")
@@ -149,3 +152,34 @@ def test_untypable_error_names_subject(nest):
     with pytest.raises(UntypableError) as exc:
         judge({X: INT}, Atom("p", (X,)), sig=sig)
     assert "X" in str(exc.value)
+
+
+# ------------------------------------------------------ renaming invariance
+
+def _assert_typing_follows_renaming(program, ns):
+    """A renamed copy of a clause has the clause's atom types, and the
+    clause's variable typing carried over through the renaming: what lets
+    a skeleton node read its clause's typing by clause index."""
+    for c, ct in zip(program.clauses, program.clause_typings):
+        copy = rename_apart(c, ns)
+        got = most_general_type(copy, program.signature)
+        renaming = dict(zip(vars_in_order(c), vars_in_order(copy)))
+        assert got.atom_types == ct.atom_types, c
+        assert got.variable_typing == {renaming[v]: t for v, t in ct.variable_typing.items()}, c
+
+
+def test_typing_follows_renaming(corpus):
+    ns = NameSource()
+    bench = [parse_program(p.read_text()) for p in sorted(BENCH_PROGRAMS.glob("*.tlp"))]
+    for program in list(corpus.values()) + bench:
+        _assert_typing_follows_renaming(program, ns)
+
+
+def test_typing_follows_renaming_on_random_programs():
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=(HealthCheck.too_slow,))
+    @given(typed_programs())
+    def check(program):
+        _assert_typing_follows_renaming(program, NameSource())
+
+    check()

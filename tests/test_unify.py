@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlpc.core import Atom, Fun, Param, TCon, TermSubst, TypeSubst, Var, apply_subst
+from tlpc.core import Atom, Fun, Param, Subst, TCon, Var, apply_subst
 from tlpc.parser import parse_query, parse_term
 from tlpc.unify import (
     UnificationError,
@@ -119,9 +119,9 @@ def test_match_is_one_sided():
 def test_is_typed_substitution(append):
     sig = append.signature
     u = {X: list_of(INT)}
-    assert is_typed_substitution(TermSubst({X: Fun("nil")}), u, sig)
-    assert not is_typed_substitution(TermSubst({X: Fun("1")}), u, sig)
-    assert is_typed_substitution(TermSubst({}), u, sig)
+    assert is_typed_substitution(Subst({X: Fun("nil")}), u, sig)
+    assert not is_typed_substitution(Subst({X: Fun("1")}), u, sig)
+    assert is_typed_substitution(Subst({}), u, sig)
 
 
 def test_ordered_unifiable_empty():
@@ -161,7 +161,7 @@ def test_type_subst_composition_factors():
     # A unifier of the pair below must factor through the mgu.
     eqs = [(list_of(U), list_of(Param("V")))]
     theta = mgu_types(eqs)
-    other = TypeSubst({U: INT, Param("V"): INT})
+    other = Subst({U: INT, Param("V"): INT})
     pack = lambda s: TCon("pr", (s.apply(U), s.apply(Param("V"))))
     assert match_terms(pack(theta), pack(other)) is not None
 
