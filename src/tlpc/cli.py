@@ -23,7 +23,7 @@ from .srcheck import (
     monitored_answers,
     search_partition,
     subject_reduction_report,
-    type_skeleton_of,
+    type_skeletons,
     type_skeleton_to_json,
 )
 from .trees import (
@@ -35,7 +35,7 @@ from .trees import (
     skeleton_to_json,
     tp_fixpoint,
 )
-from .typecheck import UntypableError, most_general_type, require_typable
+from .typecheck import UntypableError, most_general_type
 
 
 def _use_color() -> bool:
@@ -217,7 +217,7 @@ def cmd_sr(args) -> int:
 def cmd_skeletons(args) -> int:
     program = _load(args.file)
     query = parse_query(args.query, program.signature)
-    require_typable(program, query)
+    type_skeleton = type_skeletons(program, query)  # the gate: raises when untypable
     entries = []
     for s in enumerate_skeletons(program, query, args.depth):
         theta = is_proper_skeleton(s)
@@ -232,7 +232,7 @@ def cmd_skeletons(args) -> int:
             for ln in _tree_lines(s, _skeleton_text, 1):
                 print(ln)
         if args.types:
-            ts = type_skeleton_of(s, program)
+            ts = type_skeleton(s)
             proper = is_proper_type_skeleton(ts) is not None
             if args.json:
                 entry["typeSkeleton"] = type_skeleton_to_json(ts)

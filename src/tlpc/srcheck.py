@@ -14,18 +14,26 @@ skeleton that contains it.  Two decidable per-clause conditions imply
 this for all queries at once: the classical requirement that inferred
 head types be a renaming of the declared types, and its relaxation where
 each argument position is marked head-generic or body-generic.
+
+The run monitor is the runtime counterpart: it checks that every query a
+bounded resolution derives is typable.  A query's typing constraints are
+the union of its atoms', so each distinct derived atom is typed once per
+run, its most general variable typing memoised, and a derived query is
+typable exactly when its atoms' typings, with parameters renamed apart
+per atom, unify on the variables the atoms share.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .core import (
     Atom,
     Clause,
     EQ,
     EQ_CLAUSE,
+    EQ_CLAUSE_INDEX,
     GO,
     GO_CLAUSE_INDEX,
     NameSource,
@@ -54,7 +62,7 @@ from .trees import (
     rebuild,
     tree_to_json,
 )
-from .typecheck import ClauseTyping, is_typable, most_general_type, require_typable
+from .typecheck import ClauseTyping, most_general_type, require_typable, typable_by_atoms
 from .unify import UnificationError, mgu_terms, mgu_types
 
 HEAD_GENERIC = "h"
@@ -92,29 +100,38 @@ def label(ts: TypeSkeleton) -> str:
     return f"{head} <- {body}"
 
 
-def type_skeleton_of(s: Skeleton, program: Program) -> TypeSkeleton:
-    """Relabel every complete node of s with the most general type of its
-    clause, renaming parameters apart across nodes.  A node copying program
-    clause i reads `program.clause_typings[i]`: the copy is a renaming of
-    the clause, so its atom types are the same and its variable typing
-    follows the renaming.  The query root and the built-in `=` clause are
-    typed as they are.  Raises UntypableError naming the first untypable
-    program clause."""
+def _node_typings(program: Program, query: Query | None = None):
+    """A function from a node's clause index and clause copy to the clause
+    the copy renames and that clause's most general type:
+    `program.clause_typings[i]` for program clause i; for the query root,
+    the gate's typing (`require_typable`, run here) when `query` is given
+    and the root clause's own otherwise; for the built-in `=` clause, one
+    typing made on first use.  A renamed copy has the same atom types."""
+    typed = ({} if query is None
+             else {GO_CLAUSE_INDEX: (wrap_query(query), require_typable(program, query))})
+
+    def typing(index: int, copy: Clause) -> tuple[Clause, ClauseTyping]:
+        if index >= 0:
+            return program.clauses[index], program.clause_typings[index]
+        if index not in typed:
+            c = EQ_CLAUSE if index == EQ_CLAUSE_INDEX else copy
+            typed[index] = c, most_general_type(c, program.signature)
+        return typed[index]
+
+    return typing
+
+
+def _type_skeleton(s: Skeleton, typing) -> TypeSkeleton:
     ns = NameSource()
 
     def make(node: Skeleton):
-        i = node.clause_index
-        if i >= 0:
-            ct = program.clause_typings[i]
-            renaming = dict(zip(vars_in_order(program.clauses[i]), vars_in_order(node.clause)))
-            u = {renaming[v]: t for v, t in ct.variable_typing.items()}
-        else:
-            ct = most_general_type(node.clause, program.signature)
-            u = ct.variable_typing
+        typed, ct = typing(node.clause_index, node.clause)
+        renaming = dict(zip(vars_in_order(typed), vars_in_order(node.clause)))
+        u = {renaming[v]: t for v, t in ct.variable_typing.items()}
         ren = {p: ns.fresh_param(p.name) for p in pars_in_order(ct.atom_types)}
         vecs = apply_subst(ct.atom_types, ren)
         return lambda kids: TypeSkeleton(
-            clause_index=i,
+            clause_index=node.clause_index,
             head_pred=node.clause.head.pred,
             head_types=vecs[0],
             body_preds=tuple(a.pred for a in node.clause.body),
@@ -124,6 +141,25 @@ def type_skeleton_of(s: Skeleton, program: Program) -> TypeSkeleton:
         )
 
     return rebuild(s, make)
+
+
+def type_skeleton_of(s: Skeleton, program: Program) -> TypeSkeleton:
+    """Relabel every complete node of s with the most general type of its
+    clause, renaming parameters apart across nodes.  A node copying program
+    clause i reads `program.clause_typings[i]`, and its variable typing
+    follows the copy's renaming; the built-in `=` clause is typed once per
+    call, and the query root as it is.  Raises UntypableError naming the
+    first untypable program clause."""
+    return _type_skeleton(s, _node_typings(program))
+
+
+def type_skeletons(program: Program, query: Query) -> Callable[[Skeleton], TypeSkeleton]:
+    """`type_skeleton_of` for the skeletons of one query, which passes the
+    gate `require_typable` here: every skeleton's root reads the gate's
+    typing of the query, and the built-in `=` clause is typed once for
+    all of them.  Raises UntypableError as the gate does."""
+    typing = _node_typings(program, query)
+    return lambda s: _type_skeleton(s, typing)
 
 
 def eq_of_type_skeleton(ts: TypeSkeleton) -> list[tuple[Type, Type]]:
@@ -350,8 +386,7 @@ def typed_proper_skeletons(program: Program, query: Query,
     the built-in `=` clause is typed on first use.  Each option's head
     types are solved where it is built, from its children's, under fresh
     parameters."""
-    typings = {GO_CLAUSE_INDEX: require_typable(program, query),
-               **dict(enumerate(program.clause_typings))}
+    typing = _node_typings(program, query)
     vectors: dict[int, tuple] = {}  # atom types and their parameters, by clause index
     ns = NameSource()
 
@@ -365,9 +400,7 @@ def typed_proper_skeletons(program: Program, query: Query,
         skeleton = Skeleton(copy, index, tuple(BOTTOM if c is BOTTOM else c.skeleton
                                                for c in children))
         if index not in vectors:
-            ct = typings.get(index)
-            if ct is None:  # the built-in `=` clause
-                ct = most_general_type(EQ_CLAUSE, program.signature)
+            ct = typing(index, copy)[1]
             vectors[index] = ct.atom_types, pars_in_order(ct.atom_types)
         vecs, params = vectors[index]
         types = None
@@ -430,12 +463,16 @@ def monitored_answers(program: Program, query: Query, depth: int = 5,
     """One bounded search giving the report of monitor_derivation and the
     answers of trees.answers: derived queries are checked for typability up
     to the first untypable one, and answers are collected throughout.  The
-    query itself passes `require_typable` first."""
+    query itself passes `require_typable` first.  Each distinct derived atom
+    is typed once per call, and a derived query's verdict joins its atoms'
+    typings on their shared variables (`typable_by_atoms`)."""
     require_typable(program, query)
     findings: list[Finding] = []
     found: list[Subst] = []
+    atom_typings: dict = {}
     for d in derivations(program, query, depth, selection):
-        if not findings and d.steps and not is_typable(d.final, program.signature):
+        if (not findings and d.steps
+                and not typable_by_atoms(d.final, program.signature, atom_typings)):
             trace = " -> ".join(render(s.query) for s in d.steps)
             findings.append(Finding(
                 "query-untypable",

@@ -239,6 +239,39 @@ def is_typable(q: Query, sig: Signature) -> bool:
         return False
 
 
+def typable_by_atoms(q: Query, sig: Signature, memo: dict) -> bool:
+    """The verdict of `is_typable`, joined from typings of the query's atoms.
+    `memo` maps each atom typed so far to its most general variable typing,
+    or to None when it has none; an atom not in it is typed and added.  The
+    query's typing constraints are the union of its atoms', and parameters
+    local to one atom never meet another atom's, so the query is typable
+    exactly when each atom is and, with each atom's parameters renamed
+    apart, the types its atoms give a shared variable unify."""
+    ns = NameSource()
+    first: dict[Var, Type] = {}
+    eqs: list[tuple[Type, Type]] = []
+    for a in q:
+        if a not in memo:
+            try:
+                memo[a] = most_general_type(wrap_query((a,)), sig).variable_typing
+            except UntypableError:
+                memo[a] = None
+        u = memo[a]
+        if u is None:
+            return False
+        ren = {p: ns.fresh_param(p.name) for p in pars_in_order(tuple(u.values()))}
+        for v, t in apply_subst(u, ren).items():
+            if v in first:
+                eqs.append((first[v], t))
+            else:
+                first[v] = t
+    try:
+        mgu_types(eqs)
+        return True
+    except UnificationError:
+        return False
+
+
 def require_typable(program: Program, query: Query) -> ClauseTyping:
     """The one admission gate: every clause of the program and the query
     must have a typing.  Forces `program.clause_typings`, which types each

@@ -540,6 +540,26 @@ def typed_programs(draw, max_skeletons=400):
     return program
 
 
+@st.composite
+def programs_with_queries(draw, queries=4):
+    """A program of `typed_programs` with a few queries of one to three
+    atoms over its predicates and `=`.  Their terms draw variables from X
+    and Y, so atoms share variables, and they are not filtered for
+    typability: ill-typed queries are as likely as typable ones."""
+    program = draw(typed_programs())
+    preds = program.signature.preds
+    names = sorted(preds) + ["="]
+    texts = []
+    for _ in range(queries):
+        atoms = []
+        for _ in range(draw(st.integers(1, 3))):
+            name = draw(st.sampled_from(names))
+            atoms.append(f"{_term_text(draw)} = {_term_text(draw)}" if name == "="
+                         else _atom_text(draw, name, len(preds[name].arg_types)))
+        texts.append(", ".join(atoms))
+    return program, texts
+
+
 # -------------------------------------- reference subject-reduction check
 
 def reference_sr_check(program, query, depth):

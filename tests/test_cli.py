@@ -208,6 +208,22 @@ def test_too_deep_query_is_input_error(capsys):
     assert "internal error" not in err
 
 
+def test_run_answers_a_query_nested_just_under_the_parser_limit():
+    # The run monitor keys its typings by atom, and an atom's hash recurses
+    # through its terms: a 320-deep list must still be monitored.  The
+    # parser's limit counts the caller's frames, so the command runs in a
+    # process of its own, as from a shell.
+    deep = "[" * 320 + "1" + "]" * 320
+    src = str(Path(tlpc.__file__).resolve().parent.parent)
+    got = subprocess.run(
+        [sys.executable, "-m", "tlpc.cli", "run", corpus_path("nest"),
+         "--query", f"r({deep})", "--depth", "3"],
+        capture_output=True, text=True,
+        env={"PATH": "", "TLPC_COLOR": "0", "PYTHONPATH": src})
+    assert got.returncode == 0, got.stderr
+    assert got.stdout == "no answers within 3 steps\nderived queries typable: pass (up to depth 3)\n"
+
+
 def test_run_json(capsys):
     code, out, _ = run_cli(capsys, "run", corpus_path("append"),
                            "--query", "app(Xs, [], Zs), r(Xs)",

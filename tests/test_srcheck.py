@@ -9,7 +9,9 @@ from helpers import (
     EXTRA_QUERIES, FLAT_TEXT, FLATNEST_TEXT, corpus_path, reference_sr_check, typed_programs,
 )
 from tlpc.cli import _skeleton_text, _tree_lines, main
-from tlpc.core import EQ, GO, GO_CLAUSE_INDEX, Param, TCon, Var, variant_terms, wrap_query
+from tlpc.core import (
+    EQ, EQ_CLAUSE, GO, GO_CLAUSE_INDEX, Atom, Param, TCon, Var, variant_terms, wrap_query,
+)
 from tlpc.corpus import corpus_names, load_corpus
 from tlpc.parser import parse_program, parse_query, render
 from tlpc.srcheck import (
@@ -36,6 +38,7 @@ from tlpc.trees import (
     BOTTOM,
     Skeleton,
     answers,
+    derivations,
     enumerate_skeletons,
     frontier,
     height,
@@ -557,6 +560,39 @@ def test_skeletons_type_each_clause_once(typing_calls, tmp_path):
     assert main(["skeletons", str(path), "--query", "flat(T, L)", "--depth", "2", "--types"]) == 0
     for c in flat.clauses:
         assert sum(variant_terms(c, t) for t in typing_calls) == 1, c
+
+
+def test_skeletons_type_the_query_and_equality_once(typing_calls, tmp_path):
+    # Every type skeleton's root reads the gate's typing of the query, and
+    # `=` nodes read one typing of the built-in clause.
+    flat = parse_program(FLAT_TEXT)
+    path = tmp_path / "flat.tlp"
+    path.write_text(FLAT_TEXT)
+    assert main(["skeletons", str(path), "--query", "flat(T, L)", "--depth", "2", "--types"]) == 0
+    assert typing_calls.count(wrap_query(parse_query("flat(T, L)", flat.signature))) == 1
+    typing_calls.clear()
+    assert main(["skeletons", corpus_path("eqnil"), "--query", "p", "--depth", "2", "--types"]) == 0
+    assert sum(variant_terms(c, EQ_CLAUSE) for c in typing_calls) == 1
+    assert typing_calls.count(wrap_query((Atom("p"),))) == 1
+
+
+def test_run_types_each_derived_atom_once(typing_calls):
+    # One run of flat over a 7-node tree: after the program's clauses and
+    # the query, only distinct derived atoms are typed, each once: fewer
+    # typings than the derived queries have atoms.
+    flat = parse_program(FLAT_TEXT)
+    leaves = "node(leaf, 1, leaf)", "node(leaf, 3, leaf)", "node(leaf, 5, leaf)", "node(leaf, 7, leaf)"
+    tree = (f"node(node({leaves[0]}, 2, {leaves[1]}), 4, "
+            f"node({leaves[2]}, 6, {leaves[3]}))")
+    q = parse_query(f"flat({tree}, L)", flat.signature)
+    rep, found = monitored_answers(flat, q, depth=40)
+    assert rep.passed and len(found) == 1
+    assert typing_calls[:len(flat.clauses) + 1] == list(flat.clauses) + [wrap_query(q)]
+    atom_calls = typing_calls[len(flat.clauses) + 1:]
+    derived = [d.final for d in derivations(flat, q, 40) if d.steps]
+    assert len(atom_calls) == len(set(atom_calls))
+    assert set(atom_calls) <= {wrap_query((a,)) for d in derived for a in d}
+    assert len(atom_calls) < sum(len(d) for d in derived)
 
 
 @pytest.mark.parametrize("search", ["enumerate", "typed"])

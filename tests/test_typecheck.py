@@ -8,15 +8,17 @@ from tlpc.core import (
     Atom, Fun, NameSource, Param, TCon, Var, rename_apart, variant_types, vars_in_order,
 )
 from tlpc.parser import parse_clause, parse_program, parse_query
+from tlpc.trees import derivations
 from tlpc.typecheck import (
     UntypableError,
     is_typable,
     judge,
     most_general_type,
     most_general_type_wrt,
+    typable_by_atoms,
 )
 
-from helpers import BENCH_PROGRAMS, SIG, typed_programs
+from helpers import BENCH_PROGRAMS, SIG, programs_with_queries, typed_programs
 
 X = Var("X")
 INT = TCon("int")
@@ -183,3 +185,41 @@ def test_typing_follows_renaming_on_random_programs():
         _assert_typing_follows_renaming(program, NameSource())
 
     check()
+
+
+# ------------------------------------------------ query typings from atoms
+
+def test_typable_by_atoms_matches_is_typable_on_random_queries():
+    verdicts = set()
+
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=(HealthCheck.too_slow,))
+    @given(programs_with_queries())
+    def check(drawn):
+        program, texts = drawn
+        memo: dict = {}  # shared by the queries, as by one run's derived queries
+        for text in texts:
+            q = parse_query(text, program.signature)
+            want = is_typable(q, program.signature)
+            assert typable_by_atoms(q, program.signature, memo) == want, (program, text)
+            verdicts.add(want)
+
+    check()
+    assert verdicts == {True, False}
+
+
+def test_typable_by_atoms_matches_is_typable_on_derived_queries(corpus):
+    bench = [parse_program(p.read_text()) for p in sorted(BENCH_PROGRAMS.glob("*.tlp"))]
+    checked = 0
+    for program in list(corpus.values()) + bench:
+        sig = program.signature
+        memo: dict = {}
+        for pred, decl in sig.preds.items():
+            args = ", ".join(f"V{i}" for i in range(len(decl.arg_types)))
+            q = parse_query(f"{pred}({args})" if args else pred, sig)
+            for d in derivations(program, q, 4, "all"):
+                if d.steps:
+                    assert typable_by_atoms(d.final, sig, memo) == is_typable(d.final, sig), \
+                        (program, d.final)
+                    checked += 1
+    assert checked > 1000
