@@ -22,6 +22,7 @@ from .srcheck import (
     make_partition,
     monitored_answers,
     search_partition,
+    sr_certificate,
     subject_reduction_report,
     type_skeletons,
     type_skeleton_to_json,
@@ -35,7 +36,7 @@ from .trees import (
     skeleton_to_json,
     tp_fixpoint,
 )
-from .typecheck import UntypableError, most_general_type
+from .typecheck import UntypableError, most_general_type, require_typable
 
 
 def _use_color() -> bool:
@@ -122,7 +123,7 @@ def cmd_check(args) -> int:
             semi = check_semi_generic(program, part)
         reports.append(semi)
         doc["semi"] = semi.to_json()
-        doc["partition"] = None if part is None else {p: list(m) for p, m in part.by_pred.items()}
+        doc["partition"] = None if part is None else part.to_json()
         doc["partitionSource"] = source
         if not args.json:
             if part is not None:
@@ -189,9 +190,20 @@ def cmd_run(args) -> int:
 def cmd_sr(args) -> int:
     program = _load(args.file)
     query = parse_query(args.query, program.signature)
-    rep, found = subject_reduction_report(program, query, args.depth)
+    typing = require_typable(program, query)
+    cert = None if args.bounded else sr_certificate(program, query, typing)
+    certificate = None
+    if cert is None:
+        rep, found = subject_reduction_report(program, query, args.depth, typing)
+    else:
+        # The text stays that of a bounded pass; --json names the criterion.
+        rep, found = CheckReport(depth_bound=args.depth), None
+        criterion, part = cert
+        certificate = {"criterion": criterion}
+        if part is not None:
+            certificate["partition"] = part.to_json()
     doc: dict = {"file": args.file, "query": render(query), "report": rep.to_json(),
-                 "counterexample": None}
+                 "certificate": certificate, "counterexample": None}
     lines: list[str] = []
     if found is not None:
         s, ts, err = found
@@ -293,8 +305,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selection", choices=("leftmost", "all"), default="leftmost")
     p.set_defaults(fn=cmd_run)
 
-    p = sub.add_parser("sr", help="bounded check that type skeletons stay unifiable")
+    p = sub.add_parser("sr", help="check that type skeletons stay unifiable: by the head "
+                                  "condition or a semi-generic partition (all depths), "
+                                  "else by enumeration up to --depth")
     common(p, query=True)
+    p.add_argument("--bounded", action="store_true",
+                   help="skip the criteria and always enumerate up to --depth")
     p.set_defaults(fn=cmd_sr)
 
     p = sub.add_parser("skeletons", help="dump skeletons for a query")

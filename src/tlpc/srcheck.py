@@ -15,6 +15,15 @@ this for all queries at once: the classical requirement that inferred
 head types be a renaming of the declared types, and its relaxation where
 each argument position is marked head-generic or body-generic.
 
+`tlpc sr` is a pipeline that stops at the first step settling the verdict.
+The gate `require_typable` types the program and the query.  Then the
+certificate (`sr_certificate`): by the paper's theorem, a program meeting
+the head condition, or a program and query semi-generic under the
+partition `search_partition` finds, keeps every type skeleton of a proper
+skeleton proper at every depth.  Only when neither holds does the bounded
+check enumerate, reusing the gate's typing of the query; `sr --bounded`
+skips the certificate and always enumerates.
+
 The run monitor is the runtime counterpart: it checks that every query a
 bounded resolution derives is typable.  A query's typing constraints are
 the union of its atoms', so each distinct derived atom is typed once per
@@ -52,10 +61,10 @@ from .core import (
 )
 from .parser import render, render_types
 from .reports import CheckReport, Finding
+from . import trees
 from .trees import (
     BOTTOM,
     Skeleton,
-    _by_height,
     derivations,
     height,
     nodes,
@@ -100,15 +109,18 @@ def label(ts: TypeSkeleton) -> str:
     return f"{head} <- {body}"
 
 
-def _node_typings(program: Program, query: Query | None = None):
+def _node_typings(program: Program, query: Query | None = None,
+                  query_typing: ClauseTyping | None = None):
     """A function from a node's clause index and clause copy to the clause
     the copy renames and that clause's most general type:
     `program.clause_typings[i]` for program clause i; for the query root,
-    the gate's typing (`require_typable`, run here) when `query` is given
-    and the root clause's own otherwise; for the built-in `=` clause, one
-    typing made on first use.  A renamed copy has the same atom types."""
-    typed = ({} if query is None
-             else {GO_CLAUSE_INDEX: (wrap_query(query), require_typable(program, query))})
+    the gate's typing when `query` is given (`query_typing`, or else
+    `require_typable` run here) and the root clause's own otherwise; for
+    the built-in `=` clause, one typing made on first use.  A renamed copy
+    has the same atom types."""
+    if query is not None and query_typing is None:
+        query_typing = require_typable(program, query)
+    typed = {} if query is None else {GO_CLAUSE_INDEX: (wrap_query(query), query_typing)}
 
     def typing(index: int, copy: Clause) -> tuple[Clause, ClauseTyping]:
         if index >= 0:
@@ -208,6 +220,9 @@ class Partition:
         inner = "; ".join(f"{p}({', '.join(m)})" for p, m in self.by_pred.items())
         return f"Partition[{inner}]"
 
+    def to_json(self) -> dict:
+        return {p: list(m) for p, m in self.by_pred.items()}
+
 
 def make_partition(program: Program,
                    assigned: Mapping[str, tuple[str, ...]] | None = None) -> Partition:
@@ -253,15 +268,16 @@ def _split(vec, marks, want):
 
 
 def _semi_generic_findings(program: Program, part: Partition, clause: Clause,
-                           ct: ClauseTyping, clause_index: int | None) -> list[Finding]:
-    """Violations of the three per-clause conditions.  With the clause's most
-    general type instantiating each atom's declared types: (1) the generic
-    parts of distinct atoms share no parameter; (2) no body atom's
-    non-generic part shares a parameter with its own or any later body
-    atom's generic part; (3) each generic part is a renaming of the declared
-    types at those positions.  Generic means head-generic positions for the
-    head atom and body-generic positions for body atoms.  `ct` is the clause's most
-    general type."""
+                           ct: ClauseTyping, clause_index: int | None) -> Iterator[Finding]:
+    """Violations of the three per-clause conditions, made lazily, so that
+    a caller asking whether there is any stops at the first.  With the
+    clause's most general type instantiating each atom's declared types:
+    (1) the generic parts of distinct atoms share no parameter; (2) no body
+    atom's non-generic part shares a parameter with its own or any later
+    body atom's generic part; (3) each generic part is a renaming of the
+    declared types at those positions.  Generic means head-generic
+    positions for the head atom and body-generic positions for body atoms.
+    `ct` is the clause's most general type."""
     sig = program.signature
     atoms = clause.atoms()
     generic: list[tuple[Type, ...]] = []
@@ -275,18 +291,17 @@ def _semi_generic_findings(program: Program, part: Partition, clause: Clause,
         nongeneric.append(tuple(t for t, m in zip(vec, marks) if m != want))
         declared_generic.append(_split(decl.arg_types, marks, want))
 
-    findings: list[Finding] = []
     m = len(atoms) - 1
     for i in range(m + 1):
         for j in range(i + 1, m + 1):
             shared = pars(generic[i]) & pars(generic[j])
             if shared:
                 names = ", ".join(sorted(p.printed() for p in shared))
-                findings.append(Finding(
+                yield Finding(
                     "semi-generic-1",
                     f"generic parts of atoms {i} and {j} share parameter(s) "
                     f"{names}: {render_types(generic[i])} vs {render_types(generic[j])}",
-                    clause=clause_index))
+                    clause=clause_index)
     for i in range(1, m + 1):
         later: set = set()
         for j in range(i, m + 1):
@@ -294,19 +309,18 @@ def _semi_generic_findings(program: Program, part: Partition, clause: Clause,
         shared = pars(nongeneric[i]) & later
         if shared:
             names = ", ".join(sorted(p.printed() for p in shared))
-            findings.append(Finding(
+            yield Finding(
                 "semi-generic-2",
                 f"non-generic part {render_types(nongeneric[i])} of body atom {i} "
                 f"shares parameter(s) {names} with a generic part at or after it",
-                clause=clause_index))
+                clause=clause_index)
     for i in range(m + 1):
         if not variant_types(generic[i], declared_generic[i]):
-            findings.append(Finding(
+            yield Finding(
                 "semi-generic-3",
                 f"generic part {render_types(generic[i])} of atom {i} is not a "
                 f"renaming of the declared {render_types(declared_generic[i])}",
-                clause=clause_index))
-    return findings
+                clause=clause_index)
 
 
 def check_semi_generic(program: Program, part: Partition,
@@ -348,7 +362,7 @@ def search_partition(program: Program) -> Partition | None:
             assigned[names[i]] = marks
             part = Partition(dict(assigned))
             ok = all(
-                not _semi_generic_findings(program, part, c, ct, None)
+                next(_semi_generic_findings(program, part, c, ct, None), None) is None
                 for c, ct in typed
                 if names[i] in {a.pred for a in c.atoms()}
                 and decidable(c, set(assigned)))
@@ -360,6 +374,26 @@ def search_partition(program: Program) -> Partition | None:
         return None
 
     return rec(0, {})
+
+
+HEAD_CONDITION = "head condition"
+SEMI_GENERIC = "semi-generic"
+
+
+def sr_certificate(program: Program, query: Query,
+                   query_typing: ClauseTyping) -> tuple[str, Partition | None] | None:
+    """The criterion by which every type skeleton of a proper skeleton of
+    the query is proper at every depth, with the partition it uses: the
+    head condition (no partition), else semi-genericity of the program and
+    the query under the partition `search_partition` finds.  None when
+    neither holds.  `query_typing` is the query's typing from the gate."""
+    if check_head_condition(program).passed:
+        return HEAD_CONDITION, None
+    part = search_partition(program)  # every clause is semi-generic under it
+    if part is not None and next(_semi_generic_findings(
+            program, part, wrap_query(query), query_typing, GO_CLAUSE_INDEX), None) is None:
+        return SEMI_GENERIC, part
+    return None
 
 
 # --------------------------------------------------------- bounded checks
@@ -376,17 +410,18 @@ class _Option:
     types: tuple | None
 
 
-def typed_proper_skeletons(program: Program, query: Query,
-                           depth: int = 5) -> Iterator[tuple[Skeleton, bool]]:
+def typed_proper_skeletons(program: Program, query: Query, depth: int = 5,
+                           query_typing: ClauseTyping | None = None,
+                           ) -> Iterator[tuple[Skeleton, bool]]:
     """The proper skeletons up to the given height, smallest first, each
     paired with whether its type skeleton is proper.  A node reads its
     clause's atom types by clause index, since the node copies of one
     clause are renamings of it: `program.clause_typings` for a program
-    clause, the typing `require_typable` gives the query for the root, and
-    the built-in `=` clause is typed on first use.  Each option's head
-    types are solved where it is built, from its children's, under fresh
-    parameters."""
-    typing = _node_typings(program, query)
+    clause, `query_typing` (by default the typing `require_typable` gives
+    the query) for the root, and the built-in `=` clause is typed on first
+    use.  Each option's head types are solved where it is built, from its
+    children's, under fresh parameters."""
+    typing = _node_typings(program, query, query_typing)
     vectors: dict[int, tuple] = {}  # atom types and their parameters, by clause index
     ns = NameSource()
 
@@ -414,16 +449,17 @@ def typed_proper_skeletons(program: Program, query: Query,
         return _Option(skeleton, max((c.height + 1 for _, c in kids), default=0),
                        head, types)
 
-    for opt in _by_height(program, query, depth, build, lambda o: o.height):
+    for opt in trees._by_height(program, query, depth, build, lambda o: o.height):
         yield opt.skeleton, opt.types is not None
 
 
 def subject_reduction_counterexamples(
         program: Program, query: Query, depth: int = 5,
+        query_typing: ClauseTyping | None = None,
 ) -> Iterator[tuple[Skeleton, TypeSkeleton, UnificationError]]:
     """Proper skeletons (smallest first) whose type skeletons are not proper,
     with the type skeleton and the failing type equation."""
-    for s, type_proper in typed_proper_skeletons(program, query, depth):
+    for s, type_proper in typed_proper_skeletons(program, query, depth, query_typing):
         if not type_proper:
             ts = type_skeleton_of(s, program)
             try:
@@ -434,10 +470,13 @@ def subject_reduction_counterexamples(
 
 def subject_reduction_report(
         program: Program, query: Query, depth: int = 5,
+        query_typing: ClauseTyping | None = None,
 ) -> tuple[CheckReport, tuple[Skeleton, TypeSkeleton, UnificationError] | None]:
     """The report of check_subject_reduction_bounded together with the
-    counterexample its finding describes (None on a pass)."""
-    found = next(subject_reduction_counterexamples(program, query, depth), None)
+    counterexample its finding describes (None on a pass).  `query_typing`
+    is the gate's typing of the query, when the caller has run the gate."""
+    found = next(subject_reduction_counterexamples(program, query, depth, query_typing),
+                 None)
     findings: list[Finding] = []
     if found is not None:
         s, ts, err = found

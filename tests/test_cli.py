@@ -16,7 +16,7 @@ from tlpc.parser import parse_program, parse_query, render
 from tlpc.srcheck import subject_reduction_report, type_skeleton_of, type_skeleton_to_json
 from tlpc.trees import enumerate_skeletons, skeleton_to_json, tp_fixpoint
 
-from helpers import MK_TEXT, corpus_path
+from helpers import FLAT_TEXT, MK_TEXT, corpus_path
 
 
 @pytest.fixture(autouse=True)
@@ -270,12 +270,62 @@ def test_sr_json_round_trips_the_skeleton(capsys, nest):
     assert code == 1
     doc = json.loads(out)
     assert doc["report"]["verdict"] == "fail"
+    assert doc["certificate"] is None
     ce = doc["counterexample"]
     s, ts, _ = subject_reduction_report(nest, parse_query("p(X)", nest.signature), 3)[1]
     assert ce["skeleton"] == skeleton_to_json(s)
     assert ce["typeSkeleton"] == type_skeleton_to_json(ts)
     assert ce["typeSkeleton"]["nodes"][0]["label"] == "go <- p(list(int))"
     assert ce["equation"] == "int = list(A_1)"
+    # A pass names the certificate that backs it, or null under --bounded,
+    # where enumeration decides with the same report.
+    for name, query, certificate in [
+            ("append", "app(Xs, [], Zs), r(Xs)", {"criterion": "head condition"}),
+            ("semigen", "p(X, Y)", {"criterion": "semi-generic",
+                                    "partition": {"p": ["h", "b"], "q": ["h", "b"]}})]:
+        argv = ["sr", corpus_path(name), "--query", query, "--depth", "3", "--json"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["certificate"] == certificate
+        assert doc["report"] == {"verdict": "pass", "findings": [], "depthBound": 3}
+        assert doc["counterexample"] is None
+        code, out, _ = run_cli(capsys, *argv, "--bounded")
+        assert code == 0
+        assert json.loads(out) == {**doc, "certificate": None}
+
+
+def test_sr_certificate_enumerates_no_skeleton(capsys, monkeypatch, tmp_path):
+    import tlpc.trees as trees
+
+    def refuse(*args):
+        raise AssertionError("skeletons enumerated")
+
+    monkeypatch.setattr(trees, "_by_height", refuse)
+    flat = tmp_path / "flat.tlp"
+    flat.write_text(FLAT_TEXT)
+    assert run_cli(capsys, "sr", str(flat), "--query", "flat(T, L)", "--depth", "3") == (
+        0, "all type skeletons proper: pass (up to depth 3)\n", "")
+    assert run_cli(capsys, "sr", corpus_path("append"), "--query", "app(Xs, [], Zs), r(Xs)",
+                   "--depth", "50") == (
+        0, "all type skeletons proper: pass (up to depth 50)\n", "")
+
+
+def test_sr_bounded_enumerates(capsys, monkeypatch, tmp_path):
+    import tlpc.trees as trees
+    calls = []
+    real = trees._by_height
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(trees, "_by_height", counted)
+    flat = tmp_path / "flat.tlp"
+    flat.write_text(FLAT_TEXT)
+    got = run_cli(capsys, "sr", str(flat), "--query", "flat(T, L)", "--depth", "3", "--bounded")
+    assert calls == [3]
+    assert got == (0, "all type skeletons proper: pass (up to depth 3)\n", "")
 
 
 # ---------------------------------------------------------------- skeletons
@@ -458,7 +508,7 @@ def readme_transcripts() -> list[tuple[str, str]]:
 
 
 def test_readme_has_transcripts():
-    assert len(readme_transcripts()) == 6
+    assert len(readme_transcripts()) == 7
 
 
 @pytest.mark.parametrize("command, output",

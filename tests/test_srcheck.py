@@ -6,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from helpers import (
-    EXTRA_QUERIES, FLAT_TEXT, FLATNEST_TEXT, corpus_path, reference_sr_check, typed_programs,
+    EXTRA_QUERIES, FLAT_TEXT, FLATNEST_TEXT, corpus_path, programs_with_queries,
+    reference_sr_check, typed_programs,
 )
 from tlpc.cli import _skeleton_text, _tree_lines, main
 from tlpc.core import (
@@ -15,6 +16,8 @@ from tlpc.core import (
 from tlpc.corpus import corpus_names, load_corpus
 from tlpc.parser import parse_program, parse_query, render
 from tlpc.srcheck import (
+    HEAD_CONDITION,
+    SEMI_GENERIC,
     Partition,
     assembled_variable_typing,
     check_head_condition,
@@ -28,6 +31,7 @@ from tlpc.srcheck import (
     monitor_derivation,
     monitored_answers,
     search_partition,
+    sr_certificate,
     subject_reduction_counterexamples,
     subject_reduction_report,
     type_skeleton_of,
@@ -45,7 +49,7 @@ from tlpc.trees import (
     is_proper_skeleton,
     most_general_derivation_tree,
 )
-from tlpc.typecheck import UntypableError, judge
+from tlpc.typecheck import UntypableError, judge, require_typable
 from tlpc.unify import UnificationError, mgu_types, ordered_unifiable
 
 INT = TCon("int")
@@ -478,6 +482,7 @@ def _counterexample_text(found):
 
 def test_sr_matches_generate_and_check_oracle(corpus):
     failing = 0
+    certified = set()
     for program, text, depth in _sr_cases(corpus):
         q = parse_query(text, program.signature)
         want = list(reference_sr_check(program, q, depth))
@@ -489,7 +494,43 @@ def test_sr_matches_generate_and_check_oracle(corpus):
         assert rep.verdict == ("pass" if first is None else "fail"), text
         assert _counterexample_text(found) == _counterexample_text(first), text
         failing += first is not None
+        cert = sr_certificate(program, q, require_typable(program, q))
+        if cert is not None:
+            assert first is None, (text, cert)
+            certified.add(cert[0])
     assert failing >= 3
+    assert certified == {HEAD_CONDITION, SEMI_GENERIC}
+
+
+def test_certificate_implies_bounded_pass_on_random_programs(tmp_path):
+    # Whenever a certificate holds for a typable random query, no proper
+    # skeleton up to depth 3 has an improper type skeleton, and `sr` and
+    # `sr --bounded` agree.
+    held = {HEAD_CONDITION: 0, SEMI_GENERIC: 0}
+    path = tmp_path / "random.tlp"
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=(HealthCheck.too_slow,))
+    @given(programs_with_queries())
+    def check(case):
+        program, texts = case
+        path.write_text(render(program))
+        for text in texts:
+            q = parse_query(text, program.signature)
+            try:
+                cert = sr_certificate(program, q, require_typable(program, q))
+            except UntypableError:
+                continue
+            if cert is None:
+                continue
+            held[cert[0]] += 1
+            failing = [s for s, _, err in reference_sr_check(program, q, 3) if err is not None]
+            assert not failing, (program, text, cert)
+            argv = ["sr", str(path), "--query", text, "--depth", "3"]
+            assert main(argv) == main(argv + ["--bounded"]) == 0, (program, text)
+
+    check()
+    assert held[HEAD_CONDITION] >= 20 and held[SEMI_GENERIC] >= 5, held
 
 
 def test_sr_matches_the_oracle_on_random_programs():
@@ -539,6 +580,13 @@ def test_sr_types_each_clause_once(typing_calls, tmp_path):
     path.write_text(FLAT_TEXT)
     assert main(["sr", str(path), "--query", "flat(T, L)", "--depth", "3"]) == 0
     assert typing_calls == list(flat.clauses) + [wrap_query(q)]
+
+
+def test_sr_semi_generic_certificate_types_each_clause_once(typing_calls, semigen):
+    # The certificate checks the query with the gate's typing of it.
+    q = parse_query("p(X, Y)", semigen.signature)
+    assert main(["sr", corpus_path("semigen"), "--query", "p(X, Y)", "--depth", "3"]) == 0
+    assert typing_calls == list(semigen.clauses) + [wrap_query(q)]
 
 
 def test_sr_counterexample_types_only_its_root_again(typing_calls, nest):
