@@ -343,13 +343,23 @@ def search_partition(program: Program) -> Partition | None:
     or None.  Predicates are assigned in declaration order; per predicate,
     candidate mark vectors run through the h/b product with "h" first, so an
     all-head-generic partition is found first whenever it works.  A clause is
-    checked as soon as all its predicates are assigned, pruning the search."""
+    checked as soon as all its predicates are assigned, pruning the search.
+    Its verdict depends on their marks alone, so it is kept by those marks
+    for the rest of the search."""
     sig = program.signature
     typed = list(zip(program.clauses, program.clause_typings))
     names = list(sig.preds)
+    preds = [[p for p in names if p in {a.pred for a in c.atoms()}] for c, _ in typed]
+    due = [[k for k, ps in enumerate(preds) if ps and ps[-1] == name] for name in names]
+    verdicts: dict[tuple, bool] = {}
 
-    def decidable(c: Clause, have: set[str]) -> bool:
-        return {a.pred for a in c.atoms()} - {EQ, GO} <= have
+    def passes(k: int, assigned: dict[str, tuple[str, ...]]) -> bool:
+        key = (k, tuple(assigned[p] for p in preds[k]))
+        if key not in verdicts:
+            c, ct = typed[k]
+            verdicts[key] = next(_semi_generic_findings(
+                program, Partition(dict(assigned)), c, ct, None), None) is None
+        return verdicts[key]
 
     def rec(i: int, assigned: dict[str, tuple[str, ...]]) -> Partition | None:
         if i == len(names):
@@ -360,13 +370,7 @@ def search_partition(program: Program) -> Partition | None:
         arity = len(sig.preds[names[i]].arg_types)
         for marks in itertools.product((HEAD_GENERIC, BODY_GENERIC), repeat=arity):
             assigned[names[i]] = marks
-            part = Partition(dict(assigned))
-            ok = all(
-                next(_semi_generic_findings(program, part, c, ct, None), None) is None
-                for c, ct in typed
-                if names[i] in {a.pred for a in c.atoms()}
-                and decidable(c, set(assigned)))
-            if ok:
+            if all(passes(k, assigned) for k in due[i]):
                 found = rec(i + 1, assigned)
                 if found is not None:
                     return found

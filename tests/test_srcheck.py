@@ -459,7 +459,8 @@ def _sr_cases(corpus):
     """Every predicate with fresh variables, at depth 4 for the corpus and
     at depth 2 for the branching flat programs, and the extra multi-atom
     queries at depth 4.  flatnest's top also at depth 3, where its smallest
-    counterexample lies."""
+    counterexample lies, and a query that is not semi-generic under the
+    partition that makes semigen's clauses semi-generic, and fails."""
     flatnest = parse_program(FLATNEST_TEXT)
     programs = [(p, 4) for p in corpus.values()]
     programs += [(parse_program(FLAT_TEXT), 2), (flatnest, 2)]
@@ -470,6 +471,7 @@ def _sr_cases(corpus):
     for name, text in EXTRA_QUERIES:
         yield corpus[name], text, 4
     yield flatnest, "top(T, L)", 3
+    yield corpus["semigen"], "p(X, [Y|X])", 4
 
 
 def _counterexample_text(found):
@@ -509,7 +511,7 @@ def test_certificate_implies_bounded_pass_on_random_programs(tmp_path):
     held = {HEAD_CONDITION: 0, SEMI_GENERIC: 0}
     path = tmp_path / "random.tlp"
 
-    @settings(max_examples=100, derandomize=True, deadline=None,
+    @settings(max_examples=200, derandomize=True, deadline=None,
               suppress_health_check=(HealthCheck.too_slow,))
     @given(programs_with_queries())
     def check(case):
