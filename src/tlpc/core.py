@@ -1,12 +1,14 @@
 """Syntax of typed logic programs.
 
 Types are terms built from declared constructors and parameters; program
-terms are built from declared functions and variables.  One substitution
-engine serves both levels: a single free-variable walker, a single
-`apply_subst`, and a single idempotent `Subst` class, where a variable is a
-Var or a Param.  Renamings are plain dicts applied simultaneously.
-Variables and parameters carry a numeric index so machine-made copies never
-collide with source names (index 0).
+terms are built from declared functions and variables.  A type or term
+application (TCon, Fun) is immutable and knows its hash, groundness and
+depth.  One substitution engine serves both levels: a single free-variable
+walker, a single `apply_subst`, which returns ground subterms themselves
+(no caller may rely on a fresh copy), and a single idempotent `Subst`
+class, where a variable is a Var or a Param.  Renamings are plain dicts
+applied simultaneously.  Variables and parameters carry a numeric index so
+machine-made copies never collide with source names (index 0).
 """
 from __future__ import annotations
 
@@ -31,13 +33,66 @@ def is_int_literal(name: str) -> bool:
     return bool(_INT_LITERAL.match(name))
 
 
-# ---------------------------------------------------------------- types
+class _Rendered:
+    """Shown as the parser's renderer prints it."""
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Param:
-    """Type parameter (type-level variable)."""
-    name: str
-    idx: int = 0
+    def __repr__(self) -> str:
+        from .parser import render
+        return render(self)
+
+
+# ------------------------------------------------- variables, applications
+
+class _Syntax:
+    """An immutable, named node of a term or type that knows its hash."""
+    __slots__ = ("name", "_hash")
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.name, self.args if isinstance(self, _App) else self.idx)
+
+    def __eq__(self, other) -> bool:
+        """Identity, then the hashes, then structure, walked with an explicit
+        stack.  Nodes of different classes (a Fun and a TCon) never match."""
+        if self is other:
+            return True
+        if type(other) is not type(self) or self._hash != other._hash:
+            return False
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b:
+                if type(a) is not type(b) or a._hash != b._hash or a.name != b.name:
+                    return False
+                if isinstance(a, _App) and len(a.args) == len(b.args):
+                    stack.extend(zip(a.args, b.args))
+                elif isinstance(a, _App) or a.idx != b.idx:
+                    return False
+        return True
+
+
+class _Variable(_Syntax):
+    """A variable of either level.  Machine-made copies have an index > 0."""
+    __slots__ = ("idx",)
+    ground, depth = False, 0
+
+    def __init__(self, name: str, idx: int = 0):
+        _put_name(self, name)
+        _put_idx(self, idx)
+        _put_hash(self, hash((name, idx)))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.idx == other.idx and self.name == other.name
+
+    __hash__ = _Syntax.__hash__
 
     def printed(self) -> str:
         return self.name if self.idx == 0 else f"{self.name}_{self.idx}"
@@ -46,15 +101,41 @@ class Param:
         return self.printed()
 
 
-@dataclass(frozen=True)
-class TCon:
-    """Constructor application, e.g. list(int)."""
-    name: str
-    args: tuple["Type", ...] = ()
+class _App(_Rendered, _Syntax):
+    """An immutable application of a name to a tuple of arguments.  Its hash,
+    `ground` (no variable below) and `depth` (0 for a constant, else one more
+    than its deepest argument, a variable counting 0) are set once, when built."""
+    __slots__ = ("args", "ground", "depth")
 
-    def __repr__(self) -> str:
-        from .parser import render
-        return render(self)
+    def __init__(self, name: str, args: tuple = ()):
+        ground, depth = True, 0
+        for a in args:
+            ground = ground and a.ground
+            if a.depth >= depth:
+                depth = a.depth + 1
+        _put_name(self, name)
+        _put_args(self, args)
+        _put_ground(self, ground)
+        _put_depth(self, depth)
+        _put_hash(self, hash((name, args)))
+
+
+# The slots' own setters, which the blocked __setattr__ does not reach.
+_put_name, _put_hash = _Syntax.name.__set__, _Syntax._hash.__set__
+_put_idx = _Variable.idx.__set__
+_put_args, _put_ground, _put_depth = (getattr(_App, k).__set__ for k in _App.__slots__)
+
+
+# ---------------------------------------------------------------- types
+
+class Param(_Variable):
+    """Type parameter (type-level variable)."""
+    __slots__ = ()
+
+
+class TCon(_App):
+    """Constructor application, e.g. list(int)."""
+    __slots__ = ()
 
 
 Type = Union[Param, TCon]
@@ -64,57 +145,36 @@ INT_TYPE = TCon(INT)
 
 # ---------------------------------------------------------------- terms
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    idx: int = 0
-
-    def printed(self) -> str:
-        return self.name if self.idx == 0 else f"{self.name}_{self.idx}"
-
-    def __repr__(self) -> str:
-        return self.printed()
+class Var(_Variable):
+    """Program variable."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Fun:
+class Fun(_App):
     """Function application.  Integer literals are 0-ary functions whose
     name is the decimal spelling."""
-    name: str
-    args: tuple["Term", ...] = ()
-
-    def __repr__(self) -> str:
-        from .parser import render
-        return render(self)
+    __slots__ = ()
 
 
 Term = Union[Var, Fun]
 
 
-@dataclass(frozen=True)
-class Atom:
+@dataclass(frozen=True, repr=False)
+class Atom(_Rendered):
     pred: str
     args: tuple[Term, ...] = ()
-
-    def __repr__(self) -> str:
-        from .parser import render
-        return render(self)
 
 
 Query = tuple[Atom, ...]
 
 
-@dataclass(frozen=True)
-class Clause:
+@dataclass(frozen=True, repr=False)
+class Clause(_Rendered):
     head: Atom
     body: Query = ()
 
     def atoms(self) -> tuple[Atom, ...]:
         return (self.head,) + self.body
-
-    def __repr__(self) -> str:
-        from .parser import render
-        return render(self)
 
 
 # ------------------------------------------------------- fresh names
@@ -149,7 +209,10 @@ def _free_in_order(obj, kind) -> list:
         o = stack.pop()
         if isinstance(o, kind):
             seen[o] = None
-        elif isinstance(o, (Fun, TCon, Atom)):
+        elif isinstance(o, _App):
+            if not o.ground:
+                stack.extend(reversed(o.args))
+        elif isinstance(o, Atom):
             stack.extend(reversed(o.args))
         elif isinstance(o, tuple):
             stack.extend(reversed(o))
@@ -192,6 +255,8 @@ def apply_subst(obj, theta: Mapping):
     if t is Var or t is Param:
         return theta.get(obj, obj)
     if t is Fun or t is TCon:
+        if obj.ground:
+            return obj
         return t(obj.name, tuple([apply_subst(a, theta) for a in obj.args]))
     if t is Atom:
         return Atom(obj.pred, tuple([apply_subst(a, theta) for a in obj.args]))
@@ -204,7 +269,7 @@ def apply_subst(obj, theta: Mapping):
     raise TypeError(f"cannot substitute in {obj!r}")
 
 
-class Subst(Mapping):
+class Subst(_Rendered, Mapping):
     """Finite idempotent map from variables to terms, or from parameters
     to types.
 
@@ -246,10 +311,6 @@ class Subst(Mapping):
 
     def __hash__(self):
         return hash(frozenset(self._m.items()))
-
-    def __repr__(self) -> str:
-        from .parser import render
-        return render(self)
 
     def apply(self, obj):
         return apply_subst(obj, self._m)
@@ -376,8 +437,8 @@ class Signature:
         return None
 
 
-@dataclass(frozen=True)
-class Program:
+@dataclass(frozen=True, repr=False)
+class Program(_Rendered):
     signature: Signature
     clauses: tuple[Clause, ...]
     partitions: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
@@ -396,10 +457,6 @@ class Program:
             except UntypableError as e:
                 raise UntypableError(f"clause {i + 1}: {render(c)} has no typing: {e}") from e
         return tuple(out)
-
-    def __repr__(self) -> str:
-        from .parser import render
-        return render(self)
 
 
 # The built-in clause resolving equality atoms, and reserved clause indices.

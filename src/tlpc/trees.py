@@ -304,6 +304,8 @@ def eval_arith(obj):
                     and all(isinstance(a, Fun) and not a.args and is_int_literal(a.name)
                             for a in args)):
                 done.append(Fun(str(int(args[0].name) - int(args[1].name))))
+            elif args == t.args:
+                done.append(t)
             else:
                 done.append(Fun(t.name, args))
     return done[0]
@@ -375,8 +377,7 @@ def derivations(program: Program, query: Query, depth: int = 5,
     clauses = resolution_clauses(program)
     ns = NameSource()
 
-    def rec(cur: Query, steps: tuple) -> Iterator[Derivation]:
-        yield Derivation(query, steps)
+    def children(cur: Query, steps: tuple) -> Iterator[tuple]:
         if len(steps) >= depth or not cur:
             return
         positions = range(1, len(cur) + 1) if selection == "all" else (1,)
@@ -387,9 +388,17 @@ def derivations(program: Program, query: Query, depth: int = 5,
                 if got is None:
                     continue
                 theta, nxt = got
-                yield from rec(nxt, steps + (Step(k, idx, copy, theta, nxt),))
+                yield nxt, steps + (Step(k, idx, copy, theta, nxt),)
 
-    yield from rec(query, ())
+    # Depth first over lazy child generators, so copies draw names in order.
+    stack = [iter([(query, ())])]
+    while stack:
+        got = next(stack[-1], None)
+        if got is None:
+            stack.pop()
+        else:
+            yield Derivation(query, got[1])
+            stack.append(children(*got))
 
 
 def answers(program: Program, query: Query, depth: int = 5,
@@ -401,44 +410,43 @@ def answers(program: Program, query: Query, depth: int = 5,
 
 # ------------------------------------------------- bounded consequences
 
-def _leaf_depths(terms: Iterable[Term]) -> Iterator[tuple[Term, int]]:
-    """Each leaf occurrence (a variable or a constant) under the given terms,
-    with the number of applications above it.  Walked with an explicit
-    stack, so nesting is not bounded by the recursion limit."""
-    stack = [(t, 0) for t in terms]
-    while stack:
-        t, d = stack.pop()
-        if type(t) is Var or not t.args:
-            yield t, d
-        else:
-            stack.extend((a, d + 1) for a in t.args)
-
-
 def term_depth(t: Term) -> int:
-    return max(d for _, d in _leaf_depths((t,)))
+    return t.depth
 
 
 def atom_depth(a: Atom) -> int:
-    return _head_depths(a)[0]
+    return max((t.depth for t in a.args), default=0)
 
 
 def _head_depths(a: Atom) -> tuple[int, dict[Var, int]]:
     """The atom's depth, its variables counted as constants, and the
-    deepest occurrence of each variable below the atom's argument roots."""
-    base, occ = 0, {}
-    for t, d in _leaf_depths(a.args):
-        if d > base:
-            base = d
-        if type(t) is Var and occ.get(t, -1) < d:
-            occ[t] = d
-    return base, occ
+    deepest occurrence of each variable below the atom's argument roots.
+    Walked with an explicit stack that skips ground subterms."""
+    occ: dict[Var, int] = {}
+    stack = [(t, 0) for t in a.args if not t.ground]
+    while stack:
+        t, d = stack.pop()
+        if type(t) is Var:
+            if occ.get(t, -1) < d:
+                occ[t] = d
+        else:
+            stack.extend((x, d + 1) for x in t.args if not x.ground)
+    return atom_depth(a), occ
 
 
 def int_literals(program: Program, query: Query = ()) -> list[str]:
     """Integer constants appearing anywhere in the program or query text."""
-    atoms = [a for c in program.clauses for a in c.atoms()] + list(query)
-    return sorted({t.name for t, _ in _leaf_depths(t for a in atoms for t in a.args)
-                   if type(t) is Fun and is_int_literal(t.name)}, key=int)
+    stack = [t for c in program.clauses for a in c.atoms() for t in a.args]
+    stack.extend(t for a in query for t in a.args)
+    found = set()
+    while stack:
+        t = stack.pop()
+        if type(t) is Fun:
+            if t.args:
+                stack.extend(t.args)
+            elif is_int_literal(t.name):
+                found.add(t.name)
+    return sorted(found, key=int)
 
 
 def ground_terms(sig: Signature, depth: int, literals: Iterable[str] = ()) -> dict[Term, int]:

@@ -8,6 +8,7 @@ dereferenced through the bindings when an equation is taken up (Martelli
 & Montanari 1982).  The bindings are resolved once, into an idempotent
 Subst, when the solver returns.  The occur check is always on, and
 equations are processed leftmost first, so results are deterministic.
+Neither the occur check nor the resolution looks inside ground subterms.
 """
 from __future__ import annotations
 
@@ -71,7 +72,7 @@ class _Resolved(dict):
                         bound = True
                         if y not in self:
                             pending.append(y)
-                else:
+                elif not y.ground:
                     todo.extend(y.args)
             if pending:
                 stack.extend(pending)
@@ -92,7 +93,7 @@ def _occurs(v, t, binding: dict) -> bool:
             if x in binding and x not in seen:
                 seen.add(x)
                 stack.append(binding[x])
-        else:
+        elif not x.ground:
             stack.extend(x.args)
     return False
 
@@ -157,7 +158,10 @@ def _match(pattern, target, binding: dict) -> dict | None:
     if _is_var(target) or _functor(pattern) != _functor(target):
         return None
     for p, t in zip(pattern.args, target.args):
-        if _match(p, t, binding) is None:
+        if p.ground:
+            if p != t:
+                return None
+        elif _match(p, t, binding) is None:
             return None
     return binding
 

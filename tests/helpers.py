@@ -126,7 +126,7 @@ def corpus_query(corpus, name, text):
 
 # ---------------------------------------------------------------- types
 
-def types_st(with_params=True):
+def types_st(with_params=True, max_leaves=3):
     leaves = [INT] + ([A, B] if with_params else [])
     return st.recursive(
         st.sampled_from(leaves),
@@ -134,7 +134,7 @@ def types_st(with_params=True):
             st.builds(lambda t: TCon("list", (t,)), sub),
             st.builds(lambda s, t: TCon("pair", (s, t)), sub, sub),
         ),
-        max_leaves=3,
+        max_leaves=max_leaves,
     )
 
 
@@ -580,16 +580,33 @@ def reference_sr_check(program, query, depth):
             yield s, ts, None
 
 
+# ---------------------------------- reference fields of terms and types
+
+def reference_depth(t):
+    """0 for a variable or a constant, else one more than the deepest
+    argument."""
+    if isinstance(t, (Var, Param)) or not t.args:
+        return 0
+    return 1 + max(reference_depth(a) for a in t.args)
+
+
+def reference_ground(t):
+    """Does no variable or parameter occur in the term or type t?"""
+    return not isinstance(t, (Var, Param)) and all(reference_ground(a) for a in t.args)
+
+
+def reference_hash_key(t):
+    """Nested tuples that hash as t does: an application hashes as the pair
+    of its name and the tuple of its arguments, a variable as itself."""
+    if isinstance(t, (Var, Param)):
+        return t
+    return (t.name, tuple(reference_hash_key(a) for a in t.args))
+
+
 # ------------------------------------------ reference ground consequences
 
-def _reference_depth(t):
-    if isinstance(t, Var) or not t.args:
-        return 0
-    return 1 + max(_reference_depth(a) for a in t.args)
-
-
 def _reference_atom_depth(a):
-    return max((_reference_depth(t) for t in a.args), default=0)
+    return max((reference_depth(t) for t in a.args), default=0)
 
 
 def _reference_literals(program):
@@ -623,7 +640,7 @@ def _reference_universe(sig, depth, literals=()):
                 for combo in itertools.product(cur, repeat=len(f.arg_types)):
                     nxt.add(Fun(f.name, combo))
         cur = nxt
-    return {t for t in cur if _reference_depth(t) <= depth}
+    return {t for t in cur if reference_depth(t) <= depth}
 
 
 def _reference_extend(binding, more):
@@ -662,7 +679,7 @@ def reference_tp_step(program, current, universe=None):
     bound = current.depth_bound
     if universe is None:
         universe = _reference_universe(program.signature, bound, _reference_literals(program))
-    depth_of = {t: _reference_depth(t) for t in universe}
+    depth_of = {t: reference_depth(t) for t in universe}
     pool_cache = {}
 
     def pool(allowed):

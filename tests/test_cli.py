@@ -174,10 +174,11 @@ def test_run_fgs1(capsys):
 
 def test_run_long_countdown(capsys, tmp_path):
     # n + 1 steps: the answer is solved from the steps' unifiers once, at the
-    # end, and its subtractions are evaluated without recursion.
+    # end, and its subtractions are evaluated without recursion; derivations
+    # are searched with an explicit stack.
     f = tmp_path / "mk.tlp"
     f.write_text(MK_TEXT)
-    for n in (400, 600):
+    for n in (400, 600, 1000, 2000):
         code, out, err = run_cli(capsys, "run", str(f), "--query", f"mk({n}, Xs)",
                                  "--depth", str(n + 1))
         assert code == 0

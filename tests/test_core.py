@@ -2,7 +2,12 @@
 renaming, and signature validation."""
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlpc.core import (
     Atom,
@@ -31,6 +36,10 @@ from tlpc.core import (
 )
 from tlpc.parser import parse_query, parse_term
 from tlpc.unify import mgu_types
+
+from helpers import (
+    raw_terms, reference_depth, reference_ground, reference_hash_key, types_st,
+)
 
 U = Param("U")
 V = Param("V")
@@ -219,3 +228,85 @@ def test_wrap_query_and_resolution_clauses(hqpr):
     assert listed[:3] == list(enumerate(hqpr.clauses))
     assert listed[-1] == (EQ_CLAUSE_INDEX, EQ_CLAUSE)
     assert EQ_CLAUSE == Clause(Atom("=", (Var("X"), Var("X"))))
+
+
+# ------------------------------------------------ cached application fields
+
+def _subterms(t):
+    """Every subterm of t with its path of argument positions."""
+    stack = [(t, ())]
+    while stack:
+        s, path = stack.pop()
+        yield s, path
+        if isinstance(s, (Fun, TCon)):
+            stack.extend((a, path + (i,)) for i, a in enumerate(s.args))
+
+
+def _at(t, path):
+    for i in path:
+        t = t.args[i]
+    return t
+
+
+def _rebuilt(t):
+    """A structurally equal copy of t made of new application objects."""
+    if isinstance(t, (Fun, TCon)):
+        return type(t)(t.name, tuple(_rebuilt(a) for a in t.args))
+    return t
+
+
+_BIG_TERMS = raw_terms(max_leaves=12)
+_BIG_TYPES = types_st(max_leaves=12)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(_BIG_TERMS, _BIG_TYPES))
+def test_cached_fields_match_a_recursive_reference(t):
+    for s, _ in _subterms(t):
+        assert s.ground == reference_ground(s)
+        assert s.depth == reference_depth(s)
+        assert hash(s) == hash(reference_hash_key(s))
+    twin = _rebuilt(t)
+    assert twin == t and hash(twin) == hash(t)
+    if isinstance(t, (Fun, TCon)):
+        assert twin is not t
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(_BIG_TERMS, _BIG_TYPES))
+def test_apply_subst_shares_ground_subterms(t):
+    theta = ({X: Fun("pr", (Var("Y"), Fun("1"))) for X in vars_of(t)} |
+             {p: list_of(p) for p in pars(t)})
+    out = apply_subst(t, theta)
+    for s, path in _subterms(t):
+        if s.ground:
+            assert _at(out, path) is s
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(raw_terms(max_leaves=3), raw_terms(max_leaves=3))
+def test_application_equality_is_structural(a, b):
+    same = reference_hash_key(a) == reference_hash_key(b)
+    assert (a == b) == same and (a != b) != same
+    if same:
+        assert hash(a) == hash(b)
+
+
+def test_applications_are_immutable_and_levels_never_meet():
+    t = Fun("f", (Var("X"), Fun("a")))
+    for field in ("name", "args", "ground", "depth"):
+        with pytest.raises(AttributeError):
+            setattr(t, field, None)
+        with pytest.raises(AttributeError):
+            delattr(t, field)
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    assert t == Fun("f", (Var("X"), Fun("a")))
+    assert Fun("a") != TCon("a") and TCon("a") != Fun("a")
+    assert Fun("f", (Fun("a"),)) != TCon("f", (TCon("a"),))
+    assert Var("A") != Param("A")
+    assert len({Fun("a"), TCon("a")}) == 2
+    with pytest.raises(AttributeError):
+        Var("X").name = "Y"
+    for x in (t, Var("X", 3), list_of(Param("U", 2)), Atom("p", (t,))):
+        assert copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x

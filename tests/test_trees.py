@@ -20,6 +20,7 @@ from tlpc.core import (
     Program,
     Subst,
     Var,
+    apply_subst,
     rename_apart,
     variant_terms,
     vars_of,
@@ -460,8 +461,8 @@ def test_head_depths(append):
 
 
 def test_term_walks_do_not_recurse():
-    # A 5000-level chain, built directly and never hashed: the parser and
-    # the dataclass hash would both pass the recursion limit.
+    # A 5000-level chain, built directly: the parser would pass the
+    # recursion limit.
     t = Var("X")
     for _ in range(5000):
         t = Fun("s", (Fun("7"), t))
@@ -471,6 +472,26 @@ def test_term_walks_do_not_recurse():
     assert _head_depths(a) == (5000, {Var("X"): 5000})
     program = Program(parse_program("pred p(U).").signature, (Clause(a),))
     assert int_literals(program) == ["7"]
+
+
+def test_deep_terms_hash_compare_and_substitute_without_recursion():
+    # Two 5000-element lists built apart: hashes are cached at construction,
+    # equality walks with an explicit stack once the hashes agree, and
+    # apply_subst returns a ground list itself.
+    def countdown(last, tail=Fun("nil")):
+        t = Fun("cons", (last, tail))
+        for k in range(1, 5000):
+            t = Fun("cons", (Fun(str(k)), t))
+        return t
+
+    a, b = countdown(Fun("0")), countdown(Fun("0"))
+    assert a is not b and hash(a) == hash(b) and a == b
+    assert {a: 1}[b] == 1 and Atom("p", (a,)) == Atom("p", (b,))
+    assert a != countdown(Fun("7")) and a != countdown(Fun("0"), Var("T"))
+    assert countdown(Var("X"), Var("T")) == countdown(Var("X"), Var("T"))
+    assert apply_subst(a, {Var("X"): Fun("0")}) is a
+    assert apply_subst(Atom("p", (a, Var("X"))), {Var("X"): b}) == Atom("p", (a, a))
+    assert term_depth(a) == 5000 and a.ground
 
 
 def test_int_literals(fgs1, nestcount, hqpr):
