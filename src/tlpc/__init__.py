@@ -59,7 +59,6 @@ from .trees import (
 )
 from .typecheck import (
     ClauseTyping,
-    JudgementProof,
     UntypableError,
     is_typable,
     judge,
@@ -73,9 +72,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Atom", "BOTTOM", "CheckReport", "Clause", "ClauseTyping", "Derivation",
     "DerivationTree", "Finding", "Fun", "FuncDecl", "GroundAtomSet",
-    "JudgementProof", "ParseError", "Param", "Partition", "PredDecl",
-    "Program", "Signature", "Skeleton", "Subst", "TCon", "TypeSkeleton",
-    "UnificationError", "UntypableError", "Var",
+    "ParseError", "Param", "Partition", "PredDecl", "Program", "Signature",
+    "Skeleton", "Subst", "TCon", "TypeSkeleton", "UnificationError",
+    "UntypableError", "Var",
     "answers", "check_head_condition",
     "check_semi_generic", "check_subject_reduction_bounded", "corpus_names",
     "corpus_text", "derivations", "enumerate_skeletons", "frontier",

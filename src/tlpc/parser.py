@@ -440,57 +440,58 @@ def parse_clause(text: str, sig: Signature) -> Clause:
 
 # ---------------------------------------------------------------- printing
 
-def _render_term(t) -> str:
-    if isinstance(t, Var):
-        return t.printed()
-    if isinstance(t, Fun):
-        if t.name == NIL and not t.args:
-            return "[]"
-        if t.name == CONS and len(t.args) == 2:
-            items = []
-            cur = t
-            while isinstance(cur, Fun) and cur.name == CONS and len(cur.args) == 2:
-                items.append(cur.args[0])
-                cur = cur.args[1]
-            inner = ", ".join(_render_term(x) for x in items)
-            if isinstance(cur, Fun) and cur.name == NIL and not cur.args:
-                return f"[{inner}]"
-            return f"[{inner}|{_render_term(cur)}]"
-        if t.name == MINUS and len(t.args) == 2:
-            left, right = t.args
-            rs = _render_term(right)
-            if isinstance(right, Fun) and (right.name == MINUS or right.name.startswith("-")):
-                rs = f"({rs})"
-            return f"{_render_term(left)}-{rs}"
-        if not t.args:
-            return t.name
-        return f"{t.name}({', '.join(_render_term(a) for a in t.args)})"
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _render_type(t: Type) -> str:
-    if isinstance(t, Param):
-        return t.printed()
-    if not t.args:
-        return t.name
-    return f"{t.name}({', '.join(_render_type(a) for a in t.args)})"
-
-
 def _render_tree(t) -> str:
-    return _render_type(t) if isinstance(t, (Param, TCon)) else _render_term(t)
+    """A term or a type as source text; list and minus sugar apply to terms
+    (Fun) only.  One walk with an explicit stack of the nodes and the
+    literal text still to print, so nesting costs no frames."""
+    out: list[str] = []
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        if type(x) is str:
+            out.append(x)
+            continue
+        if type(x) is Var or type(x) is Param:
+            out.append(x.printed())
+            continue
+        items = x.args
+        if not items:
+            out.append("[]" if x.name == NIL and type(x) is Fun else x.name)
+            continue
+        if type(x) is Fun and x.name == MINUS and len(items) == 2:
+            left, right = items
+            if isinstance(right, Fun) and (right.name == MINUS or right.name.startswith("-")):
+                todo += (")", right, "-(", left)
+            else:
+                todo += (right, "-", left)
+            continue
+        if type(x) is Fun and x.name == CONS and len(items) == 2:
+            items = []
+            while type(x) is Fun and x.name == CONS and len(x.args) == 2:
+                items.append(x.args[0])
+                x = x.args[1]
+            out.append("[")
+            todo += ("]",) if type(x) is Fun and x.name == NIL and not x.args else ("]", x, "|")
+        else:
+            out.append(x.name + "(")
+            todo.append(")")
+        parts = [", "] * (2 * len(items) - 1)  # the items, comma-separated
+        parts[::2] = items
+        todo += parts[::-1]
+    return "".join(out)
 
 
 def render_types(types) -> str:
     """A tuple of types, e.g. `(list(A), list(A))`."""
-    return f"({', '.join(_render_type(t) for t in types)})"
+    return f"({', '.join(_render_tree(t) for t in types)})"
 
 
 def _render_atom(a: Atom) -> str:
     if a.pred == EQ and len(a.args) == 2:
-        return f"{_render_term(a.args[0])} = {_render_term(a.args[1])}"
+        return f"{_render_tree(a.args[0])} = {_render_tree(a.args[1])}"
     if not a.args:
         return a.pred
-    return f"{a.pred}({', '.join(_render_term(x) for x in a.args)})"
+    return f"{a.pred}({', '.join(_render_tree(x) for x in a.args)})"
 
 
 def _render_query(q) -> str:
@@ -511,12 +512,12 @@ def _render_program(p: Program) -> str:
         lines.append(f"kind {name}/{arity}.")
     for f in p.signature.funcs.values():
         if f.arg_types:
-            lines.append(f"func {f.name}({', '.join(_render_type(t) for t in f.arg_types)}) : {_render_type(f.result)}.")
+            lines.append(f"func {f.name}({', '.join(_render_tree(t) for t in f.arg_types)}) : {_render_tree(f.result)}.")
         else:
-            lines.append(f"func {f.name} : {_render_type(f.result)}.")
+            lines.append(f"func {f.name} : {_render_tree(f.result)}.")
     for pd in p.signature.preds.values():
         if pd.arg_types:
-            lines.append(f"pred {pd.name}({', '.join(_render_type(t) for t in pd.arg_types)}).")
+            lines.append(f"pred {pd.name}({', '.join(_render_tree(t) for t in pd.arg_types)}).")
         else:
             lines.append(f"pred {pd.name}.")
     for name, marks in p.partitions.items():

@@ -165,12 +165,14 @@ def type_skeleton_of(s: Skeleton, program: Program) -> TypeSkeleton:
     return _type_skeleton(s, _node_typings(program))
 
 
-def type_skeletons(program: Program, query: Query) -> Callable[[Skeleton], TypeSkeleton]:
-    """`type_skeleton_of` for the skeletons of one query, which passes the
-    gate `require_typable` here: every skeleton's root reads the gate's
-    typing of the query, and the built-in `=` clause is typed once for
-    all of them.  Raises UntypableError as the gate does."""
-    typing = _node_typings(program, query)
+def type_skeletons(program: Program, query: Query,
+                   query_typing: ClauseTyping | None = None,
+                   ) -> Callable[[Skeleton], TypeSkeleton]:
+    """`type_skeleton_of` for the skeletons of one query: every skeleton's
+    root reads the gate's typing of the query (`query_typing`, or else
+    `require_typable` run here), and the built-in `=` clause is typed once
+    for all of them.  Raises UntypableError as the gate does."""
+    typing = _node_typings(program, query, query_typing)
     return lambda s: _type_skeleton(s, typing)
 
 
@@ -463,9 +465,12 @@ def subject_reduction_counterexamples(
 ) -> Iterator[tuple[Skeleton, TypeSkeleton, UnificationError]]:
     """Proper skeletons (smallest first) whose type skeletons are not proper,
     with the type skeleton and the failing type equation."""
+    if query_typing is None:
+        query_typing = require_typable(program, query)
+    type_skeleton = type_skeletons(program, query, query_typing)
     for s, type_proper in typed_proper_skeletons(program, query, depth, query_typing):
         if not type_proper:
-            ts = type_skeleton_of(s, program)
+            ts = type_skeleton(s)
             try:
                 mgu_types(eq_of_type_skeleton(ts))
             except UnificationError as err:

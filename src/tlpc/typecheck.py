@@ -2,10 +2,13 @@
 
 Checking and inference both reduce to type unification: every occurrence of
 a declared symbol gets a fresh copy of its declared type, argument types are
-equated with the copies, and the equations are solved.  For judgements
-against a supplied variable typing, the parameters of that typing (and of an
-expected type) are rigid: they behave as constants and cannot be
-instantiated.
+equated with the copies, and the equations are solved.  Inference builds no
+proof objects, only types and equations: `judge` gives a judgement's
+verdict, and the clause typings give most general types.  A term is typed
+in one walk with an explicit stack, so nesting depth is not bounded by
+Python's recursion limit.  For judgements against a supplied variable
+typing, the parameters of that typing (and of an expected type) are rigid:
+they behave as constants and cannot be instantiated.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .core import (
-    Atom, Clause, Fun, NameSource, Param, Program, Query, Signature,
+    EQ, Atom, Clause, Fun, NameSource, Program, Query, Signature, Subst,
     Term, Type, Var, apply_subst, canonical_param_map, is_int_literal,
     pars, pars_in_order, wrap_query,
 )
@@ -27,38 +30,12 @@ class UntypableError(Exception):
 
 
 @dataclass(frozen=True)
-class JudgementProof:
-    """A proof tree.  `rule` is one of var, func, atom, query, clause,
-    program; `theta` instantiates the declared type of the symbol at a func
-    or atom node; `ty` is the derived type at a term node."""
-    rule: str
-    subject: object
-    ty: Type | None = None
-    theta: Mapping[Param, Type] | None = None
-    children: tuple["JudgementProof", ...] = ()
-    variable_typing: Mapping[Var, Type] | None = None
-
-
-@dataclass(frozen=True)
 class ClauseTyping:
     """Most general type of a clause: a typing for its variables plus the
     types of every atom's arguments (head first, then body atoms)."""
     variable_typing: Mapping[Var, Type]
     types: tuple[Type, ...]
     atom_types: tuple[tuple[Type, ...], ...]
-
-
-class _Pre:
-    """Proof node before the constraints are solved."""
-
-    __slots__ = ("rule", "subject", "ty", "copy_map", "children")
-
-    def __init__(self, rule, subject, ty=None, copy_map=None, children=()):
-        self.rule = rule
-        self.subject = subject
-        self.ty = ty
-        self.copy_map = copy_map
-        self.children = children
 
 
 class _Infer:
@@ -78,60 +55,57 @@ class _Infer:
         self.eqs.append((actual, expected))
         self.notes.append((position, obj))
 
-    def copy_of(self, types: tuple[Type, ...]):
-        cm = {p: self.ns.fresh_param(p.name) for p in pars_in_order(types)}
-        return cm, apply_subst(types, cm)
+    def copy_of(self, types: tuple[Type, ...]) -> tuple[Type, ...]:
+        return apply_subst(types, {p: self.ns.fresh_param(p.name) for p in pars_in_order(types)})
 
-    def term(self, t: Term):
-        if isinstance(t, Var):
-            if t not in self.env:
-                if not self.mint:
-                    raise UntypableError(f"variable {t.printed()} has no type in the variable typing")
-                self.env[t] = self.ns.fresh_param(t.name)
-            ty = self.env[t]
-            return ty, _Pre("var", t, ty)
-        decl = self.sig.func_decl(t.name)
-        if decl is None:
-            if is_int_literal(t.name):
-                raise UntypableError("integer literals require kind int/0")
-            raise UntypableError(f"function {t.name} not declared")
-        if len(decl.arg_types) != len(t.args):
-            raise UntypableError(
-                f"function {t.name}/{len(decl.arg_types)} used with {len(t.args)} arguments")
-        cm, copied = self.copy_of(decl.arg_types + (decl.result,))
-        kids = []
-        for i, (arg, ety) in enumerate(zip(t.args, copied[:-1])):
-            aty, kid = self.term(arg)
-            self.constrain(aty, ety, i, t)
-            kids.append(kid)
-        return copied[-1], _Pre("func", t, copied[-1], cm, kids)
+    def term(self, t: Term) -> Type:
+        """The type of t, with one equation per argument.  An explicit stack
+        holds subterms still to type and (term, position, expected type)
+        marks; `done` holds the types of the subterms typed so far.  So
+        declared types are copied in prefix order and an argument's equation
+        is added right after its subterm is typed, as a recursion would."""
+        done: list[Type] = []
+        todo: list = [t]
+        while todo:
+            x = todo.pop()
+            if type(x) is tuple:
+                parent, i, expected = x
+                self.constrain(done.pop(), expected, i, parent)
+            elif isinstance(x, Var):
+                if x not in self.env:
+                    if not self.mint:
+                        raise UntypableError(f"variable {x.printed()} has no type in the variable typing")
+                    self.env[x] = self.ns.fresh_param(x.name)
+                done.append(self.env[x])
+            else:
+                decl = self.sig.func_decl(x.name)
+                if decl is None:
+                    if is_int_literal(x.name):
+                        raise UntypableError("integer literals require kind int/0")
+                    raise UntypableError(f"function {x.name} not declared")
+                if len(decl.arg_types) != len(x.args):
+                    raise UntypableError(
+                        f"function {x.name}/{len(decl.arg_types)} used with {len(x.args)} arguments")
+                copied = self.copy_of(decl.arg_types + (decl.result,))
+                done.append(copied[-1])
+                for i in reversed(range(len(x.args))):
+                    todo += ((x, i, copied[i]), x.args[i])
+        return done.pop()
 
-    def atom(self, a: Atom):
+    def atom(self, a: Atom) -> tuple[Type, ...]:
         decl = self.sig.pred_decl(a.pred)
         if decl is None:
             raise UntypableError(f"predicate {a.pred} not declared")
         if len(decl.arg_types) != len(a.args):
             raise UntypableError(
                 f"predicate {a.pred}/{len(decl.arg_types)} used with {len(a.args)} arguments")
-        cm, vec = self.copy_of(decl.arg_types)
-        kids = []
+        vec = self.copy_of(decl.arg_types)
         for i, (arg, ety) in enumerate(zip(a.args, vec)):
-            aty, kid = self.term(arg)
-            self.constrain(aty, ety, i, a)
-            kids.append(kid)
-        return vec, _Pre("atom", a, None, cm, kids)
+            self.constrain(self.term(arg), ety, i, a)
+        return vec
 
-    def clause(self, c: Clause):
-        hvec, hpre = self.atom(c.head)
-        vecs = [hvec]
-        bkids = []
-        for a in c.body:
-            vec, pre = self.atom(a)
-            vecs.append(vec)
-            bkids.append(pre)
-        cpre = _Pre("clause", c, None, None,
-                    (hpre, _Pre("query", c.body, None, None, tuple(bkids))))
-        return vecs, cpre
+    def clause(self, c: Clause) -> list[tuple[Type, ...]]:
+        return [self.atom(a) for a in c.atoms()]
 
     def solve(self):
         try:
@@ -145,33 +119,15 @@ class _Infer:
             ) from e
 
 
-def _finalize(pre: _Pre, theta, u=None) -> JudgementProof:
-    kids = tuple(_finalize(k, theta) for k in pre.children)
-    ty = theta.apply(pre.ty) if pre.ty is not None else None
-    th = None
-    if pre.copy_map is not None:
-        th = {orig: theta.apply(copy) for orig, copy in pre.copy_map.items()}
-    return JudgementProof(pre.rule, pre.subject, ty, th, kids, u)
-
-
 def judge(u: Mapping[Var, Type] | None, obj, expected: Type | None = None,
-          *, sig: Signature | None = None) -> JudgementProof:
-    """Derive the typing judgement for obj (a Term with an expected type, or
-    an Atom, Query, Clause, or Program) under the variable typing u.
-
-    For a Program, u is ignored: each clause is checked under some variable
-    typing of its own.  Raises UntypableError when no proof exists.
-    """
-    if isinstance(obj, Program):
-        kids = []
-        for c in obj.clauses:
-            inf = _Infer(obj.signature if sig is None else sig)
-            _, pre = inf.clause(c)
-            theta = inf.solve()
-            env = {v: theta.apply(t) for v, t in inf.env.items()}
-            kids.append(_finalize(pre, theta, env))
-        return JudgementProof("program", obj, children=tuple(kids))
-
+          *, sig: Signature | None = None) -> None:
+    """Decide the typing judgement for obj (a Term with an expected type,
+    or an Atom, Query or Clause) under the variable typing u, whose
+    parameters, and the expected type's, are rigid.  Returns when the
+    judgement is derivable; raises UntypableError naming the first
+    sub-judgement that is not, and ValueError for a term without an
+    expected type.  (A program is typable when `program.clause_typings`
+    returns.)"""
     if sig is None:
         raise TypeError("judge needs a signature")
     u = dict(u or {})
@@ -182,29 +138,35 @@ def judge(u: Mapping[Var, Type] | None, obj, expected: Type | None = None,
     if isinstance(obj, (Var, Fun)):
         if expected is None:
             raise ValueError("a term needs an expected type")
-        ty, pre = inf.term(obj)
-        inf.constrain(ty, expected, None, obj)
+        inf.constrain(inf.term(obj), expected, None, obj)
     elif isinstance(obj, Atom):
-        _, pre = inf.atom(obj)
+        inf.atom(obj)
     elif isinstance(obj, Clause):
-        _, pre = inf.clause(obj)
+        inf.clause(obj)
     elif isinstance(obj, tuple):
-        kids = []
         for a in obj:
-            _, apre = inf.atom(a)
-            kids.append(apre)
-        pre = _Pre("query", obj, None, None, tuple(kids))
+            inf.atom(a)
     else:
         raise TypeError(f"cannot judge {obj!r}")
-    theta = inf.solve()
-    return _finalize(pre, theta, u)
+    inf.solve()
+
+
+def is_typed_substitution(theta: Subst, u: Mapping[Var, Type], sig: Signature) -> bool:
+    """Does binding each variable read as a well-typed equation query under
+    the variable typing u?"""
+    items = sorted(theta.items(), key=lambda kv: (kv[0].name, kv[0].idx))
+    try:
+        judge(u, tuple(Atom(EQ, (v, t)) for v, t in items), sig=sig)
+        return True
+    except UntypableError:
+        return False
 
 
 def _clause_typing(c: Clause, sig: Signature,
                    fixed: Mapping[Var, Type] | None) -> ClauseTyping:
     rigid = pars(tuple(fixed.values())) if fixed is not None else set()
     inf = _Infer(sig, fixed=dict(fixed) if fixed is not None else None, rigid=rigid)
-    vecs, _ = inf.clause(c)
+    vecs = inf.clause(c)
     theta = inf.solve()
     vecs = [theta.apply(tuple(v)) for v in vecs]
     env = {v: theta.apply(t) for v, t in inf.env.items()}

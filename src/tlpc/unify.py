@@ -173,19 +173,6 @@ def match_terms(pattern, target) -> dict | None:
     return _match(pattern, target, {})
 
 
-def is_typed_substitution(theta: Subst, u, sig) -> bool:
-    """Does binding each variable read as a well-typed equation query under
-    the variable typing u?  (Checked with the typing judgements.)"""
-    from .typecheck import UntypableError, judge
-    items = sorted(theta.items(), key=lambda kv: (kv[0].name, kv[0].idx))
-    query = tuple(Atom("=", (v, t)) for v, t in items)
-    try:
-        judge(u, query, sig=sig)
-        return True
-    except UntypableError:
-        return False
-
-
 def ordered_unifiable(eqs: Sequence[tuple]) -> str:
     """Sufficient unifiability test for an oriented equation list.
 

@@ -132,6 +132,32 @@ def test_infer_untypable_clause(capsys, tmp_path):
     assert f"clause {len(src.clauses) + 1}: untypable:" in out
 
 
+NESTED_CLASH = """kind list/1.
+kind int/0.
+func nil : list(U).
+func cons(U, list(U)) : list(U).
+pred r(list(U)).
+pred q(list(U), U).
+r([X]).
+q([[1, [2]], [3, [[4]]]], [[X]]) :- r([X, [[5]]]).
+"""
+
+
+def test_untypable_nested_argument_names_the_first_clash(capsys, tmp_path):
+    # Which clash is reported follows the order of the typing equations.
+    f = tmp_path / "clash.tlp"
+    f.write_text(NESTED_CLASH)
+    clause = "q([[1, [2]], [3, [[4]]]], [[X]]) :- r([X, [[5]]])."
+    clash = "argument 2 of [1, [2]]: clash between list(int) and int"
+    for argv in (("check", str(f)), ("run", str(f), "--query", "r(Y)")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: clause 2: {clause} has no typing: {clash}\n"
+    code, out, _ = run_cli(capsys, "infer", str(f))
+    assert code == 1
+    assert out == f"clause 1: (list(A))\n  r([X]).\nclause 2: untypable: {clash}\n  {clause}\n"
+
+
 def test_infer_json(capsys):
     code, out, _ = run_cli(capsys, "infer", corpus_path("append"), "--json")
     assert code == 0

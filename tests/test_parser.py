@@ -157,3 +157,14 @@ def test_transparency_forwarded_from_signature():
 def test_comments_and_whitespace(hqpr):
     text = "% leading comment\n" + corpus_text("hqpr") + "\n% trailing\n"
     assert parse_program(text).clauses == hqpr.clauses
+
+
+def test_render_does_not_recurse():
+    term, ty, lists = Fun("z"), Param("A"), Fun("nil")
+    for _ in range(5000):
+        term = Fun("s", (term,))
+        ty = TCon("list", (ty,))
+        lists = Fun("cons", (lists, Fun("nil")))
+    assert render(term) == "s(" * 5000 + "z" + ")" * 5000
+    assert render(ty) == "list(" * 5000 + "A" + ")" * 5000
+    assert render(lists) == "[" * 5000 + "[]" + "]" * 5000

@@ -1,4 +1,4 @@
-"""Typing proofs and most general clause types."""
+"""Typing judgements and most general clause types."""
 from __future__ import annotations
 
 import pytest
@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 
 from tlpc.core import (
     Atom, Fun, NameSource, Param, TCon, Var, rename_apart, variant_types, vars_in_order,
+    wrap_query,
 )
 from tlpc.parser import parse_clause, parse_program, parse_query
 from tlpc.trees import derivations
@@ -30,21 +31,25 @@ def list_of(t):
 
 
 def test_judge_constant_against_expected_type(eqnil):
-    proof = judge({X: list_of(INT)}, Fun("nil"), list_of(INT),
-                  sig=eqnil.signature)
-    assert proof.rule == "func"
-    assert proof.ty == list_of(INT)
-    assert proof.theta == {Param("U"): INT}
+    sig = eqnil.signature
+    assert judge({X: list_of(INT)}, Fun("nil"), list_of(INT), sig=sig) is None
+    judge({}, Fun("nil"), list_of(A), sig=sig)
+    with pytest.raises(UntypableError):
+        judge({}, Fun("nil"), INT, sig=sig)
 
 
 def test_judge_nested_term():
     t = Fun("cons", (Fun("1"), Fun("nil")))
-    proof = judge({}, t, list_of(INT), sig=SIG)
-    assert proof.ty == list_of(INT)
-    assert [k.rule for k in proof.children] == ["func", "func"]
+    judge({}, t, list_of(INT), sig=SIG)
+    with pytest.raises(UntypableError):
+        judge({}, t, list_of(list_of(INT)), sig=SIG)
+    # The expected type's parameters are rigid: [1] is not of type list(A).
+    with pytest.raises(UntypableError):
+        judge({}, t, list_of(A), sig=SIG)
 
 
 def test_judge_variable_against_wrong_type(eqnil):
+    judge({X: INT}, X, INT, sig=eqnil.signature)
     with pytest.raises(UntypableError):
         judge({X: INT}, X, list_of(INT), sig=eqnil.signature)
 
@@ -56,28 +61,21 @@ def test_judge_term_requires_expected_type(eqnil):
 
 def test_judge_atom_and_query(nest):
     sig = nest.signature
-    proof = judge({X: list_of(INT)}, Atom("p", (X,)), sig=sig)
-    assert proof.rule == "atom"
-    assert proof.theta == {}
+    judge({X: list_of(INT)}, Atom("p", (X,)), sig=sig)
     q = parse_query("r(X), p(X)", sig)
-    proof = judge({X: list_of(INT)}, q, sig=sig)
-    assert proof.rule == "query"
-    assert [k.rule for k in proof.children] == ["atom", "atom"]
-    assert proof.children[0].theta == {Param("U"): INT}
+    judge({X: list_of(INT)}, q, sig=sig)
     with pytest.raises(UntypableError):
         judge({X: INT}, q, sig=sig)
+    with pytest.raises(UntypableError, match="variable X has no type"):
+        judge({}, q, sig=sig)
 
 
 def test_judge_clause_and_program(nest, corpus):
-    proof = judge({X: list_of(INT)}, nest.clauses[0], sig=nest.signature)
-    assert proof.rule == "clause"
-    assert len(proof.children) == 2
-    assert proof.variable_typing == {X: list_of(INT)}
+    judge({X: list_of(INT)}, nest.clauses[0], sig=nest.signature)
+    with pytest.raises(UntypableError):
+        judge({X: INT}, nest.clauses[0], sig=nest.signature)
     for program in corpus.values():
-        root = judge(None, program)
-        assert root.rule == "program"
-        assert len(root.children) == len(program.clauses)
-        assert all(k.rule == "clause" for k in root.children)
+        assert len(program.clause_typings) == len(program.clauses)
 
 
 def test_most_general_type_wrt_fixed_int(eqnil):
@@ -154,6 +152,23 @@ def test_untypable_error_names_subject(nest):
     with pytest.raises(UntypableError) as exc:
         judge({X: INT}, Atom("p", (X,)), sig=sig)
     assert "X" in str(exc.value)
+
+
+NAT = "kind nat/0. func z : nat. func s(nat) : nat. pred n(nat). n(z). n(s(X)) :- n(X)."
+
+
+def test_typing_deep_terms_does_not_recurse():
+    sig = parse_program(NAT).signature
+    nat = TCon("nat")
+    open_term, ground_term = X, Fun("z")
+    for _ in range(5000):
+        open_term, ground_term = Fun("s", (open_term,)), Fun("s", (ground_term,))
+    atom = Atom("n", (open_term,))
+    assert most_general_type(wrap_query((atom,)), sig).variable_typing == {X: nat}
+    judge({}, ground_term, nat, sig=sig)
+    assert typable_by_atoms((atom,), sig, {})
+    with pytest.raises(UntypableError):
+        judge({X: list_of(nat)}, open_term, nat, sig=sig)
 
 
 # ------------------------------------------------------ renaming invariance

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from tlpc.core import Atom, Fun, Param, Subst, TCon, Var, apply_subst
 from tlpc.parser import parse_query, parse_term
+from tlpc.typecheck import is_typed_substitution
 from tlpc.unify import (
     UnificationError,
-    is_typed_substitution,
     match_terms,
     mgu_terms,
     mgu_types,
