@@ -33,11 +33,11 @@ from .srcheck import (
     TypeSkeleton,
     check_head_condition,
     check_semi_generic,
-    check_subject_reduction_bounded,
     is_proper_type_skeleton,
     make_partition,
-    monitor_derivation,
+    monitored_answers,
     search_partition,
+    subject_reduction,
     type_skeleton_of,
 )
 from .trees import (
@@ -74,16 +74,14 @@ __all__ = [
     "DerivationTree", "Finding", "Fun", "FuncDecl", "GroundAtomSet",
     "ParseError", "Param", "Partition", "PredDecl", "Program", "Signature",
     "Skeleton", "Subst", "TCon", "TypeSkeleton", "UnificationError",
-    "UntypableError", "Var",
-    "answers", "check_head_condition",
-    "check_semi_generic", "check_subject_reduction_bounded", "corpus_names",
-    "corpus_text", "derivations", "enumerate_skeletons", "frontier",
-    "head_atom", "is_proper_skeleton", "is_proper_type_skeleton",
-    "is_typable", "judge", "load_corpus", "make_partition", "mgu_terms",
-    "mgu_types", "monitor_derivation", "most_general_derivation_tree",
-    "most_general_type", "most_general_type_wrt", "node_atoms",
-    "ordered_unifiable", "parse_clause", "parse_program", "parse_query",
-    "parse_term", "render", "search_partition", "skeleton_of", "tp_fixpoint",
-    "type_skeleton_of", "validate_signature", "variant_terms",
-    "variant_types", "wrap_query",
+    "UntypableError", "Var", "answers", "check_head_condition",
+    "check_semi_generic", "corpus_names", "corpus_text", "derivations",
+    "enumerate_skeletons", "frontier", "head_atom", "is_proper_skeleton",
+    "is_proper_type_skeleton", "is_typable", "judge", "load_corpus",
+    "make_partition", "mgu_terms", "mgu_types", "monitored_answers",
+    "most_general_derivation_tree", "most_general_type", "most_general_type_wrt",
+    "node_atoms", "ordered_unifiable", "parse_clause", "parse_program",
+    "parse_query", "parse_term", "render", "search_partition", "skeleton_of",
+    "subject_reduction", "tp_fixpoint", "type_skeleton_of", "validate_signature",
+    "variant_terms", "variant_types", "wrap_query",
 ]

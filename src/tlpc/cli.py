@@ -22,9 +22,8 @@ from .srcheck import (
     make_partition,
     monitored_answers,
     search_partition,
-    sr_certificate,
-    subject_reduction_report,
-    type_skeletons,
+    subject_reduction,
+    type_skeleton_of,
     type_skeleton_to_json,
 )
 from .trees import (
@@ -190,14 +189,10 @@ def cmd_run(args) -> int:
 def cmd_sr(args) -> int:
     program = _load(args.file)
     query = parse_query(args.query, program.signature)
-    typing = require_typable(program, query)
-    cert = None if args.bounded else sr_certificate(program, query, typing)
+    rep, cert, found = subject_reduction(program, query, args.depth, args.bounded)
+    # A certified pass prints as a bounded one; --json names the criterion.
     certificate = None
-    if cert is None:
-        rep, found = subject_reduction_report(program, query, args.depth, typing)
-    else:
-        # The text stays that of a bounded pass; --json names the criterion.
-        rep, found = CheckReport(depth_bound=args.depth), None
+    if cert is not None:
         criterion, part = cert
         certificate = {"criterion": criterion}
         if part is not None:
@@ -229,7 +224,7 @@ def cmd_sr(args) -> int:
 def cmd_skeletons(args) -> int:
     program = _load(args.file)
     query = parse_query(args.query, program.signature)
-    type_skeleton = type_skeletons(program, query)  # the gate: raises when untypable
+    require_typable(program, query)
     entries = []
     for s in enumerate_skeletons(program, query, args.depth):
         theta = is_proper_skeleton(s)
@@ -244,7 +239,7 @@ def cmd_skeletons(args) -> int:
             for ln in _tree_lines(s, _skeleton_text, 1):
                 print(ln)
         if args.types:
-            ts = type_skeleton(s)
+            ts = type_skeleton_of(s, program)
             proper = is_proper_type_skeleton(ts) is not None
             if args.json:
                 entry["typeSkeleton"] = type_skeleton_to_json(ts)

@@ -458,6 +458,26 @@ class Program(_Rendered):
                 raise UntypableError(f"clause {i + 1}: {render(c)} has no typing: {e}") from e
         return tuple(out)
 
+    @cached_property
+    def _other_typings(self) -> dict:
+        # Per instance, so a `dataclasses.replace` copy starts empty.
+        return {}
+
+    def typing(self, index: int, clause: Clause) -> tuple:
+        """The clause that a node with this clause index copies, and its most
+        general type: program clause `index` with `clause_typings[index]`,
+        the built-in `=` clause, or else (the query root) `clause` itself.
+        A renamed copy has the same atom types.  The typings of clauses
+        outside the program are memoised by clause on first use; failures
+        are not.  Raises UntypableError when the clause has no typing."""
+        if index >= 0:
+            return self.clauses[index], self.clause_typings[index]
+        c = EQ_CLAUSE if index == EQ_CLAUSE_INDEX else clause
+        if c not in self._other_typings:
+            from .typecheck import most_general_type
+            self._other_typings[c] = most_general_type(c, self.signature)
+        return c, self._other_typings[c]
+
 
 # The built-in clause resolving equality atoms, and reserved clause indices.
 EQ_CLAUSE = Clause(Atom(EQ, (Var("X"), Var("X"))))

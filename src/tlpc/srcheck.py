@@ -3,9 +3,9 @@
 A type skeleton replaces every clause of a skeleton by that clause's most
 general type, with parameters renamed apart per node.  If every proper
 skeleton of a program-and-query yields a proper (unifiable) type skeleton,
-resolution can never produce an untypable query.  The bounded check types
-each clause once and decides each skeleton from its root: the clause copies
-of distinct nodes share no variables and no parameters, so a skeleton (or
+resolution can never produce an untypable query.  The bounded check
+decides each skeleton from its root: the clause copies of distinct nodes
+share no variables and no parameters, so a skeleton (or
 its type skeleton) is proper exactly when its subtrees are and the root's
 body atoms (or their types) unify with the subtrees' solved heads.  Each
 subtree is solved where enumeration builds it and dropped there when
@@ -15,14 +15,16 @@ this for all queries at once: the classical requirement that inferred
 head types be a renaming of the declared types, and its relaxation where
 each argument position is marked head-generic or body-generic.
 
-`tlpc sr` is a pipeline that stops at the first step settling the verdict.
-The gate `require_typable` types the program and the query.  Then the
-certificate (`sr_certificate`): by the paper's theorem, a program meeting
-the head condition, or a program and query semi-generic under the
-partition `search_partition` finds, keeps every type skeleton of a proper
-skeleton proper at every depth.  Only when neither holds does the bounded
-check enumerate, reusing the gate's typing of the query; `sr --bounded`
-skips the certificate and always enumerates.
+Every node reads its clause's typing by clause index from the program
+(`Program.typing`), which types each program clause, query and the
+built-in `=` clause once.  `subject_reduction` gives the verdict of
+`tlpc sr`, stopping at the first step that settles it.  The gate
+`require_typable` types the program and the query.  Then the certificate
+(`sr_certificate`): by the paper's theorem, a program meeting the head
+condition, or a program and query semi-generic under the partition
+`search_partition` finds, keeps every type skeleton of a proper skeleton
+proper at every depth.  Only when neither holds, or when `bounded` is set
+(`sr --bounded`), does the bounded check enumerate.
 
 The run monitor is the runtime counterpart: it checks that every query a
 bounded resolution derives is typable.  A query's typing constraints are
@@ -35,14 +37,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .core import (
     Atom,
     Clause,
     EQ,
-    EQ_CLAUSE,
-    EQ_CLAUSE_INDEX,
     GO,
     GO_CLAUSE_INDEX,
     NameSource,
@@ -71,7 +71,7 @@ from .trees import (
     rebuild,
     tree_to_json,
 )
-from .typecheck import ClauseTyping, most_general_type, require_typable, typable_by_atoms
+from .typecheck import ClauseTyping, require_typable, typable_by_atoms
 from .unify import UnificationError, mgu_terms, mgu_types
 
 HEAD_GENERIC = "h"
@@ -109,35 +109,16 @@ def label(ts: TypeSkeleton) -> str:
     return f"{head} <- {body}"
 
 
-def _node_typings(program: Program, query: Query | None = None,
-                  query_typing: ClauseTyping | None = None):
-    """A function from a node's clause index and clause copy to the clause
-    the copy renames and that clause's most general type:
-    `program.clause_typings[i]` for program clause i; for the query root,
-    the gate's typing when `query` is given (`query_typing`, or else
-    `require_typable` run here) and the root clause's own otherwise; for
-    the built-in `=` clause, one typing made on first use.  A renamed copy
-    has the same atom types."""
-    if query is not None and query_typing is None:
-        query_typing = require_typable(program, query)
-    typed = {} if query is None else {GO_CLAUSE_INDEX: (wrap_query(query), query_typing)}
-
-    def typing(index: int, copy: Clause) -> tuple[Clause, ClauseTyping]:
-        if index >= 0:
-            return program.clauses[index], program.clause_typings[index]
-        if index not in typed:
-            c = EQ_CLAUSE if index == EQ_CLAUSE_INDEX else copy
-            typed[index] = c, most_general_type(c, program.signature)
-        return typed[index]
-
-    return typing
-
-
-def _type_skeleton(s: Skeleton, typing) -> TypeSkeleton:
+def type_skeleton_of(s: Skeleton, program: Program) -> TypeSkeleton:
+    """Relabel every complete node of s with the most general type of its
+    clause, renaming parameters apart across nodes.  A node reads its
+    clause's typing by clause index (`Program.typing`), and its variable
+    typing follows the copy's renaming.  Raises UntypableError naming the
+    first untypable program clause."""
     ns = NameSource()
 
     def make(node: Skeleton):
-        typed, ct = typing(node.clause_index, node.clause)
+        typed, ct = program.typing(node.clause_index, node.clause)
         renaming = dict(zip(vars_in_order(typed), vars_in_order(node.clause)))
         u = {renaming[v]: t for v, t in ct.variable_typing.items()}
         ren = {p: ns.fresh_param(p.name) for p in pars_in_order(ct.atom_types)}
@@ -153,27 +134,6 @@ def _type_skeleton(s: Skeleton, typing) -> TypeSkeleton:
         )
 
     return rebuild(s, make)
-
-
-def type_skeleton_of(s: Skeleton, program: Program) -> TypeSkeleton:
-    """Relabel every complete node of s with the most general type of its
-    clause, renaming parameters apart across nodes.  A node copying program
-    clause i reads `program.clause_typings[i]`, and its variable typing
-    follows the copy's renaming; the built-in `=` clause is typed once per
-    call, and the query root as it is.  Raises UntypableError naming the
-    first untypable program clause."""
-    return _type_skeleton(s, _node_typings(program))
-
-
-def type_skeletons(program: Program, query: Query,
-                   query_typing: ClauseTyping | None = None,
-                   ) -> Callable[[Skeleton], TypeSkeleton]:
-    """`type_skeleton_of` for the skeletons of one query: every skeleton's
-    root reads the gate's typing of the query (`query_typing`, or else
-    `require_typable` run here), and the built-in `=` clause is typed once
-    for all of them.  Raises UntypableError as the gate does."""
-    typing = _node_typings(program, query, query_typing)
-    return lambda s: _type_skeleton(s, typing)
 
 
 def eq_of_type_skeleton(ts: TypeSkeleton) -> list[tuple[Type, Type]]:
@@ -217,10 +177,6 @@ class Partition:
         if pred in (EQ, GO):
             return (HEAD_GENERIC,) * arity
         raise ValueError(f"no partition for predicate {pred}")
-
-    def __repr__(self) -> str:
-        inner = "; ".join(f"{p}({', '.join(m)})" for p, m in self.by_pred.items())
-        return f"Partition[{inner}]"
 
     def to_json(self) -> dict:
         return {p: list(m) for p, m in self.by_pred.items()}
@@ -330,8 +286,7 @@ def check_semi_generic(program: Program, part: Partition,
     """Semi-genericity of every clause, and of each supplied query (a query
     counts as the body of a clause with the 0-ary head `go`)."""
     typed = zip(program.clauses, program.clause_typings)
-    typed_queries = [(c, most_general_type(c, program.signature))
-                     for c in map(wrap_query, queries)]
+    typed_queries = [program.typing(GO_CLAUSE_INDEX, wrap_query(q)) for q in queries]
     findings: list[Finding] = []
     for i, (c, ct) in enumerate(typed):
         findings.extend(_semi_generic_findings(program, part, c, ct, i))
@@ -386,18 +341,18 @@ HEAD_CONDITION = "head condition"
 SEMI_GENERIC = "semi-generic"
 
 
-def sr_certificate(program: Program, query: Query,
-                   query_typing: ClauseTyping) -> tuple[str, Partition | None] | None:
+def sr_certificate(program: Program, query: Query) -> tuple[str, Partition | None] | None:
     """The criterion by which every type skeleton of a proper skeleton of
     the query is proper at every depth, with the partition it uses: the
     head condition (no partition), else semi-genericity of the program and
     the query under the partition `search_partition` finds.  None when
-    neither holds.  `query_typing` is the query's typing from the gate."""
+    neither holds.  The query passes `require_typable` first."""
+    typing = require_typable(program, query)
     if check_head_condition(program).passed:
         return HEAD_CONDITION, None
     part = search_partition(program)  # every clause is semi-generic under it
     if part is not None and next(_semi_generic_findings(
-            program, part, wrap_query(query), query_typing, GO_CLAUSE_INDEX), None) is None:
+            program, part, wrap_query(query), typing, GO_CLAUSE_INDEX), None) is None:
         return SEMI_GENERIC, part
     return None
 
@@ -417,17 +372,14 @@ class _Option:
 
 
 def typed_proper_skeletons(program: Program, query: Query, depth: int = 5,
-                           query_typing: ClauseTyping | None = None,
                            ) -> Iterator[tuple[Skeleton, bool]]:
     """The proper skeletons up to the given height, smallest first, each
-    paired with whether its type skeleton is proper.  A node reads its
-    clause's atom types by clause index, since the node copies of one
-    clause are renamings of it: `program.clause_typings` for a program
-    clause, `query_typing` (by default the typing `require_typable` gives
-    the query) for the root, and the built-in `=` clause is typed on first
-    use.  Each option's head types are solved where it is built, from its
-    children's, under fresh parameters."""
-    typing = _node_typings(program, query, query_typing)
+    paired with whether its type skeleton is proper.  The query passes
+    `require_typable` first.  A node reads its clause's atom types by clause
+    index (`Program.typing`), since the node copies of one clause are
+    renamings of it.  Each option's head types are solved where it is
+    built, from its children's, under fresh parameters."""
+    require_typable(program, query)
     vectors: dict[int, tuple] = {}  # atom types and their parameters, by clause index
     ns = NameSource()
 
@@ -441,7 +393,7 @@ def typed_proper_skeletons(program: Program, query: Query, depth: int = 5,
         skeleton = Skeleton(copy, index, tuple(BOTTOM if c is BOTTOM else c.skeleton
                                                for c in children))
         if index not in vectors:
-            ct = typing(index, copy)[1]
+            ct = program.typing(index, copy)[1]
             vectors[index] = ct.atom_types, pars_in_order(ct.atom_types)
         vecs, params = vectors[index]
         types = None
@@ -461,31 +413,32 @@ def typed_proper_skeletons(program: Program, query: Query, depth: int = 5,
 
 def subject_reduction_counterexamples(
         program: Program, query: Query, depth: int = 5,
-        query_typing: ClauseTyping | None = None,
 ) -> Iterator[tuple[Skeleton, TypeSkeleton, UnificationError]]:
     """Proper skeletons (smallest first) whose type skeletons are not proper,
     with the type skeleton and the failing type equation."""
-    if query_typing is None:
-        query_typing = require_typable(program, query)
-    type_skeleton = type_skeletons(program, query, query_typing)
-    for s, type_proper in typed_proper_skeletons(program, query, depth, query_typing):
+    for s, type_proper in typed_proper_skeletons(program, query, depth):
         if not type_proper:
-            ts = type_skeleton(s)
+            ts = type_skeleton_of(s, program)
             try:
                 mgu_types(eq_of_type_skeleton(ts))
             except UnificationError as err:
                 yield s, ts, err
 
 
-def subject_reduction_report(
-        program: Program, query: Query, depth: int = 5,
-        query_typing: ClauseTyping | None = None,
-) -> tuple[CheckReport, tuple[Skeleton, TypeSkeleton, UnificationError] | None]:
-    """The report of check_subject_reduction_bounded together with the
-    counterexample its finding describes (None on a pass).  `query_typing`
-    is the gate's typing of the query, when the caller has run the gate."""
-    found = next(subject_reduction_counterexamples(program, query, depth, query_typing),
-                 None)
+def subject_reduction(
+        program: Program, query: Query, depth: int = 5, bounded: bool = False,
+) -> tuple[CheckReport, tuple[str, Partition | None] | None,
+           tuple[Skeleton, TypeSkeleton, UnificationError] | None]:
+    """The verdict of `tlpc sr`: the report, the certificate that backs a
+    pass at every depth (`sr_certificate`; None when `bounded` or when no
+    criterion holds), and the smallest counterexample (None on a pass).
+    The query passes `require_typable` first.  Without a certificate, every
+    proper skeleton up to the given height is checked for a proper type
+    skeleton: a pass only covers that bound, a failure is definite."""
+    cert = None if bounded else sr_certificate(program, query)
+    if cert is not None:
+        return CheckReport(depth_bound=depth), cert, None
+    found = next(subject_reduction_counterexamples(program, query, depth), None)
     findings: list[Finding] = []
     if found is not None:
         s, ts, err = found
@@ -495,22 +448,14 @@ def subject_reduction_report(
             f"type equation {render(err.left)} = {render(err.right)} fails "
             f"({err.kind})",
             clause=None))
-    return CheckReport(tuple(findings), depth_bound=depth), found
-
-
-def check_subject_reduction_bounded(program: Program, query: Query,
-                                    depth: int = 5) -> CheckReport:
-    """Certificate that every proper skeleton up to the given height has a
-    proper type skeleton.  A pass only covers the stated bound; a failure is
-    a definite counterexample (the smallest one found)."""
-    return subject_reduction_report(program, query, depth)[0]
+    return CheckReport(tuple(findings), depth_bound=depth), None, found
 
 
 def monitored_answers(program: Program, query: Query, depth: int = 5,
                       selection: str = "leftmost") -> tuple[CheckReport, list[Subst]]:
-    """One bounded search giving the report of monitor_derivation and the
-    answers of trees.answers: derived queries are checked for typability up
-    to the first untypable one, and answers are collected throughout.  The
+    """The run monitor's report and the answers of trees.answers, from one
+    bounded search: derived queries are checked for typability up to the
+    first untypable one, and answers are collected throughout.  The
     query itself passes `require_typable` first.  Each distinct derived atom
     is typed once per call, and a derived query's verdict joins its atoms'
     typings on their shared variables (`typable_by_atoms`)."""
@@ -530,12 +475,6 @@ def monitored_answers(program: Program, query: Query, depth: int = 5,
         if d.succeeded and d.steps:
             found.append(d.answer)
     return CheckReport(tuple(findings), depth_bound=depth), found
-
-
-def monitor_derivation(program: Program, query: Query, depth: int = 5,
-                       selection: str = "leftmost") -> CheckReport:
-    """Run the query and check that every derived query is typable."""
-    return monitored_answers(program, query, depth, selection)[0]
 
 
 def type_skeleton_to_json(ts) -> dict:

@@ -410,10 +410,6 @@ def answers(program: Program, query: Query, depth: int = 5,
 
 # ------------------------------------------------- bounded consequences
 
-def term_depth(t: Term) -> int:
-    return t.depth
-
-
 def atom_depth(a: Atom) -> int:
     return max((t.depth for t in a.args), default=0)
 

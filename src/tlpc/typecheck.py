@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .core import (
-    EQ, Atom, Clause, Fun, NameSource, Program, Query, Signature, Subst,
+    EQ, GO_CLAUSE_INDEX, Atom, Clause, Fun, NameSource, Program, Query, Signature, Subst,
     Term, Type, Var, apply_subst, canonical_param_map, is_int_literal,
     pars, pars_in_order, wrap_query,
 )
@@ -238,10 +238,10 @@ def require_typable(program: Program, query: Query) -> ClauseTyping:
     """The one admission gate: every clause of the program and the query
     must have a typing.  Forces `program.clause_typings`, which types each
     clause once, and returns the most general type of the query's wrapper
-    clause `go :- query`.  Raises UntypableError naming the first untypable
-    clause, or the query."""
+    clause `go :- query`, memoised in the program.  Raises UntypableError
+    naming the first untypable clause, or the query, with the reason."""
     program.clause_typings  # raises on the first untypable clause
     try:
-        return most_general_type(wrap_query(query), program.signature)
+        return program.typing(GO_CLAUSE_INDEX, wrap_query(query))[1]
     except UntypableError as e:
-        raise UntypableError(f"query is not typable: {render(query)}") from e
+        raise UntypableError(f"query is not typable: {render(query)}: {e}") from e

@@ -33,12 +33,12 @@ from tlpc.parser import parse_query, parse_term, render
 from tlpc.srcheck import (
     check_head_condition,
     check_semi_generic,
-    check_subject_reduction_bounded,
     is_proper_type_skeleton,
     label,
     make_partition,
-    monitor_derivation,
+    monitored_answers,
     search_partition,
+    subject_reduction,
     subject_reduction_counterexamples,
     type_skeleton_of,
 )
@@ -181,11 +181,11 @@ def test_non_proper_skeleton_has_no_tree(append):
 @pytest.mark.criterion(3)
 def test_bounded_check_fails_monitor_passes(nest):
     q = parse_query("p(X)", nest.signature)
-    static = check_subject_reduction_bounded(nest, q, depth=4)
+    static = subject_reduction(nest, q, depth=4, bounded=True)[0]
     assert static.verdict == "fail"
     ces = list(subject_reduction_counterexamples(nest, q, depth=4))
     assert height(ces[0][0]) == 2
-    assert monitor_derivation(nest, q, depth=10).passed
+    assert monitored_answers(nest, q, depth=10)[0].passed
 
 
 @pytest.mark.criterion(3)
@@ -229,7 +229,7 @@ def test_append_success_branch_type_skeleton(append):
 @pytest.mark.criterion(4)
 def test_append_bounded_check_passes(append, capsys):
     q = parse_query(APPEND_QUERY, append.signature)
-    rep = check_subject_reduction_bounded(append, q, depth=5)
+    rep = subject_reduction(append, q, depth=5, bounded=True)[0]
     assert rep.passed and rep.depth_bound == 5
     assert main(["sr", corpus_path("append"), "--query", APPEND_QUERY,
                  "--depth", "5"]) == 0
@@ -527,9 +527,9 @@ def test_prop_static_pass_implies_monitor_pass(corpus):
     passed = 0
     for name, text in CORPUS_QUERIES:
         program, q = corpus_query(corpus, name, text)
-        if check_subject_reduction_bounded(program, q, depth=4).passed:
+        if subject_reduction(program, q, depth=4, bounded=True)[0].passed:
             passed += 1
-            assert monitor_derivation(program, q, depth=4).passed
+            assert monitored_answers(program, q, depth=4)[0].passed
     assert passed == 7  # every pair except the one for the nesting program
 
 
@@ -556,8 +556,7 @@ def test_prop_semi_generic_queries_pass_bounded_check(corpus):
                 continue
             if check_semi_generic(program, part, queries=(q,)).passed:
                 covered += 1
-                assert check_subject_reduction_bounded(
-                    program, q, depth=5).passed
+                assert subject_reduction(program, q, depth=5, bounded=True)[0].passed
     assert covered >= 8
 
 

@@ -12,11 +12,12 @@ import pytest
 
 import tlpc
 from tlpc.cli import main
+from tlpc.corpus import corpus_names, load_corpus
 from tlpc.parser import parse_program, parse_query, render
-from tlpc.srcheck import subject_reduction_report, type_skeleton_of, type_skeleton_to_json
+from tlpc.srcheck import subject_reduction, type_skeleton_of, type_skeleton_to_json
 from tlpc.trees import enumerate_skeletons, skeleton_to_json, tp_fixpoint
 
-from helpers import FLAT_TEXT, MK_TEXT, corpus_path
+from helpers import BENCH_PROGRAMS, EXTRA_QUERIES, FLAT_TEXT, MK_TEXT, corpus_path
 
 
 @pytest.fixture(autouse=True)
@@ -299,7 +300,7 @@ def test_sr_json_round_trips_the_skeleton(capsys, nest):
     assert doc["report"]["verdict"] == "fail"
     assert doc["certificate"] is None
     ce = doc["counterexample"]
-    s, ts, _ = subject_reduction_report(nest, parse_query("p(X)", nest.signature), 3)[1]
+    s, ts, _ = subject_reduction(nest, parse_query("p(X)", nest.signature), 3)[2]
     assert ce["skeleton"] == skeleton_to_json(s)
     assert ce["typeSkeleton"] == type_skeleton_to_json(ts)
     assert ce["typeSkeleton"]["nodes"][0]["label"] == "go <- p(list(int))"
@@ -423,7 +424,60 @@ def test_untypable_clause_is_named_before_any_output(capsys, tmp_path, argv):
 def test_untypable_query_is_rejected_alike(capsys, command):
     code, out, err = run_cli(capsys, command, corpus_path("nest"),
                              "--query", "p([[X]])", "--depth", "2")
-    assert (code, out, err) == (2, "", "error: query is not typable: p([[X]])\n")
+    assert (code, out, err) == (2, "", "error: query is not typable: p([[X]]): "
+                                       "argument 1 of p([[X]]): clash between list(U_2) and int\n")
+
+
+def test_untypable_query_error_gives_the_reason(capsys):
+    code, out, err = run_cli(capsys, "run", corpus_path("append"),
+                             "--query", "app([1, [2]], Y, Z)")
+    assert (code, out) == (2, "")
+    assert err == ("error: query is not typable: app([1, [2]], Y, Z): "
+                   "argument 2 of [1, [2]]: clash between list(int) and int\n")
+
+
+def _most_general_queries():
+    """The most general query of every corpus and bench program (its first
+    declared predicate applied to fresh variables), then the extra
+    multi-atom queries, as (file, program, query)."""
+    files = [corpus_path(n) for n in corpus_names()] + sorted(map(str, BENCH_PROGRAMS.glob("*.tlp")))
+    for path in files:
+        program = parse_program(Path(path).read_text())
+        pred, decl = next(iter(program.signature.preds.items()))
+        args = ", ".join(f"V{i}" for i in range(len(decl.arg_types)))
+        yield path, program, f"{pred}({args})" if args else pred
+    for name, text in EXTRA_QUERIES:
+        yield corpus_path(name), load_corpus(name), text
+
+
+def test_sr_json_is_the_library_verdict(capsys):
+    # `sr --json` and `sr --bounded --json` print what `subject_reduction`
+    # returns: the report, the certificate and the counterexample.
+    certified = failing = 0
+    for path, program, text in _most_general_queries():
+        q = parse_query(text, program.signature)
+        for bounded in (False, True):
+            rep, cert, found = subject_reduction(program, q, 3, bounded)
+            argv = ["sr", path, "--query", text, "--depth", "3", "--json"]
+            code, out, _ = run_cli(capsys, *argv + ["--bounded"] * bounded)
+            doc = json.loads(out)
+            assert code == (0 if rep.passed else 1), (path, text)
+            assert doc["report"] == rep.to_json(), (path, text, bounded)
+            certificate = counterexample = None
+            if cert is not None:
+                certificate = {"criterion": cert[0]}
+                if cert[1] is not None:
+                    certificate["partition"] = cert[1].to_json()
+            if found is not None:
+                s, ts, err = found
+                counterexample = {"skeleton": skeleton_to_json(s),
+                                  "typeSkeleton": type_skeleton_to_json(ts),
+                                  "equation": f"{render(err.left)} = {render(err.right)}"}
+            assert doc["certificate"] == certificate, (path, text, bounded)
+            assert doc["counterexample"] == counterexample, (path, text, bounded)
+            certified += cert is not None
+            failing += found is not None
+    assert certified and failing
 
 
 # ---------------------------------------------------------------------- tp
@@ -548,6 +602,15 @@ def test_readme_transcript(capsys, monkeypatch, command, output):
 
 
 # ------------------------------------------------------------- entry point
+
+def test_benchmark_imports_resolve():
+    # The names the benchmark harness imports, and every exported name.
+    import tlpc.cli
+    for name in ("parse_program", "parse_query", "tp_fixpoint", "validate_signature"):
+        assert callable(getattr(tlpc, name)), name
+    assert callable(tlpc.cli.main)
+    assert [name for name in tlpc.__all__ if not hasattr(tlpc, name)] == []
+
 
 def test_installed_entry_point():
     # The package's own source directory stands in for an installation.

@@ -22,18 +22,16 @@ from tlpc.srcheck import (
     assembled_variable_typing,
     check_head_condition,
     check_semi_generic,
-    check_subject_reduction_bounded,
     eq_of_type_skeleton,
     eq_prime_of_type_skeleton,
     is_proper_type_skeleton,
     label,
     make_partition,
-    monitor_derivation,
     monitored_answers,
     search_partition,
     sr_certificate,
     subject_reduction_counterexamples,
-    subject_reduction_report,
+    subject_reduction,
     type_skeleton_of,
     type_skeleton_to_json,
     typed_proper_skeletons,
@@ -49,7 +47,7 @@ from tlpc.trees import (
     is_proper_skeleton,
     most_general_derivation_tree,
 )
-from tlpc.typecheck import UntypableError, judge, require_typable
+from tlpc.typecheck import UntypableError, judge
 from tlpc.unify import UnificationError, mgu_types, ordered_unifiable
 
 INT = TCon("int")
@@ -323,7 +321,7 @@ def test_search_result_actually_passes(corpus):
 
 def test_bounded_check_fails_on_nesting(nest):
     q = parse_query("p(X)", nest.signature)
-    rep = check_subject_reduction_bounded(nest, q, depth=4)
+    rep = subject_reduction(nest, q, depth=4, bounded=True)[0]
     assert rep.verdict == "fail"
     assert rep.depth_bound == 4
     f = rep.findings[0]
@@ -344,38 +342,38 @@ def test_counterexamples_smallest_first(nest):
 
 def test_bounded_check_passes(append, semigen):
     qa = parse_query("app(Xs, [], Zs), r(Xs)", append.signature)
-    rep = check_subject_reduction_bounded(append, qa, depth=5)
+    rep = subject_reduction(append, qa, depth=5, bounded=True)[0]
     assert rep.passed and rep.depth_bound == 5
     qs = parse_query("p(X, Y)", semigen.signature)
-    assert check_subject_reduction_bounded(semigen, qs, depth=5).passed
+    assert subject_reduction(semigen, qs, depth=5, bounded=True)[0].passed
 
 
 def test_bounded_check_requires_typable_query(nest):
     q = parse_query("p([[X]])", nest.signature)
     with pytest.raises(UntypableError):
-        check_subject_reduction_bounded(nest, q, depth=2)
+        subject_reduction(nest, q, depth=2, bounded=True)
     with pytest.raises(UntypableError):
-        monitor_derivation(nest, q, depth=2)
+        monitored_answers(nest, q, depth=2)
 
 
 # ----------------------------------------------------------------- monitor
 
 def test_monitor_passes_where_static_fails(nest):
     q = parse_query("p(X)", nest.signature)
-    assert monitor_derivation(nest, q, depth=10).passed
-    assert check_subject_reduction_bounded(nest, q, depth=3).verdict == "fail"
+    assert monitored_answers(nest, q, depth=10)[0].passed
+    assert subject_reduction(nest, q, depth=3, bounded=True)[0].verdict == "fail"
 
 
 def test_monitor_append_and_fgs1(append, fgs1):
     qa = parse_query("app(Xs, [], Zs), r(Xs)", append.signature)
-    assert monitor_derivation(append, qa, depth=10).passed
+    assert monitored_answers(append, qa, depth=10)[0].passed
     qf = parse_query("fgs1(2, Y)", fgs1.signature)
-    assert monitor_derivation(fgs1, qf, depth=12).passed
+    assert monitored_answers(fgs1, qf, depth=12)[0].passed
 
 
 def test_monitor_reports_depth_and_selection(nest):
     q = parse_query("p(X)", nest.signature)
-    rep = monitor_derivation(nest, q, depth=6, selection="all")
+    rep = monitored_answers(nest, q, depth=6, selection="all")[0]
     assert rep.passed and rep.depth_bound == 6
 
 
@@ -396,7 +394,7 @@ def test_monitor_failure_keeps_collecting_answers():
         "derived query t([[]]) has no typing (from p(X) via q(X_1), t(X_1) -> t([[]]))"]
     assert found == answers(program, q, depth=5)
     assert [render(a.apply(Var("X"))) for a in found] == ["[[]]", "[]"]
-    assert monitor_derivation(program, q, depth=5) == rep
+    assert monitored_answers(program, q, depth=5)[0] == rep
 
 
 # ------------------------------------------------ ordered split equations
@@ -445,7 +443,7 @@ def test_assembled_typing_types_the_frontier(nest, semigen):
 
 def test_report_json_shape(nest):
     q = parse_query("p(X)", nest.signature)
-    doc = check_subject_reduction_bounded(nest, q, depth=3).to_json()
+    doc = subject_reduction(nest, q, depth=3, bounded=True)[0].to_json()
     assert doc["verdict"] == "fail"
     assert doc["depthBound"] == 3
     f = doc["findings"][0]
@@ -492,11 +490,11 @@ def test_sr_matches_generate_and_check_oracle(corpus):
         assert len(got) == len(want), text
         assert got == [(s, err is None) for s, _, err in want], text
         first = next(((s, ts, err) for s, ts, err in want if err is not None), None)
-        rep, found = subject_reduction_report(program, q, depth)
+        rep, _, found = subject_reduction(program, q, depth, bounded=True)
         assert rep.verdict == ("pass" if first is None else "fail"), text
         assert _counterexample_text(found) == _counterexample_text(first), text
         failing += first is not None
-        cert = sr_certificate(program, q, require_typable(program, q))
+        cert = sr_certificate(program, q)
         if cert is not None:
             assert first is None, (text, cert)
             certified.add(cert[0])
@@ -522,7 +520,7 @@ def test_certificate_implies_bounded_pass_on_random_programs(tmp_path):
         for text in texts:
             q = parse_query(text, program.signature)
             try:
-                cert = sr_certificate(program, q, require_typable(program, q))
+                cert = sr_certificate(program, q)
             except UntypableError:
                 continue
             if cert is None:

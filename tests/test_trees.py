@@ -57,7 +57,6 @@ from tlpc.trees import (
     same_shape,
     skeleton_of,
     skeleton_to_json,
-    term_depth,
     tp_fixpoint,
     tree_to_json,
 )
@@ -446,10 +445,10 @@ def test_eval_arith(fgs1):
 
 def test_term_and_atom_depth(append):
     sig = append.signature
-    assert term_depth(Var("X")) == 0
-    assert term_depth(Fun("nil")) == 0
-    assert term_depth(parse_term("[1]", sig)) == 1
-    assert term_depth(parse_term("[[1]]", sig)) == 2
+    assert Var("X").depth == 0
+    assert Fun("nil").depth == 0
+    assert parse_term("[1]", sig).depth == 1
+    assert parse_term("[[1]]", sig).depth == 2
     assert atom_depth(Atom("go", ())) == 0
     assert atom_depth(parse_query("r([1])", sig)[0]) == 1
 
@@ -467,7 +466,7 @@ def test_term_walks_do_not_recurse():
     for _ in range(5000):
         t = Fun("s", (Fun("7"), t))
     a = Atom("p", (t,))
-    assert term_depth(t) == 5000
+    assert t.depth == 5000
     assert atom_depth(a) == 5000
     assert _head_depths(a) == (5000, {Var("X"): 5000})
     program = Program(parse_program("pred p(U).").signature, (Clause(a),))
@@ -491,7 +490,7 @@ def test_deep_terms_hash_compare_and_substitute_without_recursion():
     assert countdown(Var("X"), Var("T")) == countdown(Var("X"), Var("T"))
     assert apply_subst(a, {Var("X"): Fun("0")}) is a
     assert apply_subst(Atom("p", (a, Var("X"))), {Var("X"): b}) == Atom("p", (a, a))
-    assert term_depth(a) == 5000 and a.ground
+    assert a.depth == 5000 and a.ground
 
 
 def test_int_literals(fgs1, nestcount, hqpr):
@@ -510,7 +509,7 @@ def test_ground_terms(hqpr, append):
     assert ground_terms(append.signature, 0, ["1"]) == {nil: 0, Fun("1"): 0}
     assert ground_terms(append.signature, 0) == {nil: 0}
     terms = ground_terms(append.signature, 2, ["1"])
-    assert all(term_depth(t) == d for t, d in terms.items())
+    assert all(t.depth == d for t, d in terms.items())
     assert list(terms.values()) == sorted(terms.values())
     assert len(terms) == 2 + 6 ** 2
 
