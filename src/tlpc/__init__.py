@@ -14,8 +14,7 @@ from .core import (
     TCon,
     Var,
     validate_signature,
-    variant_terms,
-    variant_types,
+    variant,
     wrap_query,
 )
 from .corpus import corpus_names, corpus_text, load_corpus
@@ -83,5 +82,5 @@ __all__ = [
     "node_atoms", "ordered_unifiable", "parse_clause", "parse_program",
     "parse_query", "parse_term", "render", "search_partition", "skeleton_of",
     "subject_reduction", "tp_fixpoint", "type_skeleton_of", "validate_signature",
-    "variant_terms", "variant_types", "wrap_query",
+    "variant", "wrap_query",
 ]

@@ -3,12 +3,13 @@
 Types are terms built from declared constructors and parameters; program
 terms are built from declared functions and variables.  A type or term
 application (TCon, Fun) is immutable and knows its hash, groundness and
-depth.  One substitution engine serves both levels: a single free-variable
-walker, a single `apply_subst`, which returns ground subterms themselves
-(no caller may rely on a fresh copy), and a single idempotent `Subst`
-class, where a variable is a Var or a Param.  Renamings are plain dicts
-applied simultaneously.  Variables and parameters carry a numeric index so
-machine-made copies never collide with source names (index 0).
+depth.  A parameter is a type variable, and each operation on variables
+serves both levels at once: one walk (`vars_in_order`), one `apply_subst`,
+which returns ground subterms themselves (no caller may rely on a fresh
+copy), one idempotent `Subst` class, one fresh copy (`rename_apart`) and
+one test for equality up to renaming (`variant`).  Renamings are plain
+dicts applied simultaneously.  Variables and parameters carry a numeric
+index so machine-made copies never collide with source names (index 0).
 """
 from __future__ import annotations
 
@@ -190,58 +191,42 @@ class NameSource:
         self._next += 1
         return n
 
-    def fresh_var(self, base: str = "X") -> Var:
-        return Var(base, self._tick())
-
     def fresh_param(self, base: str = "U") -> Param:
         return Param(base, self._tick())
 
 
 # ------------------------------------------------------- walkers
 
-def _free_in_order(obj, kind) -> list:
-    """Instances of `kind` (Var, Param, or a tuple of both) in a syntax
-    object, first occurrence first.  Walks terms, types, atoms, clauses,
-    tuples, and the values of mappings."""
+def vars_in_order(obj) -> list:
+    """Variables and parameters (type variables) of a syntax object, first
+    occurrence first.  Walks terms, types, atoms, clauses, tuples, and the
+    values of mappings; None has none."""
     seen: dict = {}
     stack = [obj]
     while stack:
         o = stack.pop()
-        if isinstance(o, kind):
+        t = type(o)
+        if t is Var or t is Param:
             seen[o] = None
-        elif isinstance(o, _App):
+        elif t is Fun or t is TCon:
             if not o.ground:
                 stack.extend(reversed(o.args))
-        elif isinstance(o, Atom):
-            stack.extend(reversed(o.args))
-        elif isinstance(o, tuple):
+        elif t is tuple:
             stack.extend(reversed(o))
-        elif isinstance(o, Clause):
+        elif t is Atom:
+            stack.extend(reversed(o.args))
+        elif t is Clause:
             stack.extend(reversed(o.body))
             stack.append(o.head)
         elif isinstance(o, Mapping):
             stack.extend(reversed(list(o.values())))
-        elif not (o is None or isinstance(o, (Var, Param))):
+        elif o is not None:
             raise TypeError(f"not a syntax object: {o!r}")
     return list(seen)
 
 
-def pars_in_order(obj) -> list[Param]:
-    """Parameters of a type-level object, first occurrence first."""
-    return _free_in_order(obj, Param)
-
-
-def pars(obj) -> set[Param]:
-    return set(_free_in_order(obj, Param))
-
-
-def vars_in_order(obj) -> list[Var]:
-    """Variables of a term-level object, first occurrence first."""
-    return _free_in_order(obj, Var)
-
-
-def vars_of(obj) -> set[Var]:
-    return set(_free_in_order(obj, Var))
+def vars_of(obj) -> set:
+    return set(vars_in_order(obj))
 
 
 # ------------------------------------------------------- substitutions
@@ -282,7 +267,7 @@ class Subst(_Rendered, Mapping):
 
     def __init__(self, mapping=()):
         m = {v: t for v, t in dict(mapping).items() if t != v}
-        hit = {x for t in m.values() for x in _free_in_order(t, (Var, Param)) if x in m}
+        hit = {x for t in m.values() for x in vars_in_order(t) if x in m}
         if hit:
             raise ValueError(f"not idempotent: {sorted(x.printed() for x in hit)} bound and in range")
         self._m = m
@@ -317,9 +302,20 @@ class Subst(_Rendered, Mapping):
 
 
 def rename_apart(obj, fresh: NameSource):
-    """Copy of a clause or query whose variables are fresh (never issued
-    before)."""
-    return apply_subst(obj, {v: fresh.fresh_var(v.name) for v in _free_in_order(obj, Var)})
+    """Copy of a syntax object whose variables and parameters are fresh
+    (never issued before), drawn in first-occurrence order; each keeps its
+    name."""
+    return apply_subst(obj, {v: type(v)(v.name, fresh._tick()) for v in vars_in_order(obj)})
+
+
+def variant(a, b) -> bool:
+    """Equality of syntax objects up to a bijective renaming of variables
+    and parameters."""
+
+    def canon(o):
+        return apply_subst(o, {v: type(v)("V", i + 1) for i, v in enumerate(vars_in_order(o))})
+
+    return canon(a) == canon(b)
 
 
 # ------------------------------------------------------- canonical names
@@ -338,32 +334,15 @@ def _canonical_names(avoid: set[str]) -> Iterator[str]:
 
 
 def canonical_param_map(obj, keep=()) -> dict[Param, Param]:
-    """Left-to-right renaming of parameters to A, B, C, ...
+    """Left-to-right renaming of the parameters of a type-level object to
+    A, B, C, ...
 
     Parameters in `keep` stay untouched; fresh canonical names avoid them.
     The renaming is a plain dict, to be applied with apply_subst.
     """
     keep = set(keep)
     names = _canonical_names({p.name for p in keep if p.idx == 0})
-    return {p: Param(next(names)) for p in _free_in_order(obj, Param) if p not in keep}
-
-
-def canonical_types(obj, keep=()):
-    return apply_subst(obj, canonical_param_map(obj, keep))
-
-
-def variant_types(a, b) -> bool:
-    """Equality of type-level objects up to bijective parameter renaming."""
-    return canonical_types(a) == canonical_types(b)
-
-
-def variant_terms(a, b) -> bool:
-    """Equality of term-level objects up to bijective variable renaming."""
-
-    def canon(o):
-        return apply_subst(o, {v: Var("V", i + 1) for i, v in enumerate(_free_in_order(o, Var))})
-
-    return canon(a) == canon(b)
+    return {p: Param(next(names)) for p in vars_in_order(obj) if p not in keep}
 
 
 # ------------------------------------------------------- signatures
@@ -520,7 +499,7 @@ def decl_problems(kinds: Mapping[str, int], decl: FuncDecl | PredDecl,
                                f"{pre}constructor {t.name}/{arity} used with {len(t.args)} arguments"))
         stack.extend(reversed(t.args))
     if is_func:
-        extra = pars(decl.arg_types) - pars(decl.result)
+        extra = vars_of(decl.arg_types) - vars_of(decl.result)
         if extra:
             names = ", ".join(sorted(p.printed() for p in extra))
             out.append(Finding("transparency",

@@ -52,11 +52,10 @@ from .core import (
     TCon,
     Type,
     Var,
-    apply_subst,
-    pars,
-    pars_in_order,
-    variant_types,
+    rename_apart,
+    variant,
     vars_in_order,
+    vars_of,
     wrap_query,
 )
 from .parser import render, render_types
@@ -121,15 +120,14 @@ def type_skeleton_of(s: Skeleton, program: Program) -> TypeSkeleton:
         typed, ct = program.typing(node.clause_index, node.clause)
         renaming = dict(zip(vars_in_order(typed), vars_in_order(node.clause)))
         u = {renaming[v]: t for v, t in ct.variable_typing.items()}
-        ren = {p: ns.fresh_param(p.name) for p in pars_in_order(ct.atom_types)}
-        vecs = apply_subst(ct.atom_types, ren)
+        vecs, u = rename_apart((ct.atom_types, u), ns)
         return lambda kids: TypeSkeleton(
             clause_index=node.clause_index,
             head_pred=node.clause.head.pred,
             head_types=vecs[0],
             body_preds=tuple(a.pred for a in node.clause.body),
             body_types=vecs[1:],
-            variable_typing=apply_subst(u, ren),
+            variable_typing=u,
             children=kids,
         )
 
@@ -211,7 +209,7 @@ def check_head_condition(program: Program) -> CheckReport:
     for i, (c, ct) in enumerate(zip(program.clauses, program.clause_typings)):
         got = ct.atom_types[0]
         declared = sig.pred_decl(c.head.pred).arg_types
-        if not variant_types(got, declared):
+        if not variant(got, declared):
             findings.append(Finding(
                 "head-condition",
                 f"head of {render(c)} has most general type "
@@ -252,7 +250,7 @@ def _semi_generic_findings(program: Program, part: Partition, clause: Clause,
     m = len(atoms) - 1
     for i in range(m + 1):
         for j in range(i + 1, m + 1):
-            shared = pars(generic[i]) & pars(generic[j])
+            shared = vars_of(generic[i]) & vars_of(generic[j])
             if shared:
                 names = ", ".join(sorted(p.printed() for p in shared))
                 yield Finding(
@@ -263,8 +261,8 @@ def _semi_generic_findings(program: Program, part: Partition, clause: Clause,
     for i in range(1, m + 1):
         later: set = set()
         for j in range(i, m + 1):
-            later |= pars(generic[j])
-        shared = pars(nongeneric[i]) & later
+            later |= vars_of(generic[j])
+        shared = vars_of(nongeneric[i]) & later
         if shared:
             names = ", ".join(sorted(p.printed() for p in shared))
             yield Finding(
@@ -273,7 +271,7 @@ def _semi_generic_findings(program: Program, part: Partition, clause: Clause,
                 f"shares parameter(s) {names} with a generic part at or after it",
                 clause=clause_index)
     for i in range(m + 1):
-        if not variant_types(generic[i], declared_generic[i]):
+        if not variant(generic[i], declared_generic[i]):
             yield Finding(
                 "semi-generic-3",
                 f"generic part {render_types(generic[i])} of atom {i} is not a "
@@ -300,9 +298,12 @@ def search_partition(program: Program) -> Partition | None:
     or None.  Predicates are assigned in declaration order; per predicate,
     candidate mark vectors run through the h/b product with "h" first, so an
     all-head-generic partition is found first whenever it works.  A clause is
-    checked as soon as all its predicates are assigned, pruning the search.
-    Its verdict depends on their marks alone, so it is kept by those marks
-    for the rest of the search."""
+    checked as soon as all its declared predicates are assigned, pruning the
+    search.  Its verdict depends on their marks alone, so it is kept by
+    those marks for the rest of the search, and a full assignment needs no
+    second check.  (A clause with no declared predicate, a `go` clause
+    calling only `=`, if any, has empty generic parts and meets every
+    condition.)"""
     sig = program.signature
     typed = list(zip(program.clauses, program.clause_typings))
     names = list(sig.preds)
@@ -320,10 +321,7 @@ def search_partition(program: Program) -> Partition | None:
 
     def rec(i: int, assigned: dict[str, tuple[str, ...]]) -> Partition | None:
         if i == len(names):
-            part = Partition(dict(assigned))
-            if check_semi_generic(program, part).passed:
-                return part
-            return None
+            return Partition(dict(assigned))
         arity = len(sig.preds[names[i]].arg_types)
         for marks in itertools.product((HEAD_GENERIC, BODY_GENERIC), repeat=arity):
             assigned[names[i]] = marks
@@ -380,7 +378,7 @@ def typed_proper_skeletons(program: Program, query: Query, depth: int = 5,
     renamings of it.  Each option's head types are solved where it is
     built, from its children's, under fresh parameters."""
     require_typable(program, query)
-    vectors: dict[int, tuple] = {}  # atom types and their parameters, by clause index
+    vectors: dict[int, tuple] = {}  # atom types by clause index
     ns = NameSource()
 
     def build(copy: Clause, index: int, children: tuple) -> _Option | None:
@@ -393,12 +391,10 @@ def typed_proper_skeletons(program: Program, query: Query, depth: int = 5,
         skeleton = Skeleton(copy, index, tuple(BOTTOM if c is BOTTOM else c.skeleton
                                                for c in children))
         if index not in vectors:
-            ct = program.typing(index, copy)[1]
-            vectors[index] = ct.atom_types, pars_in_order(ct.atom_types)
-        vecs, params = vectors[index]
+            vectors[index] = program.typing(index, copy)[1].atom_types
         types = None
         if all(c.types is not None for _, c in kids):
-            vecs = apply_subst(vecs, {p: ns.fresh_param(p.name) for p in params})
+            vecs = rename_apart(vectors[index], ns)
             eqs = [eq for i, c in kids for eq in zip(vecs[1 + i], c.types)]
             try:
                 types = mgu_types(eqs).apply(vecs[0]) if eqs else vecs[0]

@@ -37,7 +37,7 @@ from .core import (
     is_int_literal,
     rename_apart,
     resolution_clauses,
-    variant_terms,
+    variant,
     vars_in_order,
     wrap_query,
     MINUS,
@@ -270,7 +270,7 @@ def same_shape(a, b) -> bool:
     return all(
         x is y if x is BOTTOM or y is BOTTOM else
         x.clause_index == y.clause_index and len(x.children) == len(y.children)
-        and variant_terms((x.clause.head,) + x.clause.body, (y.clause.head,) + y.clause.body)
+        and variant(x.clause, y.clause)
         for (_, _, x, _), (_, _, y, _) in zip(nodes(a), nodes(b)))
 
 

@@ -18,7 +18,7 @@ from typing import Mapping
 from .core import (
     EQ, GO_CLAUSE_INDEX, Atom, Clause, Fun, NameSource, Program, Query, Signature, Subst,
     Term, Type, Var, apply_subst, canonical_param_map, is_int_literal,
-    pars, pars_in_order, wrap_query,
+    rename_apart, vars_of, wrap_query,
 )
 from .parser import render
 from .unify import UnificationError, mgu_types
@@ -55,9 +55,6 @@ class _Infer:
         self.eqs.append((actual, expected))
         self.notes.append((position, obj))
 
-    def copy_of(self, types: tuple[Type, ...]) -> tuple[Type, ...]:
-        return apply_subst(types, {p: self.ns.fresh_param(p.name) for p in pars_in_order(types)})
-
     def term(self, t: Term) -> Type:
         """The type of t, with one equation per argument.  An explicit stack
         holds subterms still to type and (term, position, expected type)
@@ -86,7 +83,7 @@ class _Infer:
                 if len(decl.arg_types) != len(x.args):
                     raise UntypableError(
                         f"function {x.name}/{len(decl.arg_types)} used with {len(x.args)} arguments")
-                copied = self.copy_of(decl.arg_types + (decl.result,))
+                copied = rename_apart(decl.arg_types + (decl.result,), self.ns)
                 done.append(copied[-1])
                 for i in reversed(range(len(x.args))):
                     todo += ((x, i, copied[i]), x.args[i])
@@ -99,7 +96,7 @@ class _Infer:
         if len(decl.arg_types) != len(a.args):
             raise UntypableError(
                 f"predicate {a.pred}/{len(decl.arg_types)} used with {len(a.args)} arguments")
-        vec = self.copy_of(decl.arg_types)
+        vec = rename_apart(decl.arg_types, self.ns)
         for i, (arg, ety) in enumerate(zip(a.args, vec)):
             self.constrain(self.term(arg), ety, i, a)
         return vec
@@ -131,10 +128,7 @@ def judge(u: Mapping[Var, Type] | None, obj, expected: Type | None = None,
     if sig is None:
         raise TypeError("judge needs a signature")
     u = dict(u or {})
-    rigid = pars(tuple(u.values()))
-    if expected is not None:
-        rigid |= pars(expected)
-    inf = _Infer(sig, fixed=u, rigid=rigid)
+    inf = _Infer(sig, fixed=u, rigid=vars_of((u, expected)))
     if isinstance(obj, (Var, Fun)):
         if expected is None:
             raise ValueError("a term needs an expected type")
@@ -164,7 +158,7 @@ def is_typed_substitution(theta: Subst, u: Mapping[Var, Type], sig: Signature) -
 
 def _clause_typing(c: Clause, sig: Signature,
                    fixed: Mapping[Var, Type] | None) -> ClauseTyping:
-    rigid = pars(tuple(fixed.values())) if fixed is not None else set()
+    rigid = vars_of(fixed)
     inf = _Infer(sig, fixed=dict(fixed) if fixed is not None else None, rigid=rigid)
     vecs = inf.clause(c)
     theta = inf.solve()
@@ -221,8 +215,7 @@ def typable_by_atoms(q: Query, sig: Signature, memo: dict) -> bool:
         u = memo[a]
         if u is None:
             return False
-        ren = {p: ns.fresh_param(p.name) for p in pars_in_order(tuple(u.values()))}
-        for v, t in apply_subst(u, ren).items():
+        for v, t in rename_apart(u, ns).items():
             if v in first:
                 eqs.append((first[v], t))
             else:

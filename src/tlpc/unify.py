@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import Atom, Param, Subst, Var, apply_subst, pars, vars_of
+from .core import Atom, Param, Subst, Var, apply_subst, vars_of
 
 
 class UnificationError(Exception):
@@ -182,8 +182,8 @@ def ordered_unifiable(eqs: Sequence[tuple]) -> str:
     right side.  Returns "unknown" otherwise; never claims non-unifiability.
     """
     eqs = list(eqs)
-    lv = [vars_of(l) | pars(l) for l, _ in eqs]
-    rv = [vars_of(r) | pars(r) for _, r in eqs]
+    lv = [vars_of(l) for l, _ in eqs]
+    rv = [vars_of(r) for _, r in eqs]
     for i in range(len(eqs)):
         for j in range(i + 1, len(eqs)):
             if rv[i] & rv[j]:

@@ -8,6 +8,7 @@ library's unification and tree machinery.
 from __future__ import annotations
 
 import itertools
+import re
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -15,10 +16,10 @@ from hypothesis import strategies as st
 from tlpc import corpus as _corpus_pkg
 from tlpc.core import (
     Atom, Fun, NameSource, Param, Subst, TCon, Var, apply_subst, is_int_literal,
-    pars, rename_apart, resolution_clauses, vars_in_order, vars_of,
+    rename_apart, resolution_clauses, variant, vars_in_order, vars_of,
 )
 from tlpc.parser import parse_clause, parse_program, parse_query
-from tlpc.srcheck import eq_of_type_skeleton, type_skeleton_of
+from tlpc.srcheck import Partition, check_semi_generic, eq_of_type_skeleton, type_skeleton_of
 from tlpc.trees import (
     BOTTOM, DerivationTree, GroundAtomSet, derive_step, enumerate_skeletons, eval_arith,
     is_proper_skeleton,
@@ -31,7 +32,21 @@ def corpus_path(name: str) -> str:
     return str(Path(_corpus_pkg.__file__).parent / f"{name}.tlp")
 
 
-BENCH_PROGRAMS = Path(__file__).resolve().parent.parent / "bench" / "programs"
+REPO = Path(__file__).resolve().parent.parent
+BENCH_PROGRAMS = REPO / "bench" / "programs"
+
+
+def readme_transcripts() -> list[tuple[str, str]]:
+    """Each `$ tlpc ...` line of the README's text blocks with the output
+    printed under it, up to the next such line or the end of the block."""
+    found = []
+    for block in re.findall(r"^```text\n(.*?)^```", (REPO / "README.md").read_text(),
+                            re.S | re.M):
+        for part in re.split(r"^(?=\$ tlpc )", block, flags=re.M):
+            if part.startswith("$ tlpc "):
+                command, _, output = part.partition("\n")
+                found.append((command[len("$ tlpc "):], output))
+    return found
 
 SMALL_SIG_TEXT = """
 kind int/0.
@@ -380,8 +395,7 @@ def ground_trees(skeleton, universe, max_free=3):
 
 
 def variant_queries(a, b):
-    from tlpc.core import variant_terms
-    return variant_terms(tuple(a), tuple(b))
+    return variant(tuple(a), tuple(b))
 
 
 # ------------------------------------------------ reference unifier
@@ -414,7 +428,7 @@ def eager_mgu(eqs, rigid=()):
                 left, right = right, left
             if left in rigid:
                 raise UnificationError("clash", left, right, i)
-            if left in vars_of(right) | pars(right):
+            if left in vars_of(right):
                 raise UnificationError("occur", left, right, i)
             one = {left: right}
             binding = {v: apply_subst(t, one) for v, t in binding.items()}
@@ -580,6 +594,19 @@ def reference_sr_check(program, query, depth):
             yield s, ts, None
 
 
+def reference_search_partition(program):
+    """The first partition in `search_partition`'s order, predicates in
+    declaration order and each one's marks through the h/b product with "h"
+    first, over the full product, each checked whole; or None."""
+    preds = program.signature.preds
+    marks = [itertools.product("hb", repeat=len(d.arg_types)) for d in preds.values()]
+    for combo in itertools.product(*marks):
+        part = Partition(dict(zip(preds, combo)))
+        if check_semi_generic(program, part).passed:
+            return part
+    return None
+
+
 # ---------------------------------- reference fields of terms and types
 
 def reference_depth(t):
@@ -601,6 +628,30 @@ def reference_hash_key(t):
     if isinstance(t, (Var, Param)):
         return t
     return (t.name, tuple(reference_hash_key(a) for a in t.args))
+
+
+def reference_variant(a, b):
+    """Equality up to a bijective renaming of variables and parameters:
+    walks a and b in parallel and builds the bijection as it goes."""
+    fwd, back = {}, {}
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, (Var, Param)):
+            if fwd.setdefault(x, y) != y or back.setdefault(y, x) != x:
+                return False
+        elif isinstance(x, tuple):
+            if len(x) != len(y):
+                return False
+            stack.extend(zip(x, y))
+        else:  # an application or an atom
+            name = "pred" if isinstance(x, Atom) else "name"
+            if getattr(x, name) != getattr(y, name) or len(x.args) != len(y.args):
+                return False
+            stack.extend(zip(x.args, y.args))
+    return True
 
 
 # ------------------------------------------ reference ground consequences

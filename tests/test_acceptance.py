@@ -26,7 +26,6 @@ from tlpc.core import (
     TCon,
     Var,
     apply_subst,
-    pars,
     vars_of,
 )
 from tlpc.parser import parse_query, parse_term, render
@@ -316,7 +315,7 @@ def test_fgs1_computes_nested_applications(fgs1, capsys):
 def test_prop_typing_survives_parameter_grounding(data):
     u, t, ty = data.draw(wt_term())
     theta = Subst(data.draw(ground_subst_st(
-        pars(tuple(u.values())) | pars(ty))))
+        vars_of(tuple(u.values())) | vars_of(ty))))
     ground_u = {v: theta.apply(s) for v, s in u.items()}
     # The expected type's parameters are rigid, so a derivable judgement
     # gives t exactly the type theta.apply(ty).
@@ -329,7 +328,7 @@ def test_prop_typing_survives_parameter_grounding(data):
 def test_prop_well_typed_equations_stay_judgeable(data):
     u, eqs = data.draw(wt_equations())
     judge(u, eqs, sig=SIG)
-    theta = Subst(data.draw(ground_subst_st(pars(tuple(u.values())))))
+    theta = Subst(data.draw(ground_subst_st(vars_of(tuple(u.values())))))
     judge({v: theta.apply(s) for v, s in u.items()}, eqs, sig=SIG)
 
 
@@ -390,7 +389,7 @@ def test_prop_type_unification_mirrors_term_unification(eqs):
     t_theta = mgu_terms(term_eqs)
     for l, r in eqs:
         assert ty_theta.apply(l) == ty_theta.apply(r)
-    ps = sorted(pars(tuple(x for eq in eqs for x in eq)),
+    ps = sorted(vars_of(tuple(x for eq in eqs for x in eq)),
                 key=lambda p: p.name)
     via_types = Fun("pack", tuple(embed_type(ty_theta.apply(p)) for p in ps))
     via_terms = Fun("pack", tuple(t_theta.apply(embed_type(p)) for p in ps))

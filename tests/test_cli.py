@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-import re
 import shlex
 import subprocess
 import sys
@@ -17,7 +16,9 @@ from tlpc.parser import parse_program, parse_query, render
 from tlpc.srcheck import subject_reduction, type_skeleton_of, type_skeleton_to_json
 from tlpc.trees import enumerate_skeletons, skeleton_to_json, tp_fixpoint
 
-from helpers import BENCH_PROGRAMS, EXTRA_QUERIES, FLAT_TEXT, MK_TEXT, corpus_path
+from helpers import (
+    BENCH_PROGRAMS, EXTRA_QUERIES, FLAT_TEXT, MK_TEXT, REPO, corpus_path, readme_transcripts,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -571,22 +572,6 @@ def test_unknown_predicate_in_query(capsys):
 
 
 # ------------------------------------------------------- README transcripts
-
-REPO = Path(__file__).resolve().parent.parent
-
-
-def readme_transcripts() -> list[tuple[str, str]]:
-    """Each `$ tlpc ...` line of the README's text blocks with the output
-    printed under it, up to the next such line or the end of the block."""
-    found = []
-    for block in re.findall(r"^```text\n(.*?)^```", (REPO / "README.md").read_text(),
-                            re.S | re.M):
-        for part in re.split(r"^(?=\$ tlpc )", block, flags=re.M):
-            if part.startswith("$ tlpc "):
-                command, _, output = part.partition("\n")
-                found.append((command[len("$ tlpc "):], output))
-    return found
-
 
 def test_readme_has_transcripts():
     assert len(readme_transcripts()) == 7

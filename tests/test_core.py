@@ -6,7 +6,7 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tlpc.core import (
@@ -24,13 +24,12 @@ from tlpc.core import (
     TCon,
     Var,
     apply_subst,
-    canonical_types,
-    pars,
+    canonical_param_map,
     rename_apart,
     resolution_clauses,
     validate_signature,
-    variant_terms,
-    variant_types,
+    variant,
+    vars_in_order,
     vars_of,
     wrap_query,
 )
@@ -38,7 +37,8 @@ from tlpc.parser import parse_query, parse_term
 from tlpc.unify import mgu_types
 
 from helpers import (
-    raw_terms, reference_depth, reference_ground, reference_hash_key, types_st,
+    raw_terms, reference_depth, reference_ground, reference_hash_key, reference_variant,
+    typed_programs, types_st,
 )
 
 U = Param("U")
@@ -55,9 +55,9 @@ def t_of(t):
 
 
 def test_pars_of_types():
-    assert pars(list_of(U)) == {U}
-    assert pars(INT) == set()
-    assert pars((list_of(U), TCon("pair", (U, V)))) == {U, V}
+    assert vars_of(list_of(U)) == {U}
+    assert vars_of(INT) == set()
+    assert vars_of((list_of(U), TCon("pair", (U, V)))) == {U, V}
 
 
 def test_vars_of_atom(append):
@@ -119,7 +119,7 @@ def test_rename_apart_consistent(nest):
     copy = rename_apart(c, ns)
     assert copy.head.args[0] == copy.body[0].args[0]
     assert copy.head.args[0] != c.head.args[0]
-    assert variant_terms(copy, c)
+    assert variant(copy, c)
 
 
 def test_rename_apart_keeps_sharing(append):
@@ -153,16 +153,76 @@ def test_rename_apart_invertible(nest):
     assert apply_subst(copy, pairs) == c
 
 
+def _check_fresh_copy(obj, ns):
+    copy = rename_apart(obj, ns)
+    assert variant(copy, obj)
+    assert not vars_of(copy) & vars_of(obj)
+    assert [v.name for v in vars_in_order(copy)] == [v.name for v in vars_in_order(obj)]
+    return copy
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(types_st(max_leaves=6))
+def test_rename_apart_types(t):
+    ns = NameSource()
+    _check_fresh_copy(_check_fresh_copy(t, ns), ns)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None,
+          suppress_health_check=(HealthCheck.too_slow,))
+@given(typed_programs())
+def test_rename_apart_clause_typings(program):
+    # A clause's atom types with its variable typing, whose keys stay.
+    ns = NameSource()
+    for ct in program.clause_typings:
+        pair = (ct.atom_types, ct.variable_typing)
+        _check_fresh_copy(_check_fresh_copy(pair, ns), ns)
+
+
+# Terms, types and atoms over few variables and parameters, so they share
+# them; a tuple of an atom and a type mixes the two levels.
+_SYNTAX = st.one_of(
+    raw_terms(), types_st(),
+    st.builds(lambda s, t: Atom("p", (s, t)), raw_terms(), raw_terms()),
+    st.builds(lambda s, t: (Atom("q", (s,)), t), raw_terms(), types_st()),
+)
+
+
+@st.composite
+def _variant_pairs(draw):
+    a = draw(_SYNTAX)
+    if draw(st.booleans()):
+        return a, draw(_SYNTAX)
+    # A renaming onto few names per level, so not always a bijection.
+    ren = {v: type(v)(draw(st.sampled_from("XAY")), draw(st.integers(0, 1)))
+           for v in vars_in_order(a)}
+    return a, apply_subst(a, ren)
+
+
+def test_variant_matches_a_parallel_walk():
+    verdicts = set()
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(_variant_pairs())
+    def check(pair):
+        a, b = pair
+        assert variant(a, b) == variant(b, a) == reference_variant(a, b), pair
+        verdicts.add(variant(a, b))
+
+    check()
+    assert verdicts == {True, False}
+
+
 def test_canonical_types_first_occurrence_order():
     ty = (TCon("pair", (V, U)), V)
-    assert canonical_types(ty) == (TCon("pair", (Param("A"), Param("B"))),
-                                   Param("A"))
-    assert variant_types(ty, (TCon("pair", (U, V)), U))
-    assert not variant_types((U, U), (U, V))
+    assert apply_subst(ty, canonical_param_map(ty)) == (TCon("pair", (Param("A"), Param("B"))),
+                                                         Param("A"))
+    assert variant(ty, (TCon("pair", (U, V)), U))
+    assert not variant((U, U), (U, V))
     # Canonical renamings whose range meets their domain: {B: A, C: B}.
     a, b, c = Param("A"), Param("B"), Param("C")
-    assert variant_types((b, c), (U, V))
-    assert variant_types((b, a), (a, b))
+    assert variant((b, c), (U, V))
+    assert variant((b, a), (a, b))
 
 
 def test_validate_signature_accepts_transparent_funcs():
@@ -275,8 +335,8 @@ def test_cached_fields_match_a_recursive_reference(t):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.one_of(_BIG_TERMS, _BIG_TYPES))
 def test_apply_subst_shares_ground_subterms(t):
-    theta = ({X: Fun("pr", (Var("Y"), Fun("1"))) for X in vars_of(t)} |
-             {p: list_of(p) for p in pars(t)})
+    theta = {v: Fun("pr", (Var("Y"), Fun("1"))) if isinstance(v, Var) else list_of(v)
+             for v in vars_of(t)}
     out = apply_subst(t, theta)
     for s, path in _subterms(t):
         if s.ground:

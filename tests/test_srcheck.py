@@ -7,11 +7,11 @@ from hypothesis import HealthCheck, Phase, given, settings
 
 from helpers import (
     EXTRA_QUERIES, FLAT_TEXT, FLATNEST_TEXT, corpus_path, programs_with_queries,
-    reference_sr_check, typed_programs,
+    reference_search_partition, reference_sr_check, typed_programs,
 )
 from tlpc.cli import _skeleton_text, _tree_lines, main
 from tlpc.core import (
-    EQ, EQ_CLAUSE, GO, GO_CLAUSE_INDEX, Atom, Param, TCon, Var, variant_terms, wrap_query,
+    EQ, EQ_CLAUSE, GO, GO_CLAUSE_INDEX, Atom, Param, TCon, Var, variant, wrap_query,
 )
 from tlpc.corpus import corpus_names, load_corpus
 from tlpc.parser import parse_program, parse_query, render
@@ -93,9 +93,9 @@ def test_type_skeleton_parameters_disjoint_per_node(nest, semigen):
             seen: set = set()
 
             def walk(node):
-                from tlpc.core import pars
-                here = pars(node.head_types + tuple(t for v in node.body_types
-                                                    for t in v))
+                from tlpc.core import vars_of
+                here = vars_of(node.head_types + tuple(t for v in node.body_types
+                                                       for t in v))
                 assert not (here & seen)
                 seen.update(here)
                 for c in node.children:
@@ -315,6 +315,76 @@ def test_search_result_actually_passes(corpus):
         part = search_partition(program)
         if part is not None:
             assert check_semi_generic(program, part).passed
+
+
+def test_search_partition_matches_the_full_product_on_random_programs():
+    found = set()
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=(HealthCheck.too_slow,))
+    @given(typed_programs())
+    def check(program):
+        part = search_partition(program)
+        assert part == reference_search_partition(program), program
+        found.add(part is None)
+
+    check()
+    assert found == {True, False}
+
+
+# Near misses: under the marks given, each program and query meet every
+# semi-generic condition but the one named, and no other partition works,
+# yet a type skeleton of a proper skeleton is not proper.  Without that
+# condition `sr` would certify the query.
+NEAR_MISSES = {
+    "semi-generic-1": ("""
+kind list/1. kind int/0.
+func nil : list(U). func cons(U, list(U)) : list(U).
+pred p(U). pred q(V). pred r(int).
+p(X) :- q(X).
+q([Y]).
+""", "p(Z), r(Z)", {"p": ("h",), "q": ("b",), "r": ("h",)}),
+    # q(Y, Y) ties the non-generic input of q to its own generic output,
+    # and q's clause makes that output a list of its input.
+    "semi-generic-2": ("""
+kind list/1.
+func nil : list(U). func cons(U, list(U)) : list(U).
+pred p(U). pred q(U, V). pred mk(U, list(U)).
+p(Y) :- q(Y, Y).
+q(X, Z) :- mk(X, Z).
+mk(X, []).
+""", "p(W)", {"p": ("b",), "q": ("h", "b"), "mk": ("h", "h")}),
+}
+
+
+@pytest.mark.parametrize("condition", sorted(NEAR_MISSES))
+def test_semi_generic_condition_rejects_a_near_miss(condition):
+    text, query, marks = NEAR_MISSES[condition]
+    program = parse_program(text)
+    q = parse_query(query, program.signature)
+    assert sr_certificate(program, q) is None
+    assert subject_reduction(program, q, depth=3, bounded=True)[0].verdict == "fail"
+    assert not check_head_condition(program).passed
+    report = check_semi_generic(program, make_partition(program, marks), (q,))
+    assert {f.condition for f in report.findings} == {condition}
+
+
+def test_head_condition_rejects_a_near_miss_in_its_second_argument():
+    # Only the second argument of one head breaks the head condition, and
+    # no partition works; the skeleton recursing twice has an improper
+    # type skeleton, as for the corpus program nest.
+    program = parse_program("""
+kind list/1. kind int/0.
+func nil : list(U). func cons(U, list(U)) : list(U).
+pred p(int, list(int)). pred r(int, list(U)).
+p(N, X) :- r(N, X).
+r(N, []).
+r(N, [X]) :- r(N, X).
+""")
+    q = parse_query("p(1, X)", program.signature)
+    assert sr_certificate(program, q) is None
+    assert subject_reduction(program, q, depth=3, bounded=True)[0].verdict == "fail"
+    assert [f.clause for f in check_head_condition(program).findings] == [2]
 
 
 # --------------------------------------------------------------- bounded SR
@@ -610,7 +680,7 @@ def test_skeletons_type_each_clause_once(typing_calls, tmp_path):
     path.write_text(FLAT_TEXT)
     assert main(["skeletons", str(path), "--query", "flat(T, L)", "--depth", "2", "--types"]) == 0
     for c in flat.clauses:
-        assert sum(variant_terms(c, t) for t in typing_calls) == 1, c
+        assert sum(variant(c, t) for t in typing_calls) == 1, c
 
 
 def test_skeletons_type_the_query_and_equality_once(typing_calls, tmp_path):
@@ -623,7 +693,7 @@ def test_skeletons_type_the_query_and_equality_once(typing_calls, tmp_path):
     assert typing_calls.count(wrap_query(parse_query("flat(T, L)", flat.signature))) == 1
     typing_calls.clear()
     assert main(["skeletons", corpus_path("eqnil"), "--query", "p", "--depth", "2", "--types"]) == 0
-    assert sum(variant_terms(c, EQ_CLAUSE) for c in typing_calls) == 1
+    assert sum(variant(c, EQ_CLAUSE) for c in typing_calls) == 1
     assert typing_calls.count(wrap_query((Atom("p"),))) == 1
 
 

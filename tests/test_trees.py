@@ -22,7 +22,6 @@ from tlpc.core import (
     Var,
     apply_subst,
     rename_apart,
-    variant_terms,
     vars_of,
     wrap_query,
 )

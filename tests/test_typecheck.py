@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from tlpc.core import (
-    Atom, Fun, NameSource, Param, TCon, Var, rename_apart, variant_types, vars_in_order,
+    Atom, Fun, NameSource, Param, TCon, Var, rename_apart, variant, vars_in_order,
     wrap_query,
 )
 from tlpc.parser import parse_clause, parse_program, parse_query
@@ -85,7 +85,7 @@ def test_most_general_type_wrt_fixed_int(eqnil):
     assert ct.atom_types == ((), ct.types[:2], ct.types[2:])
     assert ct.variable_typing == {X: list_of(INT)}
     # Same tuple as with any other fresh-parameter letter.
-    assert variant_types(ct.types,
+    assert variant(ct.types,
                          (list_of(INT), list_of(INT), list_of(B), list_of(B)))
 
 
