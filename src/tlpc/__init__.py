@@ -29,10 +29,8 @@ from .parser import (
 from .reports import CheckReport, Finding
 from .srcheck import (
     Partition,
-    TypeSkeleton,
     check_head_condition,
     check_semi_generic,
-    is_proper_type_skeleton,
     make_partition,
     monitored_answers,
     search_partition,
@@ -47,12 +45,14 @@ from .trees import (
     Skeleton,
     answers,
     derivations,
+    enumerate_proof_skeletons,
     enumerate_skeletons,
     frontier,
     head_atom,
     is_proper_skeleton,
     most_general_derivation_tree,
     node_atoms,
+    same_shape,
     skeleton_of,
     tp_fixpoint,
 )
@@ -60,27 +60,27 @@ from .typecheck import (
     ClauseTyping,
     UntypableError,
     is_typable,
+    is_typed_substitution,
     judge,
     most_general_type,
     most_general_type_wrt,
 )
-from .unify import UnificationError, mgu_terms, mgu_types, ordered_unifiable
+from .unify import UnificationError, mgu_terms, mgu_types
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Atom", "BOTTOM", "CheckReport", "Clause", "ClauseTyping", "Derivation",
-    "DerivationTree", "Finding", "Fun", "FuncDecl", "GroundAtomSet",
-    "ParseError", "Param", "Partition", "PredDecl", "Program", "Signature",
-    "Skeleton", "Subst", "TCon", "TypeSkeleton", "UnificationError",
-    "UntypableError", "Var", "answers", "check_head_condition",
-    "check_semi_generic", "corpus_names", "corpus_text", "derivations",
-    "enumerate_skeletons", "frontier", "head_atom", "is_proper_skeleton",
-    "is_proper_type_skeleton", "is_typable", "judge", "load_corpus",
-    "make_partition", "mgu_terms", "mgu_types", "monitored_answers",
-    "most_general_derivation_tree", "most_general_type", "most_general_type_wrt",
-    "node_atoms", "ordered_unifiable", "parse_clause", "parse_program",
-    "parse_query", "parse_term", "render", "search_partition", "skeleton_of",
-    "subject_reduction", "tp_fixpoint", "type_skeleton_of", "validate_signature",
-    "variant", "wrap_query",
+    "DerivationTree", "Finding", "Fun", "FuncDecl", "GroundAtomSet", "ParseError",
+    "Param", "Partition", "PredDecl", "Program", "Signature", "Skeleton", "Subst",
+    "TCon", "UnificationError", "UntypableError", "Var", "answers",
+    "check_head_condition", "check_semi_generic", "corpus_names", "corpus_text",
+    "derivations", "enumerate_proof_skeletons", "enumerate_skeletons", "frontier",
+    "head_atom", "is_proper_skeleton", "is_typable", "is_typed_substitution",
+    "judge", "load_corpus", "make_partition", "mgu_terms", "mgu_types",
+    "monitored_answers", "most_general_derivation_tree", "most_general_type",
+    "most_general_type_wrt", "node_atoms", "parse_clause", "parse_program",
+    "parse_query", "parse_term", "render", "same_shape", "search_partition",
+    "skeleton_of", "subject_reduction", "tp_fixpoint", "type_skeleton_of",
+    "validate_signature", "variant", "wrap_query",
 ]

@@ -17,7 +17,6 @@ from .reports import CheckReport, Finding
 from .srcheck import (
     check_head_condition,
     check_semi_generic,
-    is_proper_type_skeleton,
     label,
     make_partition,
     monitored_answers,
@@ -240,7 +239,7 @@ def cmd_skeletons(args) -> int:
                 print(ln)
         if args.types:
             ts = type_skeleton_of(s, program)
-            proper = is_proper_type_skeleton(ts) is not None
+            proper = is_proper_skeleton(ts) is not None
             if args.json:
                 entry["typeSkeleton"] = type_skeleton_to_json(ts)
                 entry["typeProper"] = proper

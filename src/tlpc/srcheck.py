@@ -1,16 +1,19 @@
 """Static subject-reduction analysis.
 
-A type skeleton replaces every clause of a skeleton by that clause's most
-general type, with parameters renamed apart per node.  If every proper
+A type skeleton is a skeleton of type clauses: every clause of a skeleton
+is replaced by its most general type, written as a clause whose atoms
+carry argument types (`type_clause`), with parameters renamed apart per
+node.  So one interface walk (`trees.eq_of_skeleton`) and one properness
+test (`trees.is_proper_skeleton`) serve both levels.  If every proper
 skeleton of a program-and-query yields a proper (unifiable) type skeleton,
 resolution can never produce an untypable query.  The bounded check
 decides each skeleton from its root: the clause copies of distinct nodes
 share no variables and no parameters, so a skeleton (or
 its type skeleton) is proper exactly when its subtrees are and the root's
-body atoms (or their types) unify with the subtrees' solved heads.  Each
-subtree is solved where enumeration builds it and dropped there when
-improper; its head types are solved where it is built, once for every
-skeleton that contains it.  Two decidable per-clause conditions imply
+body atoms (or their type atoms) unify with the subtrees' solved heads.
+Each subtree is solved where enumeration builds it and dropped there when
+improper; its type head is solved there too, once for every skeleton
+that contains it.  Two decidable per-clause conditions imply
 this for all queries at once: the classical requirement that inferred
 head types be a renaming of the declared types, and its relaxation where
 each argument position is marked head-generic or body-generic.
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Mapping
 
 from .core import (
@@ -49,12 +53,9 @@ from .core import (
     Program,
     Query,
     Subst,
-    TCon,
     Type,
-    Var,
     rename_apart,
     variant,
-    vars_in_order,
     vars_of,
     wrap_query,
 )
@@ -65,8 +66,8 @@ from .trees import (
     BOTTOM,
     Skeleton,
     derivations,
+    eq_of_skeleton,
     height,
-    nodes,
     rebuild,
     tree_to_json,
 )
@@ -77,84 +78,31 @@ HEAD_GENERIC = "h"
 BODY_GENERIC = "b"
 
 
-@dataclass(frozen=True)
-class TypeSkeleton:
-    """A skeleton node relabelled with the most general type of its clause:
-    one type vector per atom, parameters shared with no other node.  The
-    node also keeps the variable typing of that most general typing (over
-    the clause copy's own variables)."""
-    clause_index: int
-    head_pred: str
-    head_types: tuple[Type, ...]
-    body_preds: tuple[str, ...]
-    body_types: tuple[tuple[Type, ...], ...]
-    variable_typing: Mapping[Var, Type]
-    children: tuple = ()
-
-    def __post_init__(self):
-        if len(self.children) != len(self.body_preds):
-            raise ValueError("one child per body atom required")
+def type_clause(clause: Clause, ct: ClauseTyping) -> Clause:
+    """The clause's most general type `ct` written as a clause: each atom
+    with that atom's argument types as its arguments."""
+    return Clause(Atom(clause.head.pred, ct.atom_types[0]),
+                  tuple(Atom(b.pred, v) for b, v in zip(clause.body, ct.atom_types[1:])))
 
 
-def _typed_atom(pred: str, types: tuple[Type, ...]) -> str:
-    return f"{pred}{render_types(types)}" if types else pred
+def _typed_atom(a: Atom) -> str:
+    return f"{a.pred}{render_types(a.args)}" if a.args else a.pred
 
 
-def label(ts: TypeSkeleton) -> str:
-    head = _typed_atom(ts.head_pred, ts.head_types)
-    if not ts.body_preds:
-        return head
-    body = ", ".join(_typed_atom(p, v) for p, v in zip(ts.body_preds, ts.body_types))
-    return f"{head} <- {body}"
+def label(ts: Skeleton) -> str:
+    head, *body = (_typed_atom(a) for a in ts.clause.atoms())
+    return f"{head} <- {', '.join(body)}" if body else head
 
 
-def type_skeleton_of(s: Skeleton, program: Program) -> TypeSkeleton:
-    """Relabel every complete node of s with the most general type of its
-    clause, renaming parameters apart across nodes.  A node reads its
-    clause's typing by clause index (`Program.typing`), and its variable
-    typing follows the copy's renaming.  Raises UntypableError naming the
-    first untypable program clause."""
+def type_skeleton_of(s: Skeleton, program: Program) -> Skeleton:
+    """The type skeleton of s: every complete node's clause replaced by its
+    type clause (`type_clause`), parameters renamed apart across nodes.  A
+    node reads its clause's typing by clause index (`Program.typing`).
+    Raises UntypableError naming the first untypable program clause."""
     ns = NameSource()
-
-    def make(node: Skeleton):
-        typed, ct = program.typing(node.clause_index, node.clause)
-        renaming = dict(zip(vars_in_order(typed), vars_in_order(node.clause)))
-        u = {renaming[v]: t for v, t in ct.variable_typing.items()}
-        vecs, u = rename_apart((ct.atom_types, u), ns)
-        return lambda kids: TypeSkeleton(
-            clause_index=node.clause_index,
-            head_pred=node.clause.head.pred,
-            head_types=vecs[0],
-            body_preds=tuple(a.pred for a in node.clause.body),
-            body_types=vecs[1:],
-            variable_typing=u,
-            children=kids,
-        )
-
-    return rebuild(s, make)
-
-
-def eq_of_type_skeleton(ts: TypeSkeleton) -> list[tuple[Type, Type]]:
-    """Interface equations between argument types: each expanded body-atom
-    type paired with the child's head type, componentwise, parent before
-    child, left to right."""
-    return [eq for p, i, n, _ in nodes(ts) if p is not None and n is not BOTTOM
-            for eq in zip(p.body_types[i], n.head_types)]
-
-
-def is_proper_type_skeleton(ts: TypeSkeleton) -> Subst | None:
-    try:
-        return mgu_types(eq_of_type_skeleton(ts))
-    except UnificationError:
-        return None
-
-
-def assembled_variable_typing(ts: TypeSkeleton, theta: Subst) -> dict[Var, Type]:
-    """One variable typing covering every node's clause copy: the per-node
-    typings instantiated by a solution of the type skeleton's equations.
-    Sound because distinct nodes share no variables."""
-    return {v: theta.apply(t) for _, _, n, _ in nodes(ts) if n is not BOTTOM
-            for v, t in n.variable_typing.items()}
+    return rebuild(s, lambda node: partial(
+        Skeleton, rename_apart(type_clause(*program.typing(node.clause_index, node.clause)), ns),
+        node.clause_index))
 
 
 # ------------------------------------------------------------ partitions
@@ -361,43 +309,50 @@ def sr_certificate(program: Program, query: Query) -> tuple[str, Partition | Non
 class _Option:
     """A proper option of one call site, made where enumeration builds it:
     its skeleton, its height, its head under an mgu of its interface
-    equations, and its head types under an mgu of its type skeleton's
-    equations (None when those do not unify)."""
+    equations, and its type head (the head of its type clause) under an mgu
+    of its type skeleton's equations (None when those do not unify)."""
     skeleton: Skeleton
     height: int
     head: Atom
-    types: tuple | None
+    types: Atom | None
+
+
+def _solved_head(clause: Clause, kids: list[tuple[int, Atom]]) -> Atom:
+    """`clause.head` under an mgu of `clause.body[i] = h` for each child
+    (i, h); the same at both levels.  Raises UnificationError when those
+    equations do not unify."""
+    if not kids:
+        return clause.head
+    return mgu_terms([(clause.body[i], h) for i, h in kids]).apply(clause.head)
 
 
 def typed_proper_skeletons(program: Program, query: Query, depth: int = 5,
                            ) -> Iterator[tuple[Skeleton, bool]]:
     """The proper skeletons up to the given height, smallest first, each
     paired with whether its type skeleton is proper.  The query passes
-    `require_typable` first.  A node reads its clause's atom types by clause
-    index (`Program.typing`), since the node copies of one clause are
-    renamings of it.  Each option's head types are solved where it is
+    `require_typable` first.  A node reads its clause's type clause by
+    clause index (`Program.typing`), since the node copies of one clause
+    are renamings of it.  Each option's type head is solved where it is
     built, from its children's, under fresh parameters."""
     require_typable(program, query)
-    vectors: dict[int, tuple] = {}  # atom types by clause index
+    vectors: dict[int, Clause] = {}  # type clauses by clause index
     ns = NameSource()
 
     def build(copy: Clause, index: int, children: tuple) -> _Option | None:
         kids = [(i, c) for i, c in enumerate(children) if c is not BOTTOM]
         try:
-            head = (mgu_terms([(copy.body[i], c.head) for i, c in kids]).apply(copy.head)
-                    if kids else copy.head)
+            head = _solved_head(copy, [(i, c.head) for i, c in kids])
         except UnificationError:
             return None  # not proper: enumeration leaves the option out
         skeleton = Skeleton(copy, index, tuple(BOTTOM if c is BOTTOM else c.skeleton
                                                for c in children))
         if index not in vectors:
-            vectors[index] = program.typing(index, copy)[1].atom_types
+            vectors[index] = type_clause(*program.typing(index, copy))
         types = None
         if all(c.types is not None for _, c in kids):
-            vecs = rename_apart(vectors[index], ns)
-            eqs = [eq for i, c in kids for eq in zip(vecs[1 + i], c.types)]
             try:
-                types = mgu_types(eqs).apply(vecs[0]) if eqs else vecs[0]
+                types = _solved_head(rename_apart(vectors[index], ns),
+                                     [(i, c.types) for i, c in kids])
             except UnificationError:
                 pass  # term-proper, type-improper: kept with types None
         return _Option(skeleton, max((c.height + 1 for _, c in kids), default=0),
@@ -409,14 +364,14 @@ def typed_proper_skeletons(program: Program, query: Query, depth: int = 5,
 
 def subject_reduction_counterexamples(
         program: Program, query: Query, depth: int = 5,
-) -> Iterator[tuple[Skeleton, TypeSkeleton, UnificationError]]:
+) -> Iterator[tuple[Skeleton, Skeleton, UnificationError]]:
     """Proper skeletons (smallest first) whose type skeletons are not proper,
     with the type skeleton and the failing type equation."""
     for s, type_proper in typed_proper_skeletons(program, query, depth):
         if not type_proper:
             ts = type_skeleton_of(s, program)
             try:
-                mgu_types(eq_of_type_skeleton(ts))
+                mgu_types(eq_of_skeleton(ts))
             except UnificationError as err:
                 yield s, ts, err
 
@@ -424,7 +379,7 @@ def subject_reduction_counterexamples(
 def subject_reduction(
         program: Program, query: Query, depth: int = 5, bounded: bool = False,
 ) -> tuple[CheckReport, tuple[str, Partition | None] | None,
-           tuple[Skeleton, TypeSkeleton, UnificationError] | None]:
+           tuple[Skeleton, Skeleton, UnificationError] | None]:
     """The verdict of `tlpc sr`: the report, the certificate that backs a
     pass at every depth (`sr_certificate`; None when `bounded` or when no
     criterion holds), and the smallest counterexample (None on a pass).
@@ -473,31 +428,6 @@ def monitored_answers(program: Program, query: Query, depth: int = 5,
     return CheckReport(tuple(findings), depth_bound=depth), found
 
 
-def type_skeleton_to_json(ts) -> dict:
-    """Serialise a TypeSkeleton the same way skeletons are serialised."""
+def type_skeleton_to_json(ts: Skeleton) -> dict:
+    """Serialise a type skeleton as skeletons are, each node by its `label`."""
     return tree_to_json(ts, lambda node: {"label": label(node)})
-
-
-# ------------------------------------------------------- ordered equations
-
-def eq_prime_of_type_skeleton(ts: TypeSkeleton, part: Partition) -> list[tuple[Type, Type]]:
-    """The split form of the interface equations: each parent/child equation
-    becomes one equation over the head-generic positions (child's types on
-    the right) and one over the body-generic positions (parent's types on
-    the right).  Each side is packed into a single type so the pair stays
-    one equation."""
-    eqs: list[tuple[Type, Type]] = []
-
-    def pack(types: tuple[Type, ...]) -> Type:
-        return TCon("$vec", tuple(types))
-
-    for parent, i, child, _ in nodes(ts):
-        if parent is None or child is BOTTOM:
-            continue
-        vec = parent.body_types[i]
-        marks = part.marks(parent.body_preds[i], len(vec))
-        eqs.append((pack(_split(vec, marks, HEAD_GENERIC)),
-                    pack(_split(child.head_types, marks, HEAD_GENERIC))))
-        eqs.append((pack(_split(child.head_types, marks, BODY_GENERIC)),
-                    pack(_split(vec, marks, BODY_GENERIC))))
-    return eqs

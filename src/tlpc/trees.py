@@ -4,7 +4,9 @@ A skeleton fixes which clause resolves each call without committing to any
 bindings; gluing its node interfaces together (parent body atom against child
 head) gives an equation set whose unifiability decides whether the skeleton
 describes a real derivation.  When it does, applying the most general unifier
-node by node yields the most general derivation tree of that shape.
+node by node yields the most general derivation tree of that shape.  A type
+skeleton is a skeleton of type clauses, so the same equations and
+properness test serve it.
 
 Every walk over a tree of clause nodes (skeletons, derivation trees and type
 skeletons) reads `nodes`, which lists them in one order: prefix, parent
@@ -117,14 +119,6 @@ def height(node) -> int:
     return max(d for _, _, n, d in nodes(node) if n is not BOTTOM)
 
 
-def complete_node_count(node) -> int:
-    return sum(n is not BOTTOM for _, _, n, _ in nodes(node))
-
-
-def is_complete(node) -> bool:
-    return all(n is not BOTTOM for _, _, n, _ in nodes(node))
-
-
 # ------------------------------------------------------------ enumeration
 
 def _matching(clauses, atom: Atom):
@@ -209,14 +203,15 @@ def enumerate_proof_skeletons(program: Program, depth: int) -> Iterator[Skeleton
 
 def eq_of_skeleton(s: Skeleton) -> list[tuple[Atom, Atom]]:
     """Interface equations: each expanded body atom equated with its child's
-    head, parent before child, left to right."""
+    head, parent before child, left to right.  In a type skeleton, whose
+    clauses are type clauses, they equate argument types."""
     return [(p.clause.body[i], n.clause.head) for p, i, n, _ in nodes(s)
             if p is not None and n is not BOTTOM]
 
 
 def is_proper_skeleton(s: Skeleton) -> Subst | None:
     """The most general unifier of the skeleton's interface equations, or
-    None when they do not unify."""
+    None when they do not unify.  Serves skeletons and type skeletons."""
     try:
         return mgu_terms(eq_of_skeleton(s))
     except UnificationError:
@@ -254,13 +249,6 @@ def frontier(t: DerivationTree) -> Query:
 
 def skeleton_of(t: DerivationTree) -> Skeleton:
     return rebuild(t, lambda n: partial(Skeleton, n.clause, n.clause_index))
-
-
-def check_derivation_tree(t: DerivationTree) -> bool:
-    """Do the node labels actually agree on every interface?  (Each expanded
-    body atom instance must equal its child's head instance.)"""
-    return all(p.subst.apply(p.clause.body[i]) == n.subst.apply(n.clause.head)
-               for p, i, n, _ in nodes(t) if p is not None and n is not BOTTOM)
 
 
 def same_shape(a, b) -> bool:

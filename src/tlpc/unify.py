@@ -9,12 +9,14 @@ dereferenced through the bindings when an equation is taken up (Martelli
 Subst, when the solver returns.  The occur check is always on, and
 equations are processed leftmost first, so results are deterministic.
 Neither the occur check nor the resolution looks inside ground subterms.
+The paper's ordered sufficient unifiability test serves only the test
+suite and lives in `tests/helpers.py`.
 """
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import Atom, Param, Subst, Var, apply_subst, vars_of
+from .core import Atom, Param, Subst, Var, apply_subst
 
 
 class UnificationError(Exception):
@@ -171,47 +173,3 @@ def match_terms(pattern, target) -> dict | None:
     pattern.m == target, or None.  (The mapping need not be idempotent:
     matching X against f(X) legitimately yields X -> f(X).)"""
     return _match(pattern, target, {})
-
-
-def ordered_unifiable(eqs: Sequence[tuple]) -> str:
-    """Sufficient unifiability test for an oriented equation list.
-
-    Returns "guaranteed" when (1) right-hand sides are pairwise
-    variable-disjoint, (2) the dependency relation "r_i shares a variable
-    with l_j" is acyclic, and (3) every left side is an instance of its
-    right side.  Returns "unknown" otherwise; never claims non-unifiability.
-    """
-    eqs = list(eqs)
-    lv = [vars_of(l) for l, _ in eqs]
-    rv = [vars_of(r) for _, r in eqs]
-    for i in range(len(eqs)):
-        for j in range(i + 1, len(eqs)):
-            if rv[i] & rv[j]:
-                return "unknown"
-    for (l, r) in eqs:
-        if _match(r, l, {}) is None:
-            return "unknown"
-    succ = {i: [j for j in range(len(eqs))
-                if (rv[i] & lv[j]) and not (i == j and eqs[i][0] == eqs[i][1])]
-            for i in range(len(eqs))}
-    state = {i: 0 for i in succ}  # 0 new, 1 open, 2 done
-    for start in succ:
-        if state[start]:
-            continue
-        stack = [(start, iter(succ[start]))]
-        state[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state[nxt] == 1:
-                    return "unknown"
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                stack.pop()
-    return "guaranteed"

@@ -19,10 +19,12 @@ from tlpc.core import (
     rename_apart, resolution_clauses, variant, vars_in_order, vars_of,
 )
 from tlpc.parser import parse_clause, parse_program, parse_query
-from tlpc.srcheck import Partition, check_semi_generic, eq_of_type_skeleton, type_skeleton_of
+from tlpc.srcheck import (
+    BODY_GENERIC, HEAD_GENERIC, Partition, check_semi_generic, type_clause, type_skeleton_of,
+)
 from tlpc.trees import (
     BOTTOM, DerivationTree, GroundAtomSet, derive_step, enumerate_skeletons, eval_arith,
-    is_proper_skeleton,
+    is_proper_skeleton, nodes,
 )
 from tlpc.typecheck import UntypableError, most_general_type
 from tlpc.unify import UnificationError, match_terms, mgu_terms, mgu_types
@@ -579,15 +581,16 @@ def programs_with_queries(draw, queries=4):
 def reference_sr_check(program, query, depth):
     """The bounded subject-reduction check by generate and check: every
     skeleton's interface equations are solved whole, and every proper one
-    gets a type skeleton, typed node by node and solved whole.  Yields each
-    proper skeleton, smallest first, with its type skeleton and the failing
-    type equation (None when the type skeleton is proper)."""
+    gets a type skeleton, typed node by node, whose argument-type equations
+    (`recursive_eq_of_type_skeleton`, built here) are solved whole.  Yields
+    each proper skeleton, smallest first, with its type skeleton and the
+    failing type equation (None when the type skeleton is proper)."""
     for s in enumerate_skeletons(program, query, depth):
         if is_proper_skeleton(s) is None:
             continue
         ts = type_skeleton_of(s, program)
         try:
-            mgu_types(eq_of_type_skeleton(ts))
+            mgu_types(recursive_eq_of_type_skeleton(ts))
         except UnificationError as err:
             yield s, ts, err
         else:
@@ -798,13 +801,16 @@ def recursive_eq_of_skeleton(s):
 
 
 def recursive_eq_of_type_skeleton(ts):
-    """Reference for `srcheck.eq_of_type_skeleton`."""
+    """The interface equations of a type skeleton between argument types:
+    each parent body atom's argument types paired with its child's head
+    argument types, parent before child, left to right; one recursive call
+    per node."""
     eqs = []
 
     def walk(node):
-        for vec, child in zip(node.body_types, node.children):
+        for a, child in zip(node.clause.body, node.children):
             if child is not BOTTOM:
-                eqs.extend(zip(vec, child.head_types))
+                eqs.extend(zip(a.args, child.clause.head.args))
                 walk(child)
 
     walk(ts)
@@ -844,3 +850,89 @@ def recursive_tree_to_json(root, fields):
 
     emit(root)
     return {"root": 0, "nodes": nodes}
+
+
+# ------------------------------- paper machinery that only the tests use
+
+def complete_node_count(node):
+    return sum(n is not BOTTOM for _, _, n, _ in nodes(node))
+
+
+def is_complete(node):
+    return all(n is not BOTTOM for _, _, n, _ in nodes(node))
+
+
+def check_derivation_tree(t):
+    """Do the node labels actually agree on every interface?  (Each expanded
+    body atom instance must equal its child's head instance.)"""
+    return all(p.subst.apply(p.clause.body[i]) == n.subst.apply(n.clause.head)
+               for p, i, n, _ in nodes(t) if p is not None and n is not BOTTOM)
+
+
+def assembled_variable_typing(s, ts, program, theta):
+    """One variable typing covering every node's clause copy in the
+    skeleton s: each node's most general variable typing (`program.typing`),
+    carried over to the copy's variables and, through the first-occurrence
+    order of its type clause, to the parameters of its node in the type
+    skeleton ts, then instantiated by theta, a solution of ts's equations.
+    Sound because distinct nodes share no variables."""
+    out = {}
+    for (_, _, n, _), (_, _, m, _) in zip(nodes(s), nodes(ts)):
+        if n is BOTTOM:
+            continue
+        typed, ct = program.typing(n.clause_index, n.clause)
+        # Transparency: every variable's type is part of an argument's type.
+        assert vars_of(ct.variable_typing) <= vars_of(ct.atom_types), typed
+        pars = dict(zip(vars_in_order(type_clause(typed, ct)), vars_in_order(m.clause)))
+        names = dict(zip(vars_in_order(typed), vars_in_order(n.clause)))
+        out.update((names[v], theta.apply(apply_subst(t, pars)))
+                   for v, t in ct.variable_typing.items())
+    return out
+
+
+def eq_prime_of_type_skeleton(ts, part):
+    """The split form of the interface equations: each parent/child equation
+    becomes one equation over the head-generic positions (child's types on
+    the right) and one over the body-generic positions (parent's types on
+    the right).  Each side is packed into a single type so the pair stays
+    one equation."""
+
+    def pack(types, marks, want):
+        return TCon("$vec", tuple(t for t, m in zip(types, marks) if m == want))
+
+    eqs = []
+    for parent, i, child, _ in nodes(ts):
+        if parent is None or child is BOTTOM:
+            continue
+        vec, head = parent.clause.body[i].args, child.clause.head.args
+        marks = part.marks(parent.clause.body[i].pred, len(vec))
+        eqs.append((pack(vec, marks, HEAD_GENERIC), pack(head, marks, HEAD_GENERIC)))
+        eqs.append((pack(head, marks, BODY_GENERIC), pack(vec, marks, BODY_GENERIC)))
+    return eqs
+
+
+def ordered_unifiable(eqs):
+    """Sufficient unifiability test for an oriented equation list.
+
+    Returns "guaranteed" when (1) right-hand sides are pairwise
+    variable-disjoint, (2) the dependency relation "r_i shares a variable
+    with l_j" is acyclic, and (3) every left side is an instance of its
+    right side.  Returns "unknown" otherwise; never claims non-unifiability.
+    """
+    eqs = list(eqs)
+    lv = [vars_of(l) for l, _ in eqs]
+    rv = [vars_of(r) for _, r in eqs]
+    if (any(rv[i] & rv[j] for i in range(len(eqs)) for j in range(i + 1, len(eqs)))
+            or any(match_terms(r, l) is None for l, r in eqs)):
+        return "unknown"
+    succ = [{j for j in range(len(eqs)) if rv[i] & lv[j] and not (i == j and l == r)}
+            for i, (l, r) in enumerate(eqs)]
+    # Acyclic exactly when dropping equations that depend on no remaining
+    # one, round after round, drops them all.
+    left = set(range(len(eqs)))
+    while left:
+        sinks = {i for i in left if not succ[i] & left}
+        if not sinks:
+            return "unknown"
+        left -= sinks
+    return "guaranteed"

@@ -32,7 +32,6 @@ from tlpc.parser import parse_query, parse_term, render
 from tlpc.srcheck import (
     check_head_condition,
     check_semi_generic,
-    is_proper_type_skeleton,
     label,
     make_partition,
     monitored_answers,
@@ -46,7 +45,6 @@ from tlpc.trees import (
     Skeleton,
     answers,
     atom_depth,
-    complete_node_count,
     derivations,
     enumerate_proof_skeletons,
     enumerate_skeletons,
@@ -71,7 +69,6 @@ from tlpc.unify import (
     match_terms,
     mgu_terms,
     mgu_types,
-    ordered_unifiable,
 )
 
 from helpers import (
@@ -79,12 +76,14 @@ from helpers import (
     EXTRA_QUERIES,
     INT,
     SIG,
+    complete_node_count,
     corpus_path,
     corpus_query,
     free_vars,
     ground_subst_st,
     ground_trees,
     match_onto,
+    ordered_unifiable,
     raw_equations,
     raw_terms,
     subst_ground,
@@ -220,7 +219,7 @@ def test_append_success_branch_type_skeleton(append):
     ts = type_skeleton_of(hit, append)
     assert label(ts) == ("go <- app(list(int), list(int), list(int)), "
                          "r(list(int))")
-    theta = is_proper_type_skeleton(ts)
+    theta = is_proper_skeleton(ts)
     assert theta is not None
     assert set(dict(theta).values()) == {INT}
 
@@ -260,7 +259,7 @@ def test_semigen_two_fact_type_skeleton_proper(semigen):
     assert is_proper_skeleton(s) is not None
     ts = type_skeleton_of(s, semigen)
     assert label(ts).startswith("p(")
-    assert is_proper_type_skeleton(ts) is not None
+    assert is_proper_skeleton(ts) is not None
 
 
 @pytest.mark.criterion(5)

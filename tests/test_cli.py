@@ -597,6 +597,25 @@ def test_benchmark_imports_resolve():
     assert [name for name in tlpc.__all__ if not hasattr(tlpc, name)] == []
 
 
+def test_every_public_name_is_used_or_exported():
+    # A public top-level function or class of a `tlpc` module is read by
+    # code in the package, not counting its own definition (docstrings are
+    # not code), or exported in `tlpc.__all__`.
+    import ast
+    from collections import Counter
+    modules = [ast.parse(p.read_text()) for p in sorted(Path(tlpc.__file__).parent.rglob("*.py"))]
+
+    def references(tree) -> Counter:
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    used = sum((references(m) for m in modules), Counter())
+    unused = [d.name for m in modules for d in m.body
+              if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_")
+              and used[d.name] == references(d)[d.name] and d.name not in tlpc.__all__]
+    assert unused == []
+
+
 def test_installed_entry_point():
     # The package's own source directory stands in for an installation.
     src = str(Path(tlpc.__file__).resolve().parent.parent)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 
 from helpers import (
-    EXTRA_QUERIES, FLAT_TEXT, FLATNEST_TEXT, corpus_path, programs_with_queries,
+    EXTRA_QUERIES, FLAT_TEXT, FLATNEST_TEXT, assembled_variable_typing, corpus_path,
+    eq_prime_of_type_skeleton, ordered_unifiable, programs_with_queries,
     reference_search_partition, reference_sr_check, typed_programs,
 )
 from tlpc.cli import _skeleton_text, _tree_lines, main
@@ -19,12 +20,8 @@ from tlpc.srcheck import (
     HEAD_CONDITION,
     SEMI_GENERIC,
     Partition,
-    assembled_variable_typing,
     check_head_condition,
     check_semi_generic,
-    eq_of_type_skeleton,
-    eq_prime_of_type_skeleton,
-    is_proper_type_skeleton,
     label,
     make_partition,
     monitored_answers,
@@ -32,6 +29,7 @@ from tlpc.srcheck import (
     sr_certificate,
     subject_reduction_counterexamples,
     subject_reduction,
+    type_clause,
     type_skeleton_of,
     type_skeleton_to_json,
     typed_proper_skeletons,
@@ -42,13 +40,14 @@ from tlpc.trees import (
     answers,
     derivations,
     enumerate_skeletons,
+    eq_of_skeleton,
     frontier,
     height,
     is_proper_skeleton,
     most_general_derivation_tree,
 )
 from tlpc.typecheck import UntypableError, judge
-from tlpc.unify import UnificationError, mgu_types, ordered_unifiable
+from tlpc.unify import UnificationError, mgu_types
 
 INT = TCon("int")
 
@@ -79,10 +78,10 @@ def test_type_skeleton_of_nesting_chain(nest):
     p = ts.children[0]
     assert label(p) == "p(list(int)) <- r(list(int))"
     r1 = p.children[0]
-    a = r1.head_types[0].args[0].args[0]
+    a = r1.clause.head.args[0].args[0].args[0]
     assert isinstance(a, Param)
-    assert r1.head_types == (list_of(list_of(a)),)
-    assert r1.body_types == ((list_of(a),),)
+    assert r1.clause.head.args == (list_of(list_of(a)),)
+    assert tuple(b.args for b in r1.clause.body) == ((list_of(a),),)
     assert r1.children[0].children == (BOTTOM,)
 
 
@@ -94,8 +93,7 @@ def test_type_skeleton_parameters_disjoint_per_node(nest, semigen):
 
             def walk(node):
                 from tlpc.core import vars_of
-                here = vars_of(node.head_types + tuple(t for v in node.body_types
-                                                       for t in v))
+                here = vars_of(node.clause)
                 assert not (here & seen)
                 seen.update(here)
                 for c in node.children:
@@ -112,8 +110,9 @@ def test_type_skeleton_preserves_shape(append):
         def walk(sk, tk):
             assert len(sk.children) == len(tk.children)
             assert tk.clause_index == sk.clause_index
-            assert tk.head_pred == sk.clause.head.pred
-            assert tk.body_preds == tuple(a.pred for a in sk.clause.body)
+            assert tk.clause.head.pred == sk.clause.head.pred
+            assert tuple(a.pred for a in tk.clause.body) == tuple(a.pred for a in sk.clause.body)
+            assert variant(tk.clause, type_clause(*append.typing(sk.clause_index, sk.clause)))
             for a, b in zip(sk.children, tk.children):
                 assert (a is BOTTOM) == (b is BOTTOM)
                 if a is not BOTTOM:
@@ -147,16 +146,16 @@ def test_append_type_skeleton_proper_all_int(append):
     assert hit is not None
     ts = type_skeleton_of(hit, append)
     assert label(ts) == "go <- app(list(int), list(int), list(int)), r(list(int))"
-    theta = is_proper_type_skeleton(ts)
+    theta = is_proper_skeleton(ts)
     assert theta is not None
     assert set(dict(theta).values()) == {INT}
 
 
 def test_nesting_type_skeleton_not_proper(nest):
     ts = type_skeleton_of(chain_skeleton(nest, 2), nest)
-    assert is_proper_type_skeleton(ts) is None
+    assert is_proper_skeleton(ts) is None
     with pytest.raises(UnificationError) as exc:
-        mgu_types(eq_of_type_skeleton(ts))
+        mgu_types(eq_of_skeleton(ts))
     err = exc.value
     assert err.kind == "clash"
     assert {err.left, err.right} == {INT, list_of(Param("A", 1))}
@@ -166,8 +165,8 @@ def test_single_node_type_skeleton(nest):
     q = parse_query("p(X)", nest.signature)
     root = next(enumerate_skeletons(nest, q, depth=0))
     ts = type_skeleton_of(root, nest)
-    assert eq_of_type_skeleton(ts) == []
-    assert dict(is_proper_type_skeleton(ts)) == {}
+    assert eq_of_skeleton(ts) == []
+    assert dict(is_proper_skeleton(ts)) == {}
 
 
 def test_semigen_root_label(semigen):
@@ -175,12 +174,12 @@ def test_semigen_root_label(semigen):
                 if height(s) == 1)
     ts = type_skeleton_of(root, semigen)
     child = ts.children[0]
-    a, b = child.head_types
+    a, b = child.clause.head.args
     assert isinstance(a, Param) and b.name == "list"
     v = b.args[0]
-    assert child.body_types[0][0] == list_of(a)
-    w = child.body_types[0][1]
-    assert child.body_types[1] == (list_of(w), v)
+    assert child.clause.body[0].args[0] == list_of(a)
+    w = child.clause.body[0].args[1]
+    assert child.clause.body[1].args == (list_of(w), v)
 
 
 def test_type_skeleton_json(append):
@@ -406,7 +405,7 @@ def test_counterexamples_smallest_first(nest):
     assert [height(s) for s, _, _ in ces] == [2, 3, 4]
     for s, ts, err in ces:
         assert is_proper_skeleton(s) is not None
-        assert is_proper_type_skeleton(ts) is None
+        assert is_proper_skeleton(ts) is None
         assert err.kind == "clash"
 
 
@@ -477,8 +476,8 @@ def test_eq_prime_structure_and_order(semigen):
     child = ts.children[0]
     pack = lambda ts_: TCon("$vec", ts_)
     assert eq_prime_of_type_skeleton(ts, part) == [
-        (pack(ts.body_types[0][:1]), pack(child.head_types[:1])),
-        (pack(child.head_types[1:]), pack(ts.body_types[0][1:])),
+        (pack(ts.clause.body[0].args[:1]), pack(child.clause.head.args[:1])),
+        (pack(child.clause.head.args[1:]), pack(ts.clause.body[0].args[1:])),
     ]
 
 
@@ -501,10 +500,10 @@ def test_assembled_typing_types_the_frontier(nest, semigen):
                         (nest, "r(X), p(Y)")):
         for s in proper_skeletons(program, qt, 2):
             ts = type_skeleton_of(s, program)
-            theta = is_proper_type_skeleton(ts)
+            theta = is_proper_skeleton(ts)
             if theta is None:
                 continue
-            u = assembled_variable_typing(ts, theta)
+            u = assembled_variable_typing(s, ts, program, theta)
             t = most_general_derivation_tree(s)
             judge(u, frontier(t), sig=program.signature)
             checked += 1
@@ -606,7 +605,12 @@ def test_certificate_implies_bounded_pass_on_random_programs(tmp_path):
 
 
 def test_sr_matches_the_oracle_on_random_programs():
+    # Same skeletons and type verdicts, and the same first failing type
+    # equation, which the oracle finds from its own argument-type equations.
     verdicts = set()
+
+    def clash(err):
+        return None if err is None else (err.kind, err.left, err.right)
 
     @settings(max_examples=100, derandomize=True, deadline=None,
               suppress_health_check=(HealthCheck.too_slow,))
@@ -615,10 +619,13 @@ def test_sr_matches_the_oracle_on_random_programs():
         for pred, decl in program.signature.preds.items():
             args = ", ".join(f"V{i}" for i in range(len(decl.arg_types)))
             q = parse_query(f"{pred}({args})", program.signature)
-            want = [(s, err is None) for s, _, err in reference_sr_check(program, q, 3)]
+            want = list(reference_sr_check(program, q, 3))
             got = list(typed_proper_skeletons(program, q, 3))
-            assert got == want, (program, pred)
+            assert got == [(s, err is None) for s, _, err in want], (program, pred)
             verdicts.update(proper for _, proper in got)
+            first = next((err for _, _, err in want if err is not None), None)
+            found = next(subject_reduction_counterexamples(program, q, 3), None)
+            assert clash(found[2] if found else None) == clash(first), (program, pred)
 
     check()
     assert verdicts == {True, False}

@@ -35,8 +35,6 @@ from tlpc.trees import (
     _head_depths,
     answers,
     atom_depth,
-    check_derivation_tree,
-    complete_node_count,
     derivations,
     derive_step,
     enumerate_proof_skeletons,
@@ -48,7 +46,6 @@ from tlpc.trees import (
     head_atom,
     height,
     int_literals,
-    is_complete,
     is_proper_skeleton,
     most_general_derivation_tree,
     node_atoms,
@@ -60,12 +57,7 @@ from tlpc.trees import (
     tree_to_json,
 )
 from tlpc.cli import _skeleton_text, _tree_lines
-from tlpc.srcheck import (
-    eq_of_type_skeleton,
-    is_proper_type_skeleton,
-    label,
-    type_skeleton_of,
-)
+from tlpc.srcheck import label, type_skeleton_of
 
 from helpers import (
     BENCH_PROGRAMS,
@@ -73,9 +65,12 @@ from helpers import (
     EXTRA_QUERIES,
     FLAT_TEXT,
     MK_TEXT,
+    check_derivation_tree,
+    complete_node_count,
     corpus_query,
     eager_answers,
     ground_trees,
+    is_complete,
     match_onto,
     recursive_eq_of_skeleton,
     recursive_eq_of_type_skeleton,
@@ -387,7 +382,8 @@ def test_walks_keep_the_recursive_prefix_order(corpus):
         assert rebuild(s, copy_node) == s
         assert made == [r["clause"] for r in want["nodes"] if r["kind"] == "clause"]
         ts = type_skeleton_of(s, program)
-        assert eq_of_type_skeleton(ts) == recursive_eq_of_type_skeleton(ts)
+        assert ([eq for a, b in eq_of_skeleton(ts) for eq in zip(a.args, b.args)]
+                == recursive_eq_of_type_skeleton(ts))
         assert (json.dumps(tree_to_json(ts, label_fields))
                 == json.dumps(recursive_tree_to_json(ts, label_fields)))
         t = most_general_derivation_tree(s)
@@ -418,7 +414,7 @@ def test_tall_skeleton_walks_do_not_recurse():
     assert check_derivation_tree(t)
     assert same_shape(skeleton_of(t), s)
     ts = type_skeleton_of(s, program)
-    assert is_proper_type_skeleton(ts) is not None
+    assert is_proper_skeleton(ts) is not None
     doc = json.loads(json.dumps(skeleton_to_json(s)))
     assert [n["children"] for n in doc["nodes"][:-1]] == [[i + 1] for i in range(2001)]
     assert doc["nodes"][-1] == {"id": 2001, "kind": "bottom"}

@@ -1,5 +1,6 @@
 """Unification at both levels, typed substitutions, and the oriented
-sufficient unifiability test."""
+sufficient unifiability test (`helpers.ordered_unifiable`, which only the
+tests use)."""
 from __future__ import annotations
 
 import pytest
@@ -14,10 +15,9 @@ from tlpc.unify import (
     match_terms,
     mgu_terms,
     mgu_types,
-    ordered_unifiable,
 )
 
-from helpers import eager_mgu
+from helpers import eager_mgu, ordered_unifiable
 
 X, Y = Var("X"), Var("Y")
 U = Param("U")
