@@ -407,9 +407,11 @@ def monitored_answers(program: Program, query: Query, depth: int = 5,
     """The run monitor's report and the answers of trees.answers, from one
     bounded search: derived queries are checked for typability up to the
     first untypable one, and answers are collected throughout.  The
-    query itself passes `require_typable` first.  Each distinct derived atom
-    is typed once per call, and a derived query's verdict joins its atoms'
-    typings on their shared variables (`typable_by_atoms`)."""
+    query itself passes `require_typable` first.  Each atom shape (atoms
+    equal up to renaming and up to ground subterms of the same principal
+    type) is typed once per call, each distinct ground subterm's principal
+    type is worked out once per call, and a derived query's verdict joins
+    its atoms' typings on their shared variables (`typable_by_atoms`)."""
     require_typable(program, query)
     findings: list[Finding] = []
     found: list[Subst] = []

@@ -335,10 +335,7 @@ class Derivation:
         return not self.final
 
 
-def derive_step(query: Query, position: int, clause: Clause) -> tuple[Subst, Query] | None:
-    """Resolve the atom at `position` (1-based) with `clause`, which must
-    already be renamed apart from the query.  Ground subtractions in the
-    result are evaluated.  None when the head does not unify."""
+def _resolvent(query: Query, position: int, clause: Clause) -> tuple[Subst, Query] | None:
     if not 1 <= position <= len(query):
         raise IndexError(f"no atom at position {position}")
     a = query[position - 1]
@@ -348,8 +345,26 @@ def derive_step(query: Query, position: int, clause: Clause) -> tuple[Subst, Que
         theta = mgu_terms([(a, clause.head)])
     except UnificationError:
         return None
-    rest = query[:position - 1] + clause.body + query[position:]
-    return theta, eval_arith(theta.apply(rest))
+    return theta, theta.apply(query[:position - 1] + clause.body + query[position:])
+
+
+def derive_step(query: Query, position: int, clause: Clause) -> tuple[Subst, Query] | None:
+    """Resolve the atom at `position` (1-based) with `clause`, which must
+    already be renamed apart from the query.  Ground subtractions in the
+    result are evaluated.  None when the head does not unify."""
+    got = _resolvent(query, position, clause)
+    return None if got is None else (got[0], eval_arith(got[1]))
+
+
+def _mentions_minus(clauses: Iterable[Clause]) -> bool:
+    stack = [t for c in clauses for a in c.atoms() for t in a.args]
+    while stack:
+        t = stack.pop()
+        if type(t) is Fun:
+            if t.name == MINUS:
+                return True
+            stack += t.args
+    return False
 
 
 def derivations(program: Program, query: Query, depth: int = 5,
@@ -358,12 +373,16 @@ def derivations(program: Program, query: Query, depth: int = 5,
 
     Clauses are tried in program order (builtin equality last); under
     "leftmost" only the first atom is selected, under "all" every position
-    is tried.
+    is tried.  Resolution only combines the terms of the query and the
+    clauses, so ground subtractions are evaluated only when one of them
+    contains `-`; without it evaluation is the identity.
     """
     if selection not in ("leftmost", "all"):
         raise ValueError(f"unknown selection rule: {selection}")
     clauses = resolution_clauses(program)
     ns = NameSource()
+    resolve = (derive_step if _mentions_minus([c for _, c in clauses] + [wrap_query(query)])
+               else _resolvent)
 
     def children(cur: Query, steps: tuple) -> Iterator[tuple]:
         if len(steps) >= depth or not cur:
@@ -372,7 +391,7 @@ def derivations(program: Program, query: Query, depth: int = 5,
         for k in positions:
             for idx, c in _matching(clauses, cur[k - 1]):
                 copy = rename_apart(c, ns)
-                got = derive_step(cur, k, copy)
+                got = resolve(cur, k, copy)
                 if got is None:
                     continue
                 theta, nxt = got

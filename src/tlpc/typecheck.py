@@ -195,23 +195,137 @@ def is_typable(q: Query, sig: Signature) -> bool:
         return False
 
 
+def _principal_type(t: Term, sig: Signature, memo: dict) -> Type | None:
+    """The most general type of the ground term t, with canonical
+    parameters, or None when t has none.  Bottom-up over an explicit stack:
+    each distinct ground subterm not yet in `memo` gets its declaration's
+    type, renamed apart, unified with its children's cached types, each
+    renamed apart too, and the result is stored in `memo`."""
+    todo = [t]
+    while todo:
+        s = todo[-1]
+        if s in memo:
+            todo.pop()
+            continue
+        pending = [c for c in s.args if c not in memo]
+        if pending:
+            todo += pending
+            continue
+        todo.pop()
+        memo[s] = None
+        decl = sig.func_decl(s.name)
+        kids = [memo[c] for c in s.args]
+        if decl is None or len(decl.arg_types) != len(kids) or any(k is None for k in kids):
+            continue
+        result = decl.result
+        if kids:
+            ns = NameSource()
+            copied = rename_apart(decl.arg_types + (result,), ns)
+            try:
+                theta = mgu_types(zip(copied, (rename_apart(k, ns) for k in kids)))
+            except UnificationError:
+                continue
+            result = theta.apply(copied[-1])
+        memo[s] = apply_subst(result, canonical_param_map(result))
+    return memo[t]
+
+
+def _abstract(a: Atom) -> tuple[Atom, dict[Var, Var], list[tuple[Var, Term]]]:
+    """The atom's shape: each maximal ground subterm replaced with a
+    placeholder variable, and variables and placeholders renamed to V_1,
+    V_2, ... in first-occurrence order.  Returns the canonical atom, the
+    renaming of the atom's own variables, and each placeholder with the
+    ground subterm it stands for.  One walk with an explicit stack, where
+    a 1-tuple marks a term whose arguments are done."""
+    canon: dict[Var, Var] = {}
+    holes: list[tuple[Var, Term]] = []
+    done: list[Term] = []
+    todo: list = list(reversed(a.args))
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:
+            f, = t
+            args = tuple(done[-len(f.args):])
+            del done[-len(f.args):]
+            done.append(Fun(f.name, args))
+        elif type(t) is Var:
+            if t not in canon:
+                canon[t] = Var("V", len(canon) + len(holes) + 1)
+            done.append(canon[t])
+        elif t.ground:
+            holes.append((Var("V", len(canon) + len(holes) + 1), t))
+            done.append(holes[-1][0])
+        else:
+            todo.append((t,))
+            todo += reversed(t.args)
+    return Atom(a.pred, tuple(done)), canon, holes
+
+
+def _shape_typing(key: tuple, sig: Signature) -> dict[Var, Type] | None:
+    """The most general typing of the real variables of an abstracted atom
+    `(canonical atom, ((placeholder, principal type), ...))`, or None: the
+    canonical atom's typing, with each placeholder's type unified with a
+    copy of its principal type renamed apart from the others."""
+    atom, holes = key
+    try:
+        u = most_general_type(wrap_query((atom,)), sig).variable_typing
+    except UntypableError:
+        return None
+    ns = NameSource()
+    try:
+        theta = mgu_types((u[h], rename_apart(t, ns)) for h, t in holes)
+    except UnificationError:
+        return None
+    placeholders = {h for h, _ in holes}
+    return {v: theta.apply(t) for v, t in u.items() if v not in placeholders}
+
+
+def _atom_typing(a: Atom, sig: Signature, memo: dict) -> dict[Var, Type] | None:
+    atom, canon, holes = _abstract(a)
+    pairs = []
+    for h, g in holes:
+        t = _principal_type(g, sig, memo)
+        if t is None:
+            return None
+        pairs.append((h, t))
+    key = (atom, tuple(pairs))
+    if key not in memo:
+        memo[key] = _shape_typing(key, sig)
+    u = memo[key]
+    return None if u is None else {v: u[c] for v, c in canon.items()}
+
+
 def typable_by_atoms(q: Query, sig: Signature, memo: dict) -> bool:
-    """The verdict of `is_typable`, joined from typings of the query's atoms.
-    `memo` maps each atom typed so far to its most general variable typing,
-    or to None when it has none; an atom not in it is typed and added.  The
-    query's typing constraints are the union of its atoms', and parameters
-    local to one atom never meet another atom's, so the query is typable
-    exactly when each atom is and, with each atom's parameters renamed
-    apart, the types its atoms give a shared variable unify."""
+    """The verdict of `is_typable`, joined from typings of the query's atoms,
+    each atom shape typed once per `memo`.
+
+    The query's typing constraints are the union of its atoms', and
+    parameters local to one atom never meet another atom's, so the query is
+    typable exactly when each atom is and, with each atom's parameters
+    renamed apart, the types its atoms give a shared variable unify.
+
+    An atom is typed through its shape (`_abstract`): a ground subterm
+    shares no variable with the rest of the atom, and the types it can take
+    are exactly the instances of its principal type.  So the atom with each
+    maximal ground subterm replaced by a placeholder, plus one equation per
+    placeholder between its type and a renamed-apart copy of that principal
+    type, has the atom's verdict and the same most general typing of the
+    atom's variables.  Atoms equal up to renaming, and up to ground
+    subterms with the same principal types at the same places, share one
+    typing.
+
+    `memo` is per run and holds three kinds of entries: each ground subterm
+    met, with its principal type; each shape (the canonical atom with each
+    placeholder paired with its principal type), with the typing of its
+    canonical variables; and each atom met, with the typing of its own
+    variables, so that an atom repeated from the parent query skips the
+    walk.  A typing is None when there is none."""
     ns = NameSource()
     first: dict[Var, Type] = {}
     eqs: list[tuple[Type, Type]] = []
     for a in q:
         if a not in memo:
-            try:
-                memo[a] = most_general_type(wrap_query((a,)), sig).variable_typing
-            except UntypableError:
-                memo[a] = None
+            memo[a] = _atom_typing(a, sig, memo)
         u = memo[a]
         if u is None:
             return False

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 
 from helpers import (
-    EXTRA_QUERIES, FLAT_TEXT, FLATNEST_TEXT, assembled_variable_typing, corpus_path,
+    EXTRA_QUERIES, FLAT_TEXT, FLATNEST_TEXT, MK_TEXT, assembled_variable_typing, corpus_path,
     eq_prime_of_type_skeleton, ordered_unifiable, programs_with_queries,
     reference_search_partition, reference_sr_check, typed_programs,
 )
@@ -704,10 +704,20 @@ def test_skeletons_type_the_query_and_equality_once(typing_calls, tmp_path):
     assert typing_calls.count(wrap_query((Atom("p"),))) == 1
 
 
-def test_run_types_each_derived_atom_once(typing_calls):
+def test_run_types_each_derived_atom_once(typing_calls, monkeypatch):
     # One run of flat over a 7-node tree: after the program's clauses and
-    # the query, only distinct derived atoms are typed, each once: fewer
-    # typings than the derived queries have atoms.
+    # the query, each atom shape (an atom up to renaming and up to ground
+    # subterms of one principal type) is typed once, so there are fewer
+    # typings than distinct derived atoms.
+    import tlpc.typecheck as typecheck
+    shapes = []
+    real = typecheck._shape_typing
+
+    def counted(key, sig):
+        shapes.append(key)
+        return real(key, sig)
+
+    monkeypatch.setattr(typecheck, "_shape_typing", counted)
     flat = parse_program(FLAT_TEXT)
     leaves = "node(leaf, 1, leaf)", "node(leaf, 3, leaf)", "node(leaf, 5, leaf)", "node(leaf, 7, leaf)"
     tree = (f"node(node({leaves[0]}, 2, {leaves[1]}), 4, "
@@ -717,10 +727,17 @@ def test_run_types_each_derived_atom_once(typing_calls):
     assert rep.passed and len(found) == 1
     assert typing_calls[:len(flat.clauses) + 1] == list(flat.clauses) + [wrap_query(q)]
     atom_calls = typing_calls[len(flat.clauses) + 1:]
-    derived = [d.final for d in derivations(flat, q, 40) if d.steps]
-    assert len(atom_calls) == len(set(atom_calls))
-    assert set(atom_calls) <= {wrap_query((a,)) for d in derived for a in d}
-    assert len(atom_calls) < sum(len(d) for d in derived)
+    assert len(shapes) == len(set(shapes)) == len(atom_calls)
+    derived = {a for d in derivations(flat, q, 40) if d.steps for a in d.final}
+    assert len(atom_calls) < len(derived)
+
+    # mk(50) derives mk(49, Xs_1), mk(48, Xs_2), ...: one shape, one typing.
+    mk = parse_program(MK_TEXT)
+    q = parse_query("mk(50, Xs)", mk.signature)
+    typing_calls.clear()
+    rep, found = monitored_answers(mk, q, depth=51)
+    assert rep.passed and len(found) == 1
+    assert len(typing_calls[len(mk.clauses) + 1:]) == 1
 
 
 @pytest.mark.parametrize("search", ["enumerate", "typed"])

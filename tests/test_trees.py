@@ -191,6 +191,13 @@ def test_answers(append, nest):
     assert answers(nest, parse_query("p(X)", nest.signature), depth=10) == []
 
 
+def test_answers_evaluate_subtraction_of_the_query():
+    # The clauses have no `-`: only the query's X-1 must still be evaluated.
+    program = parse_program("kind int/0. pred p(int). p(2).")
+    q = parse_query("X = 3, p(X-1)", program.signature)
+    assert [dict(a) for a in answers(program, q, depth=3)] == [{Var("X"): Fun("3")}]
+
+
 # --------------------------------------------------------------- skeletons
 
 def fig1_skeleton(hqpr):

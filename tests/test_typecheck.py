@@ -166,7 +166,10 @@ def test_typing_deep_terms_does_not_recurse():
     atom = Atom("n", (open_term,))
     assert most_general_type(wrap_query((atom,)), sig).variable_typing == {X: nat}
     judge({}, ground_term, nat, sig=sig)
-    assert typable_by_atoms((atom,), sig, {})
+    memo: dict = {}
+    assert typable_by_atoms((atom,), sig, memo)
+    assert typable_by_atoms((Atom("=", (ground_term, X)),), sig, memo)
+    assert typable_by_atoms((Atom("=", (open_term, ground_term)),), sig, memo)
     with pytest.raises(UntypableError):
         judge({X: list_of(nat)}, open_term, nat, sig=sig)
 
@@ -203,6 +206,37 @@ def test_typing_follows_renaming_on_random_programs():
 
 
 # ------------------------------------------------ query typings from atoms
+
+LISTS = """kind list/1. kind int/0. func nil : list(U). func cons(U, list(U)) : list(U).
+pred p(U, int). pred q(list(U), U)."""
+
+
+def test_typable_by_atoms_pairs_each_placeholder_with_its_type():
+    # p([], X) and p(X, []) have one canonical atom, p(V_1, V_2), with the
+    # ground [] at different places: their shapes must differ.
+    sig = parse_program(LISTS).signature
+    memo: dict = {}
+    assert typable_by_atoms(parse_query("p([], X)", sig), sig, memo)
+    assert not typable_by_atoms(parse_query("p(X, [])", sig), sig, memo)
+    assert not is_typable(parse_query("p(X, [])", sig), sig)
+
+
+def test_typable_by_atoms_renames_principal_types_apart():
+    # Both []s have principal type list(A); q(list(U), U) needs the first
+    # to be list(list(B)) and the second list(B), which one shared A would
+    # make cyclic.
+    sig = parse_program(LISTS).signature
+    assert typable_by_atoms(parse_query("q([], [])", sig), sig, {})
+    assert typable_by_atoms(parse_query("q([[]], [])", sig), sig, {})
+    assert not typable_by_atoms(parse_query("q([1], [])", sig), sig, {})
+
+
+def test_typable_by_atoms_untypable_ground_subterm():
+    sig = parse_program(LISTS).signature
+    for text in ("p([1, []], X)", "q(X, [1, []])"):
+        q = parse_query(text, sig)
+        assert not typable_by_atoms(q, sig, {}) and not is_typable(q, sig), text
+
 
 def test_typable_by_atoms_matches_is_typable_on_random_queries():
     verdicts = set()
