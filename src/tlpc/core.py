@@ -183,8 +183,8 @@ class Clause(_Rendered):
 class NameSource:
     """Monotone counter handing out variables/parameters never seen before."""
 
-    def __init__(self, start: int = 1):
-        self._next = start
+    def __init__(self):
+        self._next = 1
 
     def _tick(self) -> int:
         n = self._next
@@ -505,6 +505,23 @@ def decl_problems(kinds: Mapping[str, int], decl: FuncDecl | PredDecl,
             out.append(Finding("transparency",
                                f"func {decl.name} is not transparent: {names} missing from result type"))
     return out
+
+
+HEAD_GENERIC = "h"
+BODY_GENERIC = "b"
+
+
+def partition_problem(sig: Signature, name: str, marks: tuple[str, ...]) -> str | None:
+    """What is wrong with a partition giving `marks` for predicate `name`, or
+    None: the predicate must be declared, with one mark per argument, each
+    h or b."""
+    decl = sig.preds.get(name)
+    if decl is None:
+        return f"partition for undeclared predicate {name}"
+    if len(marks) != len(decl.arg_types):
+        return f"partition for {name} has {len(marks)} marks, expected {len(decl.arg_types)}"
+    bad = [m for m in marks if m not in (HEAD_GENERIC, BODY_GENERIC)]
+    return f"partition marks must be h or b, got {bad[0]}" if bad else None
 
 
 def validate_signature(sig: Signature) -> CheckReport:

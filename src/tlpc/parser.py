@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .core import (
     CONS, EQ, MINUS, NIL,
     Atom, Clause, Fun, FuncDecl, Param, PredDecl, Program, Query, Signature,
-    Subst, TCon, Type, Var, decl_problems, is_int_literal,
+    Subst, TCon, Type, Var, decl_problems, is_int_literal, partition_problem,
 )
 
 RESERVED = {"kind", "func", "pred", "partition", "true"}
@@ -214,22 +214,13 @@ class _Parser:
         name = self.expect("ident")
         marks = self.parse_args(lambda: self.expect("ident").text)
         self.expect("punct", ".")
-        decl = self.sig.pred_decl(name.text)
-        if decl is None or name.text not in self.sig.preds:
-            self.diags.error(name.line, name.col, f"partition for undeclared predicate {name.text}")
-            return
-        if len(marks) != len(decl.arg_types):
-            self.diags.error(name.line, name.col,
-                             f"partition for {name.text} has {len(marks)} marks, expected {len(decl.arg_types)}")
-            return
-        bad = [m for m in marks if m not in ("h", "b")]
-        if bad:
-            self.diags.error(name.line, name.col, f"partition marks must be h or b, got {bad[0]}")
-            return
-        if name.text in partitions:
-            self.diags.error(name.line, name.col, f"partition for {name.text} given twice")
-            return
-        partitions[name.text] = marks
+        problem = partition_problem(self.sig, name.text, marks)
+        if problem is None and name.text in partitions:
+            problem = f"partition for {name.text} given twice"
+        if problem is not None:
+            self.diags.error(name.line, name.col, problem)
+        else:
+            partitions[name.text] = marks
 
     # -- terms
 

@@ -31,10 +31,11 @@ proper at every depth.  Only when neither holds, or when `bounded` is set
 
 The run monitor is the runtime counterpart: it checks that every query a
 bounded resolution derives is typable.  A query's typing constraints are
-the union of its atoms', so each distinct derived atom is typed once per
-run, its most general variable typing memoised, and a derived query is
-typable exactly when its atoms' typings, with parameters renamed apart
-per atom, unify on the variables the atoms share.
+the union of its atoms', so each atom shape (an atom up to renaming and
+up to ground subterms of one principal type) is typed once per run, its
+most general variable typing memoised, and a derived query is typable
+exactly when its atoms' typings, with parameters renamed apart per atom,
+unify on the variables the atoms share (`typecheck.typable_by_atoms`).
 """
 from __future__ import annotations
 
@@ -44,6 +45,8 @@ from functools import partial
 from typing import Iterator, Mapping
 
 from .core import (
+    BODY_GENERIC,
+    HEAD_GENERIC,
     Atom,
     Clause,
     EQ,
@@ -54,6 +57,7 @@ from .core import (
     Query,
     Subst,
     Type,
+    partition_problem,
     rename_apart,
     variant,
     vars_of,
@@ -73,9 +77,6 @@ from .trees import (
 )
 from .typecheck import ClauseTyping, require_typable, typable_by_atoms
 from .unify import UnificationError, mgu_terms, mgu_types
-
-HEAD_GENERIC = "h"
-BODY_GENERIC = "b"
 
 
 def type_clause(clause: Clause, ct: ClauseTyping) -> Clause:
@@ -132,19 +133,13 @@ def make_partition(program: Program,
                    assigned: Mapping[str, tuple[str, ...]] | None = None) -> Partition:
     """A partition covering every declared predicate: the given marks where
     supplied, all-head-generic elsewhere."""
-    given = dict(assigned or {})
-    out: dict[str, tuple[str, ...]] = {}
-    for name, decl in program.signature.preds.items():
-        marks = given.pop(name, (HEAD_GENERIC,) * len(decl.arg_types))
-        if len(marks) != len(decl.arg_types):
-            raise ValueError(f"partition for {name} has {len(marks)} marks, "
-                             f"expected {len(decl.arg_types)}")
-        if any(m not in (HEAD_GENERIC, BODY_GENERIC) for m in marks):
-            raise ValueError(f"partition marks must be h or b: {marks}")
-        out[name] = tuple(marks)
-    if given:
-        raise ValueError(f"partition for undeclared predicate {next(iter(given))}")
-    return Partition(out)
+    given = assigned or {}
+    for name, marks in given.items():
+        problem = partition_problem(program.signature, name, marks)
+        if problem is not None:
+            raise ValueError(problem)
+    return Partition({name: tuple(given.get(name, (HEAD_GENERIC,) * len(decl.arg_types)))
+                      for name, decl in program.signature.preds.items()})
 
 
 # ------------------------------------------------------- per-clause checks

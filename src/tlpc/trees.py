@@ -129,33 +129,30 @@ def _matching(clauses, atom: Atom):
 
 def _options(clauses, atom: Atom, budget: int, ns: NameSource,
              allow_bottom: bool, build) -> Iterator:
-    """Subtree options for one call site: BOTTOM (if allowed) plus every
-    skeleton of height <= budget rooted at a matching clause, each made by
-    `build(copy, index, children)` from options of the body atoms' call
-    sites.  Options for which `build` returns None are left out."""
+    """Subtree options for one call site: BOTTOM (if allowed), then the
+    options of height <= budget rooted at each matching clause, renamed
+    apart (`_rooted`)."""
     if allow_bottom:
         yield BOTTOM
-    if budget < 0:
-        return
-    for idx, c in _matching(clauses, atom):
-        copy = rename_apart(c, ns)
-        # product takes its slots in full, one after the other, so fresh
-        # names are drawn in the same order whatever the consumer does.
-        slots = [_options(clauses, b, budget - 1, ns, allow_bottom, build)
-                 for b in copy.body]
-        for combo in itertools.product(*slots):
-            opt = build(copy, idx, combo)
-            if opt is not None:
-                yield opt
+    if budget >= 0:
+        for idx, c in _matching(clauses, atom):
+            yield from _rooted(clauses, rename_apart(c, ns), idx, budget, ns, allow_bottom, build)
 
 
 def _rooted(clauses, root: Clause, root_index: int, budget: int,
             ns: NameSource, allow_bottom: bool, build=Skeleton) -> Iterator:
-    """The options rooted at `root`.  With one body atom they stream from
-    its call site; with more, every slot is built before the first option."""
+    """The options rooted at `root`, each made by `build(root, root_index,
+    children)` from options of its body atoms' call sites; options for
+    which `build` returns None are left out.  With one body atom they stream
+    from its call site.  With more, `product` takes each slot in full, one
+    after the other, before the first option.  Either way fresh names are
+    drawn in the same order whatever the consumer does."""
     slots = [_options(clauses, b, budget - 1, ns, allow_bottom, build)
              for b in root.body]
-    combos = ((o,) for o in slots[0]) if len(slots) == 1 else itertools.product(*slots)
+    # A one-atom chain nests these generators one level per call, so each
+    # Python frame per level lowers the deepest chain the recursion limit
+    # allows: zip adds none, a generator expression would add one.
+    combos = zip(slots[0]) if len(slots) == 1 else itertools.product(*slots)
     for combo in combos:
         opt = build(root, root_index, combo)
         if opt is not None:
@@ -356,17 +353,6 @@ def derive_step(query: Query, position: int, clause: Clause) -> tuple[Subst, Que
     return None if got is None else (got[0], eval_arith(got[1]))
 
 
-def _mentions_minus(clauses: Iterable[Clause]) -> bool:
-    stack = [t for c in clauses for a in c.atoms() for t in a.args]
-    while stack:
-        t = stack.pop()
-        if type(t) is Fun:
-            if t.name == MINUS:
-                return True
-            stack += t.args
-    return False
-
-
 def derivations(program: Program, query: Query, depth: int = 5,
                 selection: Literal["leftmost", "all"] = "leftmost") -> Iterator[Derivation]:
     """Every derivation of at most `depth` steps, including all prefixes.
@@ -381,8 +367,8 @@ def derivations(program: Program, query: Query, depth: int = 5,
         raise ValueError(f"unknown selection rule: {selection}")
     clauses = resolution_clauses(program)
     ns = NameSource()
-    resolve = (derive_step if _mentions_minus([c for _, c in clauses] + [wrap_query(query)])
-               else _resolvent)
+    names = _function_names([c for _, c in clauses] + [wrap_query(query)])
+    resolve = derive_step if MINUS in names else _resolvent
 
     def children(cur: Query, steps: tuple) -> Iterator[tuple]:
         if len(steps) >= depth or not cur:
@@ -437,19 +423,23 @@ def _head_depths(a: Atom) -> tuple[int, dict[Var, int]]:
     return atom_depth(a), occ
 
 
-def int_literals(program: Program, query: Query = ()) -> list[str]:
-    """Integer constants appearing anywhere in the program or query text."""
-    stack = [t for c in program.clauses for a in c.atoms() for t in a.args]
-    stack.extend(t for a in query for t in a.args)
+def _function_names(clauses: Iterable[Clause]) -> set[str]:
+    """The names of the function symbols in the clauses' atoms, integer
+    literals and `-` included.  Walked with an explicit stack."""
+    stack = [t for c in clauses for a in c.atoms() for t in a.args]
     found = set()
     while stack:
         t = stack.pop()
         if type(t) is Fun:
-            if t.args:
-                stack.extend(t.args)
-            elif is_int_literal(t.name):
-                found.add(t.name)
-    return sorted(found, key=int)
+            found.add(t.name)
+            stack += t.args
+    return found
+
+
+def int_literals(program: Program, query: Query = ()) -> list[str]:
+    """Integer constants appearing anywhere in the program or query text."""
+    names = _function_names(program.clauses + (wrap_query(query),))
+    return sorted((n for n in names if is_int_literal(n)), key=int)
 
 
 def ground_terms(sig: Signature, depth: int, literals: Iterable[str] = ()) -> dict[Term, int]:

@@ -264,20 +264,19 @@ def _abstract(a: Atom) -> tuple[Atom, dict[Var, Var], list[tuple[Var, Term]]]:
 def _shape_typing(key: tuple, sig: Signature) -> dict[Var, Type] | None:
     """The most general typing of the real variables of an abstracted atom
     `(canonical atom, ((placeholder, principal type), ...))`, or None: the
-    canonical atom's typing, with each placeholder's type unified with a
-    copy of its principal type renamed apart from the others."""
+    canonical atom typed in one inference pass, with each placeholder's
+    type fixed in advance to a copy of its principal type renamed apart
+    from the others."""
     atom, holes = key
+    inf = _Infer(sig)
+    inf.env.update((h, rename_apart(t, inf.ns)) for h, t in holes)
+    placeholders = set(inf.env)
     try:
-        u = most_general_type(wrap_query((atom,)), sig).variable_typing
+        inf.atom(atom)
+        theta = inf.solve()
     except UntypableError:
         return None
-    ns = NameSource()
-    try:
-        theta = mgu_types((u[h], rename_apart(t, ns)) for h, t in holes)
-    except UnificationError:
-        return None
-    placeholders = {h for h, _ in holes}
-    return {v: theta.apply(t) for v, t in u.items() if v not in placeholders}
+    return {v: theta.apply(t) for v, t in inf.env.items() if v not in placeholders}
 
 
 def _atom_typing(a: Atom, sig: Signature, memo: dict) -> dict[Var, Type] | None:

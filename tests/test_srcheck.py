@@ -209,11 +209,11 @@ def test_partition_marks_and_builtins(nestcount):
 
 def test_make_partition_validation(nestcount):
     assert make_partition(nestcount).by_pred == {"r": ("h", "h")}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="partition for r has 1 marks, expected 2"):
         make_partition(nestcount, {"r": ("h",)})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="partition marks must be h or b, got x"):
         make_partition(nestcount, {"r": ("h", "x")})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="partition for undeclared predicate s"):
         make_partition(nestcount, {"s": ("h",)})
 
 
@@ -633,8 +633,9 @@ def test_sr_matches_the_oracle_on_random_programs():
 
 @pytest.fixture
 def typing_calls(monkeypatch):
-    """The clauses typed, in call order: every typing passes through
-    `typecheck._clause_typing`."""
+    """The clauses typed, in call order: every clause typing passes through
+    `typecheck._clause_typing`.  Atom shapes are typed apart from it
+    (`typecheck._shape_typing`)."""
     import tlpc.typecheck as typecheck
     calls = []
     real = typecheck._clause_typing
@@ -705,10 +706,10 @@ def test_skeletons_type_the_query_and_equality_once(typing_calls, tmp_path):
 
 
 def test_run_types_each_derived_atom_once(typing_calls, monkeypatch):
-    # One run of flat over a 7-node tree: after the program's clauses and
-    # the query, each atom shape (an atom up to renaming and up to ground
-    # subterms of one principal type) is typed once, so there are fewer
-    # typings than distinct derived atoms.
+    # One run of flat over a 7-node tree: the program's clauses and the
+    # query are the only clauses typed, and each atom shape (an atom up to
+    # renaming and up to ground subterms of one principal type) is typed
+    # once, so there are fewer typings than distinct derived atoms.
     import tlpc.typecheck as typecheck
     shapes = []
     real = typecheck._shape_typing
@@ -725,34 +726,40 @@ def test_run_types_each_derived_atom_once(typing_calls, monkeypatch):
     q = parse_query(f"flat({tree}, L)", flat.signature)
     rep, found = monitored_answers(flat, q, depth=40)
     assert rep.passed and len(found) == 1
-    assert typing_calls[:len(flat.clauses) + 1] == list(flat.clauses) + [wrap_query(q)]
-    atom_calls = typing_calls[len(flat.clauses) + 1:]
-    assert len(shapes) == len(set(shapes)) == len(atom_calls)
+    assert typing_calls == list(flat.clauses) + [wrap_query(q)]
+    assert len(shapes) == len(set(shapes))
     derived = {a for d in derivations(flat, q, 40) if d.steps for a in d.final}
-    assert len(atom_calls) < len(derived)
+    assert len(shapes) < len(derived)
 
     # mk(50) derives mk(49, Xs_1), mk(48, Xs_2), ...: one shape, one typing.
     mk = parse_program(MK_TEXT)
     q = parse_query("mk(50, Xs)", mk.signature)
-    typing_calls.clear()
+    shapes.clear()
     rep, found = monitored_answers(mk, q, depth=51)
     assert rep.passed and len(found) == 1
-    assert len(typing_calls[len(mk.clauses) + 1:]) == 1
+    assert len(shapes) == 1
 
 
-@pytest.mark.parametrize("search", ["enumerate", "typed"])
-def test_root_options_stream(search):
-    # A one-atom query's root options stream from its call site: at the first
-    # height-3 skeleton only the current option's subtree lists are alive,
-    # not the thousands of skeletons among all the root's options.
+@pytest.mark.parametrize("search, text, query, depth", [
+    ("enumerate", FLAT_TEXT, "flat(T, L)", 3),
+    ("typed", FLAT_TEXT, "flat(T, L)", 3),
+    # top :- flat puts a one-atom call site below the root.
+    ("enumerate", FLATNEST_TEXT, "top(T, L)", 4),
+    ("typed", FLATNEST_TEXT, "top(T, L)", 4),
+], ids=["enumerate", "typed", "flatnest-enumerate", "flatnest-typed"])
+def test_root_options_stream(search, text, query, depth):
+    # Every one-atom call site's options stream from the call site below
+    # it: at the first skeleton of the greatest height only the current
+    # option's subtree lists are alive, not the thousands of skeletons
+    # among all the options of a one-atom clause.
     import gc
-    flat = parse_program(FLAT_TEXT)
-    q = parse_query("flat(T, L)", flat.signature)
+    program = parse_program(text)
+    q = parse_query(query, program.signature)
     if search == "enumerate":
-        found = enumerate_skeletons(flat, q, 3)
+        found = enumerate_skeletons(program, q, depth)
     else:
-        found = (s for s, _ in typed_proper_skeletons(flat, q, 3))
-    next(s for s in found if height(s) == 3)  # the search stays suspended in found
+        found = (s for s, _ in typed_proper_skeletons(program, q, depth))
+    next(s for s in found if height(s) == depth)  # the search stays suspended in found
     gc.collect()
     assert sum(isinstance(o, Skeleton) for o in gc.get_objects()) < 500
 
