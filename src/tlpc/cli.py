@@ -1,5 +1,12 @@
 """Command-line front end.
 
+Each `cmd_*` function takes the parsed arguments, the program and the
+parsed `--query` (None for commands without one) and returns its result
+as (exit code, JSON document, text lines); it reads no file and prints
+nothing.  `main` alone does I/O: it reads and parses the program and the
+query, calls the command, and prints the document under `--json` or the
+lines otherwise.
+
 Exit codes: 0 when the requested analysis finds no violations, 1 when it
 reports at least one, 2 when the input is rejected before analysis (file,
 syntax, or typing errors), 3 when the analysis itself fails unexpectedly.
@@ -37,6 +44,9 @@ from .trees import (
 from .typecheck import UntypableError, most_general_type, require_typable
 
 
+Result = tuple[int, dict, list[str]]
+
+
 def _use_color() -> bool:
     env = os.environ.get("TLPC_COLOR")
     if env is not None:
@@ -61,13 +71,14 @@ def _clause_ref(i: int | None) -> str | None:
     return f"clause {i + 1}"
 
 
-def _print_report(title: str, rep: CheckReport) -> None:
+def _report_lines(title: str, rep: CheckReport) -> list[str]:
     bound = f" (up to depth {rep.depth_bound})" if rep.depth_bound is not None else ""
-    print(f"{title}: {_verdict(rep.verdict)}{bound}")
+    lines = [f"{title}: {_verdict(rep.verdict)}{bound}"]
     for f in rep.findings:
         where = _clause_ref(f.clause)
         loc = f"{where}: " if where else ""
-        print(f"  {loc}{f.condition}: {f.witness}")
+        lines.append(f"  {loc}{f.condition}: {f.witness}")
+    return lines
 
 
 def _tree_lines(node, text, depth: int) -> list[str]:
@@ -81,11 +92,6 @@ def _skeleton_text(node) -> str:
     return f"{render(node.clause)}   [{_clause_ref(node.clause_index)}]"
 
 
-def _load(path: str) -> Program:
-    with open(path, encoding="utf-8") as fh:
-        return parse_program(fh.read())
-
-
 def _resolve_partition(program: Program, source: str | None):
     """The partition to check against and where it came from: explicit
     annotations win by default, otherwise an automatic search."""
@@ -96,22 +102,18 @@ def _resolve_partition(program: Program, source: str | None):
     return "search", search_partition(program)
 
 
-def cmd_check(args) -> int:
-    program = _load(args.file)
+def cmd_check(args, program: Program, query) -> Result:
     doc: dict = {"file": args.file, "mode": args.mode}
+    lines: list[str] = []
     reports: list[CheckReport] = []
-    if args.mode in ("semi", "both"):
-        # Resolve before any output so a bad partition source fails cleanly.
-        source, part = _resolve_partition(program, args.partition)
-
     if args.mode in ("head", "both"):
         head = check_head_condition(program)
         reports.append(head)
         doc["head"] = head.to_json()
-        if not args.json:
-            _print_report("head condition", head)
+        lines += _report_lines("head condition", head)
 
     if args.mode in ("semi", "both"):
+        source, part = _resolve_partition(program, args.partition)
         if part is None:
             semi = CheckReport((Finding(
                 "semi-generic",
@@ -119,75 +121,53 @@ def cmd_check(args) -> int:
                 "every clause semi-generic"),))
         else:
             semi = check_semi_generic(program, part)
+            marks = "; ".join(f"{p}({', '.join(m)})" for p, m in part.by_pred.items())
+            lines.append(f"partition ({source}): {marks if marks else 'none needed'}")
         reports.append(semi)
         doc["semi"] = semi.to_json()
         doc["partition"] = None if part is None else part.to_json()
         doc["partitionSource"] = source
-        if not args.json:
-            if part is not None:
-                marks = "; ".join(f"{p}({', '.join(m)})" for p, m in part.by_pred.items())
-                print(f"partition ({source}): {marks if marks else 'none needed'}")
-            _print_report("semi-generic", semi)
+        lines += _report_lines("semi-generic", semi)
 
     ok = all(r.passed for r in reports)
     doc["verdict"] = "pass" if ok else "fail"
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    return 0 if ok else 1
+    return (0 if ok else 1), doc, lines
 
 
-def cmd_infer(args) -> int:
-    program = _load(args.file)
-    entries = []
-    failures = 0
-    for c in program.clauses:
+def cmd_infer(args, program: Program, query) -> Result:
+    entries, lines = [], []
+    for i, c in enumerate(program.clauses):
         try:
             ct = most_general_type(c, program.signature)
-            entries.append({"clause": render(c), "types": render_types(ct.types),
-                            "atomTypes": [render_types(v) for v in ct.atom_types]})
+            entry = {"clause": render(c), "types": render_types(ct.types),
+                     "atomTypes": [render_types(v) for v in ct.atom_types]}
+            lines.append(f"clause {i + 1}: {entry['types']}")
         except UntypableError as e:
-            failures += 1
-            entries.append({"clause": render(c), "untypable": str(e)})
-    if args.json:
-        print(json.dumps({"file": args.file, "clauses": entries}, indent=2))
-    else:
-        for i, e in enumerate(entries):
-            if "types" in e:
-                print(f"clause {i + 1}: {e['types']}")
-            else:
-                print(f"clause {i + 1}: untypable: {e['untypable']}")
-            print(f"  {e['clause']}")
-    return 0 if failures == 0 else 1
+            entry = {"clause": render(c), "untypable": str(e)}
+            lines.append(f"clause {i + 1}: untypable: {e}")
+        entries.append(entry)
+        lines.append(f"  {entry['clause']}")
+    ok = all("types" in e for e in entries)
+    return (0 if ok else 1), {"file": args.file, "clauses": entries}, lines
 
 
-def cmd_run(args) -> int:
-    program = _load(args.file)
-    query = parse_query(args.query, program.signature)
+def cmd_run(args, program: Program, query) -> Result:
     monitor, found = monitored_answers(program, query, args.depth, args.selection)
-    if args.json:
-        print(json.dumps({
-            "file": args.file,
-            "query": render(query),
-            "answers": [{v.printed(): render(t) for v, t in a.items()} for a in found],
-            "monitor": monitor.to_json(),
-        }, indent=2))
-    else:
-        for a in found:
-            if not a:
-                print("answer: true")
-            else:
-                print("answer: " + ", ".join(
-                    f"{v.printed()} = {render(t)}"
-                    for v, t in sorted(a.items(), key=lambda kv: (kv[0].name, kv[0].idx))))
-        if not found:
-            print(f"no answers within {args.depth} steps")
-        _print_report("derived queries typable", monitor)
-    return 0 if monitor.passed else 1
+    rendered = [{v: render(t) for v, t in a.items()} for a in found]
+    lines = []
+    for r in rendered:
+        pairs = sorted(r.items(), key=lambda kv: (kv[0].name, kv[0].idx))
+        lines.append("answer: " + (", ".join(f"{v.printed()} = {t}" for v, t in pairs) or "true"))
+    if not found:
+        lines.append(f"no answers within {args.depth} steps")
+    lines += _report_lines("derived queries typable", monitor)
+    doc = {"file": args.file, "query": render(query),
+           "answers": [{v.printed(): t for v, t in r.items()} for r in rendered],
+           "monitor": monitor.to_json()}
+    return (0 if monitor.passed else 1), doc, lines
 
 
-def cmd_sr(args) -> int:
-    program = _load(args.file)
-    query = parse_query(args.query, program.signature)
+def cmd_sr(args, program: Program, query) -> Result:
     rep, cert, found = subject_reduction(program, query, args.depth, args.bounded)
     # A certified pass prints as a bounded one; --json names the criterion.
     certificate = None
@@ -198,74 +178,48 @@ def cmd_sr(args) -> int:
             certificate["partition"] = part.to_json()
     doc: dict = {"file": args.file, "query": render(query), "report": rep.to_json(),
                  "certificate": certificate, "counterexample": None}
-    lines: list[str] = []
+    lines = _report_lines("all type skeletons proper", rep)
     if found is not None:
         s, ts, err = found
-        doc["counterexample"] = {
-            "skeleton": skeleton_to_json(s),
-            "typeSkeleton": type_skeleton_to_json(ts),
-            "equation": f"{render(err.left)} = {render(err.right)}",
-        }
-        lines.append("counterexample skeleton:")
-        lines.extend(_tree_lines(s, _skeleton_text, 1))
-        lines.append("its type skeleton:")
-        lines.extend(_tree_lines(ts, label, 1))
-        lines.append(f"failing type equation: {render(err.left)} = {render(err.right)}")
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        _print_report("all type skeletons proper", rep)
-        for ln in lines:
-            print(ln)
-    return 0 if rep.passed else 1
+        equation = f"{render(err.left)} = {render(err.right)}"
+        doc["counterexample"] = {"skeleton": skeleton_to_json(s),
+                                 "typeSkeleton": type_skeleton_to_json(ts),
+                                 "equation": equation}
+        lines += ["counterexample skeleton:", *_tree_lines(s, _skeleton_text, 1),
+                  "its type skeleton:", *_tree_lines(ts, label, 1),
+                  f"failing type equation: {equation}"]
+    return (0 if rep.passed else 1), doc, lines
 
 
-def cmd_skeletons(args) -> int:
-    program = _load(args.file)
-    query = parse_query(args.query, program.signature)
+def cmd_skeletons(args, program: Program, query) -> Result:
     require_typable(program, query)
-    entries = []
+    entries, lines = [], []
     for s in enumerate_skeletons(program, query, args.depth):
         theta = is_proper_skeleton(s)
         entry = {"height": height(s), "proper": theta is not None,
-                 "mgu": render(theta) if theta is not None else None}
-        if args.json:
-            entry["skeleton"] = skeleton_to_json(s)
-        else:
-            status = "proper" if theta is not None else "not proper"
-            extra = f", mgu {entry['mgu']}" if theta else ""
-            print(f"skeleton {len(entries) + 1} (height {entry['height']}): {status}{extra}")
-            for ln in _tree_lines(s, _skeleton_text, 1):
-                print(ln)
+                 "mgu": render(theta) if theta is not None else None,
+                 "skeleton": skeleton_to_json(s)}
+        status = "proper" if theta is not None else "not proper"
+        extra = f", mgu {entry['mgu']}" if theta else ""
+        lines.append(f"skeleton {len(entries) + 1} (height {entry['height']}): {status}{extra}")
+        lines += _tree_lines(s, _skeleton_text, 1)
         if args.types:
             ts = type_skeleton_of(s, program)
             proper = is_proper_skeleton(ts) is not None
-            if args.json:
-                entry["typeSkeleton"] = type_skeleton_to_json(ts)
-                entry["typeProper"] = proper
-            else:
-                print(f"  type skeleton ({'proper' if proper else 'not proper'}):")
-                for ln in _tree_lines(ts, label, 2):
-                    print(ln)
+            entry["typeSkeleton"] = type_skeleton_to_json(ts)
+            entry["typeProper"] = proper
+            lines.append(f"  type skeleton ({'proper' if proper else 'not proper'}):")
+            lines += _tree_lines(ts, label, 2)
         entries.append(entry)
-    if args.json:
-        print(json.dumps({"file": args.file, "query": render(query),
-                          "depth": args.depth, "skeletons": entries}, indent=2))
-    else:
-        print(f"{len(entries)} skeleton(s) up to depth {args.depth}")
-    return 0
+    lines.append(f"{len(entries)} skeleton(s) up to depth {args.depth}")
+    return 0, {"file": args.file, "query": render(query),
+               "depth": args.depth, "skeletons": entries}, lines
 
 
-def cmd_tp(args) -> int:
-    program = _load(args.file)
+def cmd_tp(args, program: Program, query) -> Result:
     atoms = sorted(render(a) for a in tp_fixpoint(program, args.depth).atoms)
-    if args.json:
-        print(json.dumps({"depth": args.depth, "atoms": atoms}, indent=2))
-    else:
-        for a in atoms:
-            print(a)
-        print(f"{len(atoms)} ground atom(s) up to depth {args.depth}")
-    return 0
+    return 0, {"depth": args.depth, "atoms": atoms}, [
+        *atoms, f"{len(atoms)} ground atom(s) up to depth {args.depth}"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -327,15 +281,18 @@ def main(argv=None) -> int:
         print("error: --depth must be >= 0", file=sys.stderr)
         return 2
     try:
-        return args.fn(args)
+        with open(args.file, encoding="utf-8") as fh:
+            program = parse_program(fh.read())
+        query = parse_query(args.query, program.signature) if hasattr(args, "query") else None
+        code, doc, lines = args.fn(args, program, query)
+        for ln in [json.dumps(doc, indent=2)] if args.json else lines:
+            print(ln)
+        return code
     except ParseError as e:
         for d in e.diagnostics.entries:
             print(str(d), file=sys.stderr)
         return 2
-    except UntypableError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as e:
+    except (UntypableError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

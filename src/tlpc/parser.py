@@ -292,18 +292,22 @@ class _Parser:
 
     def validate_term(self, t: Term, tok: _Tok) -> None:
         """Function symbols are only identifiable once the atom context is
-        known, so terms are validated after atom construction."""
-        if isinstance(t, Var):
-            return
-        if not (is_int_literal(t.name) or t.name == MINUS):
-            decl = self.sig.func_decl(t.name)
-            if decl is None:
-                self.diags.error(tok.line, tok.col, f"function {t.name} not declared")
-            elif len(decl.arg_types) != len(t.args):
-                self.diags.error(tok.line, tok.col,
-                                 f"function {t.name}/{len(decl.arg_types)} used with {len(t.args)} arguments")
-        for a in t.args:
-            self.validate_term(a, tok)
+        known, so terms are validated after atom construction.  The walk is
+        prefix order on an explicit stack, so a long list literal (a deep
+        `cons` chain built by a loop) is validated without recursion."""
+        stack = [t]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Var):
+                continue
+            if not (is_int_literal(t.name) or t.name == MINUS):
+                decl = self.sig.func_decl(t.name)
+                if decl is None:
+                    self.diags.error(tok.line, tok.col, f"function {t.name} not declared")
+                elif len(decl.arg_types) != len(t.args):
+                    self.diags.error(tok.line, tok.col,
+                                     f"function {t.name}/{len(decl.arg_types)} used with {len(t.args)} arguments")
+            stack.extend(reversed(t.args))
 
     # -- atoms and clauses
 

@@ -420,7 +420,7 @@ def monitored_answers(program: Program, query: Query, depth: int = 5,
                 f"derived query {render(d.final)} has no typing "
                 f"(from {render(query)} via {trace})",
                 clause=None))
-        if d.succeeded and d.steps:
+        if d.succeeded:
             found.append(d.answer)
     return CheckReport(tuple(findings), depth_bound=depth), found
 

@@ -398,7 +398,7 @@ def answers(program: Program, query: Query, depth: int = 5,
             selection: Literal["leftmost", "all"] = "leftmost") -> list[Subst]:
     """Answer substitutions of the successful derivations, in search order."""
     return [d.answer for d in derivations(program, query, depth, selection)
-            if d.succeeded and d.steps]
+            if d.succeeded]
 
 
 # ------------------------------------------------- bounded consequences

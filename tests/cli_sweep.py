@@ -8,7 +8,10 @@ For every corpus and bench program it runs `check` (text and `--json`),
 `infer` and `tp --depth 1`; for the most general query of every declared
 predicate, `sr` at depths 2 and 3 (text, `--json` and `--bounded`),
 `skeletons --types` at depth 2 and `run` at depth 4 (each as text and as
-`--json`); then every `$ tlpc ...` transcript of the README.  OUT.json
+`--json`); then the inputs rejected before analysis (a missing file, a
+query with a syntax error, an untypable query, `--partition annotated` on
+a program without annotations, a negative `--depth`); then every
+`$ tlpc ...` transcript of the README.  OUT.json
 lists, per command, its arguments, exit code, stdout and stderr, with
 paths relative to the repository root.  Run it in two checkouts and diff
 the two files to show that a refactor leaves the CLI's output unchanged.
@@ -50,6 +53,17 @@ def commands():
             for extra in ([], ["--json"]):
                 yield ["skeletons", f, *q, "--depth", "2", "--types", *extra]
                 yield ["run", f, *q, "--depth", "4", *extra]
+    append = "src/tlpc/corpus/append.tlp"
+    for extra in ([], ["--json"]):
+        yield ["check", "src/tlpc/corpus/missing.tlp", *extra]
+        yield ["run", "src/tlpc/corpus/missing.tlp", "--query", "app(X, Y, Z)", *extra]
+        yield ["run", append, "--query", "app(X, ", *extra]
+        yield ["sr", append, "--query", "app(X, Y) = Z", *extra]
+        yield ["run", append, "--query", "app(X, X, [X])", *extra]
+        yield ["skeletons", append, "--query", "app(X, X, [X])", *extra]
+        yield ["check", append, "--partition", "annotated", *extra]
+        yield ["sr", append, "--query", "app(X, Y, Z)", "--depth", "-1", *extra]
+        yield ["tp", append, "--depth", "-1", *extra]
     for command, _ in readme_transcripts():
         yield shlex.split(command)
 

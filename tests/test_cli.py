@@ -134,6 +134,12 @@ def test_infer_untypable_clause(capsys, tmp_path):
     assert f"clause {len(src.clauses) + 1}: untypable:" in out
 
 
+def test_infer_without_clauses_prints_nothing(capsys, tmp_path):
+    f = tmp_path / "decls.tlp"
+    f.write_text("kind int/0. pred p(int).\n")
+    assert run_cli(capsys, "infer", str(f)) == (0, "", "")
+
+
 NESTED_CLASH = """kind list/1.
 kind int/0.
 func nil : list(U).
@@ -215,10 +221,34 @@ def test_run_long_countdown(capsys, tmp_path):
         assert err == ""
 
 
+def test_run_empty_query_answers_true(capsys):
+    code, out, err = run_cli(capsys, "run", corpus_path("append"), "--query", "true")
+    assert (code, err) == (0, "")
+    assert out == "answer: true\nderived queries typable: pass (up to depth 5)\n"
+    code, out, _ = run_cli(capsys, "run", corpus_path("append"), "--query", "true", "--json")
+    assert json.loads(out)["answers"] == [{}]
+
+
+def test_run_accepts_a_long_flat_list_literal(capsys, tmp_path):
+    # A list literal is a `cons` chain as deep as the list is long, built by
+    # a loop; validating its function symbols must not recurse down it.
+    f = tmp_path / "mk.tlp"
+    f.write_text(MK_TEXT)
+    countdown = ", ".join(str(k) for k in range(1000, 0, -1))
+    code, out, err = run_cli(capsys, "run", str(f), "--query", f"mk(1000, [{countdown}])",
+                             "--depth", "2")
+    assert (code, err) == (0, "")
+    assert out.startswith("no answers within 2 steps\n")
+    code, out, err = run_cli(capsys, "run", str(f), "--query", f"mk(1000, [{countdown}])",
+                             "--depth", "1001")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "answer: true"
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     import tlpc.cli as cli
 
-    def crash(args):
+    def crash(args, program, query):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr(cli, "cmd_sr", crash)

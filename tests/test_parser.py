@@ -120,6 +120,19 @@ def test_too_deep_term_is_a_parse_error(nest):
         "term nested too deeply", "expected ')', found ':-'"]
 
 
+def test_long_flat_list_is_no_deep_term(append):
+    # parse_list builds the cons chain with a loop; validation walks it the
+    # same way, and still reports each bad symbol in prefix order.
+    q = parse_query("app([" + ", ".join(["[]"] * 5000) + "], Ys, Zs)", append.signature)
+    assert render(q).count("[]") == 5000
+    sig = parse_program("kind list/1. func nil : list(U). func cons(U, list(U)) : list(U). "
+                        "pred p(list(list(U))).").signature
+    with pytest.raises(ParseError) as err:
+        parse_query("p([" + ", ".join(["[]"] * 3000) + ", f(g), [nil(X)]])", sig)
+    assert [d.message for d in err.value.diagnostics.entries] == [
+        "function f not declared", "function g not declared", "function nil/0 used with 1 arguments"]
+
+
 def test_parse_clause_single(append):
     c = parse_clause("app([], Ys, Ys).", append.signature)
     assert c == append.clauses[0]

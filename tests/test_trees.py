@@ -189,6 +189,8 @@ def test_answers(append, nest):
     one = parse_term("[1]", append.signature)
     assert [dict(a) for a in got] == [{Var("Xs"): one, Var("Zs"): one}]
     assert answers(nest, parse_query("p(X)", nest.signature), depth=10) == []
+    # the empty query succeeds at once, with the empty answer
+    assert [dict(a) for a in answers(append, (), depth=0)] == [{}]
 
 
 def test_answers_evaluate_subtraction_of_the_query():
