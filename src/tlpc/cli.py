@@ -151,8 +151,21 @@ def cmd_infer(args, program: Program, query) -> Result:
     return (0 if ok else 1), {"file": args.file, "clauses": entries}, lines
 
 
+def _certificate_json(cert) -> dict | None:
+    """The `"certificate"` field of `sr` and `run`: the criterion, and the
+    partition when it uses one; None when no certificate holds."""
+    if cert is None:
+        return None
+    criterion, part = cert
+    doc: dict = {"criterion": criterion}
+    if part is not None:
+        doc["partition"] = part.to_json()
+    return doc
+
+
 def cmd_run(args, program: Program, query) -> Result:
-    monitor, found = monitored_answers(program, query, args.depth, args.selection)
+    # A certified run prints as a monitored one; --json names the criterion.
+    monitor, cert, found = monitored_answers(program, query, args.depth, args.selection)
     rendered = [{v: render(t) for v, t in a.items()} for a in found]
     lines = []
     for r in rendered:
@@ -163,21 +176,15 @@ def cmd_run(args, program: Program, query) -> Result:
     lines += _report_lines("derived queries typable", monitor)
     doc = {"file": args.file, "query": render(query),
            "answers": [{v.printed(): t for v, t in r.items()} for r in rendered],
-           "monitor": monitor.to_json()}
+           "monitor": monitor.to_json(), "certificate": _certificate_json(cert)}
     return (0 if monitor.passed else 1), doc, lines
 
 
 def cmd_sr(args, program: Program, query) -> Result:
     rep, cert, found = subject_reduction(program, query, args.depth, args.bounded)
     # A certified pass prints as a bounded one; --json names the criterion.
-    certificate = None
-    if cert is not None:
-        criterion, part = cert
-        certificate = {"criterion": criterion}
-        if part is not None:
-            certificate["partition"] = part.to_json()
     doc: dict = {"file": args.file, "query": render(query), "report": rep.to_json(),
-                 "certificate": certificate, "counterexample": None}
+                 "certificate": _certificate_json(cert), "counterexample": None}
     lines = _report_lines("all type skeletons proper", rep)
     if found is not None:
         s, ts, err = found

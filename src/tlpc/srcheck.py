@@ -29,8 +29,11 @@ condition, or a program and query semi-generic under the partition
 proper at every depth.  Only when neither holds, or when `bounded` is set
 (`sr --bounded`), does the bounded check enumerate.
 
-The run monitor is the runtime counterpart: it checks that every query a
-bounded resolution derives is typable.  A query's typing constraints are
+The run monitor (`monitored_answers`) is the runtime counterpart: it
+checks that every query a bounded resolution derives is typable.  It
+tries the same certificate first: when one holds, every derived query is
+typable by the theorem, and the run types none of them.  Only an
+uncertified run is monitored.  A query's typing constraints are
 the union of its atoms', so each atom shape (an atom up to renaming and
 up to ground subterms of one principal type) is typed once per run, its
 most general variable typing memoised, and a derived query is typable
@@ -397,22 +400,35 @@ def subject_reduction(
     return CheckReport(tuple(findings), depth_bound=depth), None, found
 
 
-def monitored_answers(program: Program, query: Query, depth: int = 5,
-                      selection: str = "leftmost") -> tuple[CheckReport, list[Subst]]:
-    """The run monitor's report and the answers of trees.answers, from one
-    bounded search: derived queries are checked for typability up to the
-    first untypable one, and answers are collected throughout.  The
-    query itself passes `require_typable` first.  Each atom shape (atoms
-    equal up to renaming and up to ground subterms of the same principal
-    type) is typed once per call, each distinct ground subterm's principal
-    type is worked out once per call, and a derived query's verdict joins
-    its atoms' typings on their shared variables (`typable_by_atoms`)."""
-    require_typable(program, query)
+def monitored_answers(
+        program: Program, query: Query, depth: int = 5, selection: str = "leftmost",
+) -> tuple[CheckReport, tuple[str, Partition | None] | None, list[Subst]]:
+    """The verdict of `tlpc run`: the monitor's report, the certificate that
+    backs its pass (`sr_certificate`; None when the monitor decided), and
+    the answers of trees.answers, all from one bounded search.  The query
+    passes `require_typable` first.
+
+    A certified run types no derived query.  Derivation results are
+    exactly the frontiers of most general derivation trees, and the
+    certificate makes the type skeleton of every proper skeleton proper, at
+    every depth; so every query a derivation reaches is typable, under
+    either selection rule.  Evaluating a ground subtraction swaps an `int`
+    term for an `int` literal, which has the same principal type.  The
+    report is then a pass by the theorem.
+
+    Without a certificate, derived queries are checked for typability up to
+    the first untypable one, and answers are collected throughout.  Each
+    atom shape (atoms equal up to renaming and up to ground subterms of the
+    same principal type) is typed once per call, each distinct ground
+    subterm's principal type is worked out once per call, and a derived
+    query's verdict joins its atoms' typings on their shared variables
+    (`typable_by_atoms`)."""
+    cert = sr_certificate(program, query)
     findings: list[Finding] = []
     found: list[Subst] = []
     atom_typings: dict = {}
     for d in derivations(program, query, depth, selection):
-        if (not findings and d.steps
+        if (cert is None and not findings and d.steps
                 and not typable_by_atoms(d.final, program.signature, atom_typings)):
             trace = " -> ".join(render(s.query) for s in d.steps)
             findings.append(Finding(
@@ -422,7 +438,7 @@ def monitored_answers(program: Program, query: Query, depth: int = 5,
                 clause=None))
         if d.succeeded:
             found.append(d.answer)
-    return CheckReport(tuple(findings), depth_bound=depth), found
+    return CheckReport(tuple(findings), depth_bound=depth), cert, found
 
 
 def type_skeleton_to_json(ts: Skeleton) -> dict:

@@ -7,11 +7,12 @@ Usage, from the repository root:
 For every corpus and bench program it runs `check` (text and `--json`),
 `infer` and `tp --depth 1`; for the most general query of every declared
 predicate, `sr` at depths 2 and 3 (text, `--json` and `--bounded`),
-`skeletons --types` at depth 2 and `run` at depth 4 (each as text and as
-`--json`); then the inputs rejected before analysis (a missing file, a
-query with a syntax error, an untypable query, `--partition annotated` on
-a program without annotations, a negative `--depth`); then every
-`$ tlpc ...` transcript of the README.  OUT.json
+`skeletons --types` at depth 2, and `run` at depth 4 under either
+selection rule (each as text and as `--json`); then the inputs rejected
+before analysis (a missing file, a query with a syntax error, an
+untypable query, `--partition annotated` on a program without
+annotations, a negative `--depth`); then every `$ tlpc ...` transcript
+of the README.  OUT.json
 lists, per command, its arguments, exit code, stdout and stderr, with
 paths relative to the repository root.  Run it in two checkouts and diff
 the two files to show that a refactor leaves the CLI's output unchanged.
@@ -53,6 +54,7 @@ def commands():
             for extra in ([], ["--json"]):
                 yield ["skeletons", f, *q, "--depth", "2", "--types", *extra]
                 yield ["run", f, *q, "--depth", "4", *extra]
+                yield ["run", f, *q, "--selection", "all", "--depth", "4", *extra]
     append = "src/tlpc/corpus/append.tlp"
     for extra in ([], ["--json"]):
         yield ["check", "src/tlpc/corpus/missing.tlp", *extra]

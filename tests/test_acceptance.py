@@ -528,6 +528,9 @@ def test_prop_static_pass_implies_monitor_pass(corpus):
         if subject_reduction(program, q, depth=4, bounded=True)[0].passed:
             passed += 1
             assert monitored_answers(program, q, depth=4)[0].passed
+            # A certified run types no derived query: type each one whole.
+            assert all(is_typable(d.final, program.signature)
+                       for d in derivations(program, q, 4)), (name, text)
     assert passed == 7  # every pair except the one for the nesting program
 
 

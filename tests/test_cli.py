@@ -294,6 +294,25 @@ def test_run_json(capsys):
     assert doc["monitor"]["depthBound"] == 6
 
 
+@pytest.mark.parametrize("path, query, depth, certificate", [
+    (BENCH_PROGRAMS / "mk.tlp", "mk(5, Xs)", 6, {"criterion": "head condition"}),
+    (corpus_path("nestcount"), "r(3, X)", 4,
+     {"criterion": "semi-generic", "partition": {"r": ["h", "b"]}}),
+    # No certificate: the monitor decides, and passes.
+    (corpus_path("nest"), "p(X)", 6, None),
+    (BENCH_PROGRAMS / "flatnest.tlp", "top(T, L)", 8, None),
+], ids=["mk", "nestcount", "nest", "flatnest"])
+def test_run_json_names_its_certificate(capsys, path, query, depth, certificate):
+    # The same field as `sr --json`'s: the criterion that makes every
+    # derived query typable, or null when the monitor typed them.
+    code, out, _ = run_cli(capsys, "run", str(path), "--query", query,
+                           "--depth", str(depth), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["certificate"] == certificate
+    assert doc["monitor"] == {"verdict": "pass", "findings": [], "depthBound": depth}
+
+
 def test_run_untypable_query_is_input_error(capsys):
     code, out, err = run_cli(capsys, "run", corpus_path("nest"),
                              "--query", "p([[X]])", "--depth", "3")

@@ -12,7 +12,8 @@ from helpers import (
 )
 from tlpc.cli import _skeleton_text, _tree_lines, main
 from tlpc.core import (
-    EQ, EQ_CLAUSE, GO, GO_CLAUSE_INDEX, Atom, Param, TCon, Var, variant, wrap_query,
+    EQ, EQ_CLAUSE, GO, GO_CLAUSE_INDEX, Atom, Param, TCon, Var, apply_subst, variant,
+    wrap_query,
 )
 from tlpc.corpus import corpus_names, load_corpus
 from tlpc.parser import parse_program, parse_query, render
@@ -46,7 +47,7 @@ from tlpc.trees import (
     is_proper_skeleton,
     most_general_derivation_tree,
 )
-from tlpc.typecheck import UntypableError, judge
+from tlpc.typecheck import UntypableError, is_typable, judge, require_typable
 from tlpc.unify import UnificationError, mgu_types
 
 INT = TCon("int")
@@ -458,7 +459,8 @@ def test_monitor_failure_keeps_collecting_answers():
         t(Y).
     """)
     q = parse_query("p(X)", program.signature)
-    rep, found = monitored_answers(program, q, depth=5)
+    rep, cert, found = monitored_answers(program, q, depth=5)
+    assert cert is None  # q([[]]) breaks the head condition and every partition
     assert [f.witness for f in rep.findings] == [
         "derived query t([[]]) has no typing (from p(X) via q(X_1), t(X_1) -> t([[]]))"]
     assert found == answers(program, q, depth=5)
@@ -604,6 +606,72 @@ def test_certificate_implies_bounded_pass_on_random_programs(tmp_path):
     assert held[HEAD_CONDITION] >= 20 and held[SEMI_GENERIC] >= 5, held
 
 
+def _run_against_reference(program, q, depth, selection):
+    """`monitored_answers` checked against a search with every derived query
+    and every answer instance typed whole (`is_typable`): the same answers,
+    and a monitor pass exactly when no derived query is untypable.  A
+    certified run must find no untypable query and no untypable answer.
+    Returns the certificate and the numbers of derived queries, answers,
+    and untypable ones among each."""
+    sig = program.signature
+    ds = list(derivations(program, q, depth, selection))
+    derived = [d.final for d in ds if d.steps]
+    instances = [apply_subst(q, d.answer) for d in ds if d.succeeded]
+    bad_derived = sum(not is_typable(f, sig) for f in derived)
+    bad_answers = sum(not is_typable(a, sig) for a in instances)
+    rep, cert, found = monitored_answers(program, q, depth, selection)
+    assert found == [d.answer for d in ds if d.succeeded]
+    assert rep.passed == (bad_derived == 0)
+    if cert is not None:
+        assert bad_derived == bad_answers == 0, (cert, render(q), selection)
+    return cert, len(derived), len(instances), bad_derived, bad_answers
+
+
+def test_certified_run_matches_the_reference_on_random_programs(nestcount):
+    # The certified run types no derived query; the reference types each
+    # one, and each answer instance, whole.  About 2-3 s.
+    seen = {"certified": 0, "derived": 0, "answers": 0, "untypable": 0}
+
+    @settings(max_examples=70, derandomize=True, deadline=None,
+              phases=(Phase.explicit, Phase.generate),
+              suppress_health_check=(HealthCheck.too_slow,))
+    @given(programs_with_queries())
+    def check(case):
+        program, texts = case
+        for text in texts:
+            q = parse_query(text, program.signature)
+            try:
+                require_typable(program, q)
+            except UntypableError:
+                continue
+            for selection in ("leftmost", "all"):
+                cert, derived, answers, bad_derived, bad_answers = \
+                    _run_against_reference(program, q, 4, selection)
+                if cert is None:
+                    seen["untypable"] += bad_derived + bad_answers
+                else:
+                    seen["certified"] += 1
+                    seen["derived"] += derived
+                    seen["answers"] += answers
+
+    check()
+    assert seen["certified"] >= 250 and seen["derived"] >= 2000, seen
+    assert seen["answers"] >= 400 and seen["untypable"] >= 1, seen
+
+    # mk(50) evaluates a subtraction at every step.
+    mk = parse_program(MK_TEXT)
+    q = parse_query("mk(50, Xs)", mk.signature)
+    for selection in ("leftmost", "all"):
+        assert _run_against_reference(mk, q, 51, selection) == (
+            (HEAD_CONDITION, None), 52, 1, 0, 0)
+
+    # nestcount's clauses are semi-generic under r(h, b), but this query is
+    # not, and its run reaches the untypable r(1, 1).
+    q = parse_query("r(2, [1])", nestcount.signature)
+    for selection in ("leftmost", "all"):
+        assert _run_against_reference(nestcount, q, 4, selection) == (None, 1, 0, 1, 0)
+
+
 def test_sr_matches_the_oracle_on_random_programs():
     # Same skeletons and type verdicts, and the same first failing type
     # equation, which the oracle finds from its own argument-type equations.
@@ -705,11 +773,10 @@ def test_skeletons_type_the_query_and_equality_once(typing_calls, tmp_path):
     assert typing_calls.count(wrap_query((Atom("p"),))) == 1
 
 
-def test_run_types_each_derived_atom_once(typing_calls, monkeypatch):
-    # One run of flat over a 7-node tree: the program's clauses and the
-    # query are the only clauses typed, and each atom shape (an atom up to
-    # renaming and up to ground subterms of one principal type) is typed
-    # once, so there are fewer typings than distinct derived atoms.
+@pytest.fixture
+def shape_typings(monkeypatch):
+    """The atom shapes typed, in call order: every atom shape the run
+    monitor types passes through `typecheck._shape_typing`."""
     import tlpc.typecheck as typecheck
     shapes = []
     real = typecheck._shape_typing
@@ -719,25 +786,66 @@ def test_run_types_each_derived_atom_once(typing_calls, monkeypatch):
         return real(key, sig)
 
     monkeypatch.setattr(typecheck, "_shape_typing", counted)
-    flat = parse_program(FLAT_TEXT)
-    leaves = "node(leaf, 1, leaf)", "node(leaf, 3, leaf)", "node(leaf, 5, leaf)", "node(leaf, 7, leaf)"
-    tree = (f"node(node({leaves[0]}, 2, {leaves[1]}), 4, "
-            f"node({leaves[2]}, 6, {leaves[3]}))")
-    q = parse_query(f"flat({tree}, L)", flat.signature)
-    rep, found = monitored_answers(flat, q, depth=40)
-    assert rep.passed and len(found) == 1
-    assert typing_calls == list(flat.clauses) + [wrap_query(q)]
-    assert len(shapes) == len(set(shapes))
-    derived = {a for d in derivations(flat, q, 40) if d.steps for a in d.final}
-    assert len(shapes) < len(derived)
+    return shapes
+
+
+def _tree7(labels):
+    """A complete binary tree of 7 nodes with the given labels, in order."""
+    leaf = [f"node(leaf, {labels[i]}, leaf)" for i in (0, 2, 4, 6)]
+    return (f"node(node({leaf[0]}, {labels[1]}, {leaf[1]}), {labels[3]}, "
+            f"node({leaf[2]}, {labels[5]}, {leaf[3]}))")
+
+
+# mk with a polymorphic list argument: its recursive clause fixes U = int in
+# its head, so neither the head condition nor any partition holds.
+MK_POLY_TEXT = MK_TEXT.replace("pred mk(int, list(int))", "pred mk(int, list(U))")
+
+
+def test_run_types_each_derived_atom_once(typing_calls, shape_typings):
+    # An uncertified run is monitored.  flatnest's flat over a 7-node tree
+    # reaches r, whose clauses block every certificate: the program's
+    # clauses and the query are the only clauses typed, and each atom shape
+    # (an atom up to renaming and up to ground subterms of one principal
+    # type) is typed once, so there are fewer typings than distinct derived
+    # atoms.  The labels are empty lists, so every r call is typable; r
+    # admits no list longer than one, so there is no answer.
+    flatnest = parse_program(FLATNEST_TEXT)
+    q = parse_query(f"flat({_tree7(['[]'] * 7)}, L)", flatnest.signature)
+    rep, cert, found = monitored_answers(flatnest, q, depth=40)
+    assert cert is None
+    assert rep.passed and found == []
+    assert typing_calls == list(flatnest.clauses) + [wrap_query(q)]
+    assert len(shape_typings) == len(set(shape_typings))
+    derived = {a for d in derivations(flatnest, q, 40) if d.steps for a in d.final}
+    assert len(shape_typings) < len(derived)
 
     # mk(50) derives mk(49, Xs_1), mk(48, Xs_2), ...: one shape, one typing.
-    mk = parse_program(MK_TEXT)
+    mk = parse_program(MK_POLY_TEXT)
     q = parse_query("mk(50, Xs)", mk.signature)
-    shapes.clear()
-    rep, found = monitored_answers(mk, q, depth=51)
+    shape_typings.clear()
+    rep, cert, found = monitored_answers(mk, q, depth=51)
+    assert cert is None
     assert rep.passed and len(found) == 1
-    assert len(shapes) == 1
+    assert len(shape_typings) == 1
+
+
+@pytest.mark.parametrize("text, query, depth", [
+    (FLAT_TEXT, f"flat({_tree7(range(1, 8))}, L)", 40),
+    (MK_TEXT, "mk(50, Xs)", 51),
+], ids=["flat", "mk"])
+def test_certified_run_types_no_derived_atom(shape_typings, monkeypatch, text, query, depth):
+    # flat and mk meet the head condition: the run types no atom shape, and
+    # gives the report and the answers of the monitored run.
+    import tlpc.srcheck as srcheck
+    program = parse_program(text)
+    q = parse_query(query, program.signature)
+    rep, cert, found = monitored_answers(program, q, depth=depth)
+    assert cert == (HEAD_CONDITION, None)
+    assert rep.passed and len(found) == 1
+    assert shape_typings == []
+    monkeypatch.setattr(srcheck, "sr_certificate", lambda program, query: None)
+    assert monitored_answers(program, q, depth=depth) == (rep, None, found)
+    assert shape_typings
 
 
 @pytest.mark.parametrize("search, text, query, depth", [
