@@ -249,16 +249,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", choices=("auto", "annotated"), default=None,
                    help="partition source for the semi-generic check "
                         "(default: annotations when present, else search)")
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("infer", help="most general type of every clause")
     common(p)
-    p.set_defaults(fn=cmd_infer)
 
     p = sub.add_parser("run", help="answers within a step bound, with typability monitor")
     common(p, query=True)
     p.add_argument("--selection", choices=("leftmost", "all"), default="leftmost")
-    p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("sr", help="check that type skeletons stay unifiable: by the head "
                                   "condition or a semi-generic partition (all depths), "
@@ -266,24 +263,28 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, query=True)
     p.add_argument("--bounded", action="store_true",
                    help="skip the criteria and always enumerate up to --depth")
-    p.set_defaults(fn=cmd_sr)
 
     p = sub.add_parser("skeletons", help="dump skeletons for a query")
     common(p, query=True)
     p.add_argument("--types", action="store_true", help="include type skeletons")
-    p.set_defaults(fn=cmd_skeletons)
 
     p = sub.add_parser("tp", help="ground atoms derivable bottom-up within a term depth")
     common(p)
     p.add_argument("--depth", type=int, required=True,
                    help="bound on the depth of the terms in each atom")
-    p.set_defaults(fn=cmd_tp)
 
     return ap
 
 
+# Built at the first call of `main` and reused by later in-process calls.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     if getattr(args, "depth", 0) < 0:
         print("error: --depth must be >= 0", file=sys.stderr)
         return 2
@@ -291,7 +292,11 @@ def main(argv=None) -> int:
         with open(args.file, encoding="utf-8") as fh:
             program = parse_program(fh.read())
         query = parse_query(args.query, program.signature) if hasattr(args, "query") else None
-        code, doc, lines = args.fn(args, program, query)
+        # Read at each call, not stored in the parser, so that a `cmd_*`
+        # replaced or wrapped after the parser is built is the one that runs.
+        command = {"check": cmd_check, "infer": cmd_infer, "run": cmd_run, "sr": cmd_sr,
+                   "skeletons": cmd_skeletons, "tp": cmd_tp}[args.command]
+        code, doc, lines = command(args, program, query)
         for ln in [json.dumps(doc, indent=2)] if args.json else lines:
             print(ln)
         return code

@@ -473,19 +473,36 @@ class GroundAtomSet:
 
 
 class _Index:
-    """Ground atoms by predicate and arity."""
+    """Ground atoms by predicate and arity, and by the argument at one
+    position.  A position's table is built when a call first asks for it
+    and kept up to date by `add` from then on, so no table is built for a
+    position no call asks for."""
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         self.by_pred: dict[tuple, list[Atom]] = {}
+        self.by_arg: dict[tuple, dict[int, dict[Term, list[Atom]]]] = {}
         self.add(atoms)
 
     def add(self, atoms: Iterable[Atom]) -> None:
         for a in atoms:
-            self.by_pred.setdefault((a.pred, len(a.args)), []).append(a)
+            key = (a.pred, len(a.args))
+            self.by_pred.setdefault(key, []).append(a)
+            for i, table in self.by_arg.get(key, {}).items():
+                table.setdefault(a.args[i], []).append(a)
 
     def candidates(self, call: Atom) -> list[Atom]:
-        """The indexed atoms that `call` may match."""
-        return self.by_pred.get((call.pred, len(call.args)), [])
+        """The indexed atoms that `call` may match: those equal to it at its
+        first ground argument, or all of its predicate when it has none."""
+        key = (call.pred, len(call.args))
+        i = next((i for i, t in enumerate(call.args) if t.ground), None)
+        if i is None:
+            return self.by_pred.get(key, [])
+        tables = self.by_arg.setdefault(key, {})
+        if i not in tables:
+            tables[i] = {}
+            for a in self.by_pred.get(key, ()):
+                tables[i].setdefault(a.args[i], []).append(a)
+        return tables[i].get(call.args[i], [])
 
 
 def _is_equation(a: Atom) -> bool:
@@ -539,21 +556,33 @@ def tp_fixpoint(program: Program, depth: int,
     once per call i: call i matches the atoms new in the previous round,
     the calls before it the atoms known before that round, and those after
     it all atoms known.  So every consequence not yet known is found, and
-    each from at least one new atom."""
+    each from at least one new atom.  The variant for call i is left out
+    when no new atom may match call i, and each call looks atoms up by its
+    first ground argument (`_Index`).  A binding whose head instance would
+    exceed the depth bound is rejected before the instance is built."""
     depth_of = ground_terms(program.signature, depth, int_literals(program))
     pools = [[t for t, d in depth_of.items() if d <= allowed] for allowed in range(depth + 1)]
     atoms: set[Atom] = set()
 
-    def ground(head: Atom, binding: dict, fresh: list[Atom]) -> None:
-        h = apply_subst(head, binding)
-        base, occ = _head_depths(h)
-        # Variables add at least nothing to the depth, so this minimum rules
-        # the head out for every grounding.
+    def ground(head: Atom, shape: tuple, binding: dict, fresh: list[Atom]) -> None:
+        # `shape` is `_head_depths(head)`.  The instance's depth, its
+        # variables counted as 0, is the head's own or, for a bound
+        # variable, its deepest occurrence plus the depth of its term.
+        # Variables add at least nothing to it, so a head over the bound is
+        # ruled out for every grounding before it is built.
+        base, occ = shape
         if base > depth:
             return
-        # A grounding's depth is the larger of the head's own and, for each
-        # variable, its deepest occurrence plus the depth of its term; each
-        # variable's pool holds only the terms that keep it within the bound.
+        for v, d in occ.items():
+            t = binding.get(v)
+            if t is not None and d + t.depth > depth:
+                return
+        h = apply_subst(head, binding)
+        # A grounding's depth is the larger of the instance's own and, for
+        # each variable left, its deepest occurrence plus the depth of its
+        # term; each variable's pool holds only the terms that keep it
+        # within the bound.
+        _, occ = _head_depths(h)
         frees = list(occ)
         for combo in itertools.product(*(pools[depth - occ[v]] for v in frees)):
             g = apply_subst(h, dict(zip(frees, combo))) if frees else h
@@ -567,18 +596,21 @@ def tp_fixpoint(program: Program, depth: int,
     def everything(call: Atom) -> Iterable[Atom]:
         return itertools.chain(old.candidates(call), delta.candidates(call))
 
-    rules = [(c, sum(not _is_equation(b) for b in c.body)) for c in program.clauses]
+    rules = [(c, [b for b in c.body if not _is_equation(b)], _head_depths(c.head))
+             for c in program.clauses]
     done = 0
     while max_iters is None or done < max_iters:
         fresh: list[Atom] = []
-        for c, calls in rules:
-            # Only clauses without calls fire in the first round.
-            variants = (([()] if calls == 0 else []) if done == 0 else
-                        [(old.candidates,) * i + (delta.candidates,) + (everything,) * (calls - i - 1)
-                         for i in range(calls)])
+        for c, calls, shape in rules:
+            # Only clauses without calls fire in the first round.  Later, the
+            # variant for call i fires only if some new atom may match it.
+            variants = (([()] if not calls else []) if done == 0 else
+                        [(old.candidates,) * i + (delta.candidates,)
+                         + (everything,) * (len(calls) - i - 1)
+                         for i, call in enumerate(calls) if delta.candidates(call)])
             for sources in variants:
                 for binding in _body_matches(c.body, sources, {}):
-                    ground(c.head, binding, fresh)
+                    ground(c.head, shape, binding, fresh)
         done += 1
         if not fresh:
             break

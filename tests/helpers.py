@@ -7,8 +7,10 @@ library's unification and tree machinery.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import re
+import signal
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -49,6 +51,28 @@ def readme_transcripts() -> list[tuple[str, str]]:
                 command, _, output = part.partition("\n")
                 found.append((command[len("$ tlpc "):], output))
     return found
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError in the body once it has run `seconds` seconds, so
+    that a test whose loop no longer ends fails instead of spinning.  No
+    bound where SIGALRM is missing."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 SMALL_SIG_TEXT = """
 kind int/0.

@@ -32,6 +32,7 @@ from tlpc.trees import (
     Derivation,
     DerivationTree,
     Skeleton,
+    _Index,
     _head_depths,
     answers,
     atom_depth,
@@ -560,6 +561,27 @@ def test_tp_step_monotone_and_stable(append):
     assert start.atoms <= m0.atoms
 
 
+def test_index_looks_calls_up_by_their_first_ground_argument(append):
+    sig = append.signature
+    a1, a2, a3, a4, r1 = (parse_query(t, sig)[0] for t in (
+        "app([], [], [])", "app([], [1], [1])", "app([1], [], [1])",
+        "app([1], [1], [1, 1])", "r([1])"))
+    index = _Index([a1, a2, r1])
+    by_second = parse_query("app(Xs, [], Zs)", sig)[0]
+    assert index.candidates(by_second) == [a1]
+    # The table for the second argument, built above, takes in later atoms.
+    index.add([a3, a4])
+    assert index.candidates(by_second) == [a1, a3]
+    # A first argument that is not ground is passed over.
+    assert index.candidates(parse_query("app([X], [1], Zs)", sig)[0]) == [a2, a4]
+    assert index.candidates(parse_query("app([], Ys, Zs)", sig)[0]) == [a1, a2]
+    assert index.candidates(parse_query("app([1], Ys, [1])", sig)[0]) == [a3, a4]
+    assert index.candidates(parse_query("app(Xs, Ys, Zs)", sig)[0]) == [a1, a2, a3, a4]
+    assert index.candidates(parse_query("r([1])", sig)[0]) == [r1]
+    assert index.candidates(parse_query("r([])", sig)[0]) == []
+    assert _Index().candidates(by_second) == []
+
+
 def test_tp_max_iters(append):
     m1 = tp_fixpoint(append, depth=2, max_iters=1)
     full = tp_fixpoint(append, depth=2)
@@ -589,8 +611,30 @@ def test_tp_fixpoint_matches_the_naive_oracle(corpus, source, depth):
     _assert_tp_matches_oracle(program, depth)
 
 
+def test_tp_fixpoint_keeps_tables_in_step_across_rounds():
+    # Round 1 looks q(M, []) up among the old atoms, which builds their
+    # table for q's second argument while q([], [1]) is still new.  Round 2
+    # finds q([], [1]) there only if the table took it in when it turned old.
+    program = parse_program("""
+        kind list/1. kind int/0.
+        func nil : list(U). func cons(U, list(U)) : list(U).
+        pred nat(list(int)). pred q(list(int), list(int)). pred p(list(int)).
+        nat([]).
+        nat([1|N]) :- nat(N).
+        q([], [1]).
+        p(M) :- nat(N), q(M, N).
+    """)
+    assert parse_query("p([])", program.signature)[0] in tp_fixpoint(program, 2)
+    _assert_tp_matches_oracle(program, 2)
+
+
+def test_tp_fixpoint_flat_at_depth_2():
+    # The naive oracle takes seconds here, so only the count is pinned.
+    assert len(tp_fixpoint(parse_program(FLAT_TEXT), 2)) == 3241
+
+
 def test_tp_fixpoint_matches_the_naive_oracle_on_random_programs():
-    sizes = set()
+    sizes, bodies = set(), set()
 
     @settings(max_examples=60, derandomize=True, deadline=None,
               suppress_health_check=(HealthCheck.too_slow,))
@@ -598,9 +642,15 @@ def test_tp_fixpoint_matches_the_naive_oracle_on_random_programs():
     def check(program, depth):
         _assert_tp_matches_oracle(program, depth)
         sizes.add(len(tp_fixpoint(program, depth)) > 0)
+        for c in program.clauses:  # the bodies hold calls only
+            if len(c.body) >= 2:
+                bodies.add("two calls")
+            if any(t.ground for b in c.body for t in b.args):
+                bodies.add("a ground argument")
 
     check()
     assert sizes == {True, False}
+    assert bodies == {"two calls", "a ground argument"}
 
 
 # ---------------------------------------------------------------- round trip

@@ -17,7 +17,7 @@ from tlpc.unify import (
     mgu_types,
 )
 
-from helpers import eager_mgu, ordered_unifiable
+from helpers import eager_mgu, ordered_unifiable, time_limit
 
 X, Y = Var("X"), Var("Y")
 U = Param("U")
@@ -39,13 +39,15 @@ def test_mgu_terms_interface_equations(hqpr):
     assert set(theta) == {x1, x2}
 
 
+# Without the occur check these unifications never end, so they run under
+# a time limit.
 def test_mgu_terms_occur_check():
     nil = Fun("nil")
-    with pytest.raises(UnificationError) as exc:
+    with time_limit(5), pytest.raises(UnificationError) as exc:
         mgu_terms([(X, Fun("cons", (X, nil)))])
     assert exc.value.kind == "occur"
     # X occurs in Y's binding only through the binding of X.
-    with pytest.raises(UnificationError) as exc:
+    with time_limit(5), pytest.raises(UnificationError) as exc:
         mgu_terms([(X, Fun("cons", (Y, nil))), (Y, Fun("cons", (X, nil)))])
     e = exc.value
     assert (e.kind, e.index) == ("occur", 1)
@@ -87,7 +89,7 @@ def test_mgu_types_clash():
 
 
 def test_mgu_types_occur_check():
-    with pytest.raises(UnificationError) as exc:
+    with time_limit(5), pytest.raises(UnificationError) as exc:
         mgu_types([(U, list_of(U))])
     assert exc.value.kind == "occur"
 
