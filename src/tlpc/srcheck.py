@@ -33,12 +33,9 @@ The run monitor (`monitored_answers`) is the runtime counterpart: it
 checks that every query a bounded resolution derives is typable.  It
 tries the same certificate first: when one holds, every derived query is
 typable by the theorem, and the run types none of them.  Only an
-uncertified run is monitored.  A query's typing constraints are
-the union of its atoms', so each atom shape (an atom up to renaming and
-up to ground subterms of one principal type) is typed once per run, its
-most general variable typing memoised, and a derived query is typable
-exactly when its atoms' typings, with parameters renamed apart per atom,
-unify on the variables the atoms share (`typecheck.typable_by_atoms`).
+uncertified run is monitored.  Each derived query is typed whole, in one
+inference pass (`typecheck.typable_in_run`), except that a ground subterm
+is typed by a copy of its principal type, which is worked out once per run.
 """
 from __future__ import annotations
 
@@ -78,7 +75,7 @@ from .trees import (
     rebuild,
     tree_to_json,
 )
-from .typecheck import ClauseTyping, require_typable, typable_by_atoms
+from .typecheck import ClauseTyping, require_typable, typable_in_run
 from .unify import UnificationError, mgu_terms, mgu_types
 
 
@@ -418,18 +415,16 @@ def monitored_answers(
 
     Without a certificate, derived queries are checked for typability up to
     the first untypable one, and answers are collected throughout.  Each
-    atom shape (atoms equal up to renaming and up to ground subterms of the
-    same principal type) is typed once per call, each distinct ground
-    subterm's principal type is worked out once per call, and a derived
-    query's verdict joins its atoms' typings on their shared variables
-    (`typable_by_atoms`)."""
+    derived query is typed whole, and each distinct ground subterm's
+    principal type is worked out once per call and reused wherever the
+    subterm recurs (`typable_in_run`)."""
     cert = sr_certificate(program, query)
     findings: list[Finding] = []
     found: list[Subst] = []
-    atom_typings: dict = {}
+    principal: dict = {}
     for d in derivations(program, query, depth, selection):
         if (cert is None and not findings and d.steps
-                and not typable_by_atoms(d.final, program.signature, atom_typings)):
+                and not typable_in_run(d.final, program.signature, principal)):
             trace = " -> ".join(render(s.query) for s in d.steps)
             findings.append(Finding(
                 "query-untypable",

@@ -263,14 +263,12 @@ def same_shape(a, b) -> bool:
 
 def eval_arith(obj):
     """Replace every ground subtraction of integer literals with its value.
-    Works on terms, atoms, queries, and clauses.  Terms are walked with an
-    explicit stack, so their depth is not bounded by the recursion limit."""
+    Works on terms, atoms and queries.  Terms are walked with an explicit
+    stack, so their depth is not bounded by the recursion limit."""
     if isinstance(obj, tuple):
         return tuple(eval_arith(a) for a in obj)
     if isinstance(obj, Atom):
         return Atom(obj.pred, eval_arith(obj.args))
-    if isinstance(obj, Clause):
-        return Clause(eval_arith(obj.head), eval_arith(obj.body))
     if not isinstance(obj, (Var, Fun)):
         raise TypeError(f"cannot evaluate {obj!r}")
     done: list[Term] = []

@@ -4,11 +4,13 @@ Checking and inference both reduce to type unification: every occurrence of
 a declared symbol gets a fresh copy of its declared type, argument types are
 equated with the copies, and the equations are solved.  Inference builds no
 proof objects, only types and equations: `judge` gives a judgement's
-verdict, and the clause typings give most general types.  A term is typed
-in one walk with an explicit stack, so nesting depth is not bounded by
-Python's recursion limit.  For judgements against a supplied variable
-typing, the parameters of that typing (and of an expected type) are rigid:
-they behave as constants and cannot be instantiated.
+verdict, the clause typings give most general types, and `typable_in_run`
+gives a derived query's verdict, reusing the principal types of ground
+subterms across one run.  A term is typed in one walk with an explicit
+stack, so nesting depth is not bounded by Python's recursion limit.  For
+judgements against a supplied variable typing, the parameters of that
+typing (and of an expected type) are rigid: they behave as constants and
+cannot be instantiated.
 """
 from __future__ import annotations
 
@@ -40,8 +42,11 @@ class ClauseTyping:
 
 class _Infer:
     def __init__(self, sig: Signature, fixed: Mapping[Var, Type] | None = None,
-                 rigid=()):
+                 rigid=(), principal: dict | None = None):
         self.sig = sig
+        # Per run: each ground term met, with its principal type; when set,
+        # a ground term is typed by a renamed copy of it (`typable_in_run`).
+        self.principal = principal
         self.ns = NameSource()
         self.mint = fixed is None
         self.env: dict[Var, Type] = dict(fixed) if fixed is not None else {}
@@ -74,6 +79,11 @@ class _Infer:
                         raise UntypableError(f"variable {x.printed()} has no type in the variable typing")
                     self.env[x] = self.ns.fresh_param(x.name)
                 done.append(self.env[x])
+            elif self.principal is not None and x.ground:
+                known = _principal_type(x, self.sig, self.principal)
+                if known is None:
+                    raise UntypableError(f"ground term {render(x)} has no type")
+                done.append(rename_apart(known, self.ns))
             else:
                 decl = self.sig.func_decl(x.name)
                 if decl is None:
@@ -230,113 +240,22 @@ def _principal_type(t: Term, sig: Signature, memo: dict) -> Type | None:
     return memo[t]
 
 
-def _abstract(a: Atom) -> tuple[Atom, dict[Var, Var], list[tuple[Var, Term]]]:
-    """The atom's shape: each maximal ground subterm replaced with a
-    placeholder variable, and variables and placeholders renamed to V_1,
-    V_2, ... in first-occurrence order.  Returns the canonical atom, the
-    renaming of the atom's own variables, and each placeholder with the
-    ground subterm it stands for.  One walk with an explicit stack, where
-    a 1-tuple marks a term whose arguments are done."""
-    canon: dict[Var, Var] = {}
-    holes: list[tuple[Var, Term]] = []
-    done: list[Term] = []
-    todo: list = list(reversed(a.args))
-    while todo:
-        t = todo.pop()
-        if type(t) is tuple:
-            f, = t
-            args = tuple(done[-len(f.args):])
-            del done[-len(f.args):]
-            done.append(Fun(f.name, args))
-        elif type(t) is Var:
-            if t not in canon:
-                canon[t] = Var("V", len(canon) + len(holes) + 1)
-            done.append(canon[t])
-        elif t.ground:
-            holes.append((Var("V", len(canon) + len(holes) + 1), t))
-            done.append(holes[-1][0])
-        else:
-            todo.append((t,))
-            todo += reversed(t.args)
-    return Atom(a.pred, tuple(done)), canon, holes
-
-
-def _shape_typing(key: tuple, sig: Signature) -> dict[Var, Type] | None:
-    """The most general typing of the real variables of an abstracted atom
-    `(canonical atom, ((placeholder, principal type), ...))`, or None: the
-    canonical atom typed in one inference pass, with each placeholder's
-    type fixed in advance to a copy of its principal type renamed apart
-    from the others."""
-    atom, holes = key
-    inf = _Infer(sig)
-    inf.env.update((h, rename_apart(t, inf.ns)) for h, t in holes)
-    placeholders = set(inf.env)
+def typable_in_run(q: Query, sig: Signature, memo: dict) -> bool:
+    """The verdict of `is_typable`, from one inference pass over the query's
+    atoms in which each ground subterm is typed by a copy of its principal
+    type, renamed apart, instead of a walk.  A ground subterm shares no
+    variable with the rest of the query, and the types it can take are
+    exactly the instances of its principal type, so the verdict is the
+    same.  `memo` is per run: it maps each ground subterm met, at any
+    depth, to its principal type (None when it has none), so a ground
+    subterm that later queries carry along is typed once."""
+    inf = _Infer(sig, principal=memo)
     try:
-        inf.atom(atom)
-        theta = inf.solve()
-    except UntypableError:
-        return None
-    return {v: theta.apply(t) for v, t in inf.env.items() if v not in placeholders}
-
-
-def _atom_typing(a: Atom, sig: Signature, memo: dict) -> dict[Var, Type] | None:
-    atom, canon, holes = _abstract(a)
-    pairs = []
-    for h, g in holes:
-        t = _principal_type(g, sig, memo)
-        if t is None:
-            return None
-        pairs.append((h, t))
-    key = (atom, tuple(pairs))
-    if key not in memo:
-        memo[key] = _shape_typing(key, sig)
-    u = memo[key]
-    return None if u is None else {v: u[c] for v, c in canon.items()}
-
-
-def typable_by_atoms(q: Query, sig: Signature, memo: dict) -> bool:
-    """The verdict of `is_typable`, joined from typings of the query's atoms,
-    each atom shape typed once per `memo`.
-
-    The query's typing constraints are the union of its atoms', and
-    parameters local to one atom never meet another atom's, so the query is
-    typable exactly when each atom is and, with each atom's parameters
-    renamed apart, the types its atoms give a shared variable unify.
-
-    An atom is typed through its shape (`_abstract`): a ground subterm
-    shares no variable with the rest of the atom, and the types it can take
-    are exactly the instances of its principal type.  So the atom with each
-    maximal ground subterm replaced by a placeholder, plus one equation per
-    placeholder between its type and a renamed-apart copy of that principal
-    type, has the atom's verdict and the same most general typing of the
-    atom's variables.  Atoms equal up to renaming, and up to ground
-    subterms with the same principal types at the same places, share one
-    typing.
-
-    `memo` is per run and holds three kinds of entries: each ground subterm
-    met, with its principal type; each shape (the canonical atom with each
-    placeholder paired with its principal type), with the typing of its
-    canonical variables; and each atom met, with the typing of its own
-    variables, so that an atom repeated from the parent query skips the
-    walk.  A typing is None when there is none."""
-    ns = NameSource()
-    first: dict[Var, Type] = {}
-    eqs: list[tuple[Type, Type]] = []
-    for a in q:
-        if a not in memo:
-            memo[a] = _atom_typing(a, sig, memo)
-        u = memo[a]
-        if u is None:
-            return False
-        for v, t in rename_apart(u, ns).items():
-            if v in first:
-                eqs.append((first[v], t))
-            else:
-                first[v] = t
-    try:
-        mgu_types(eqs)
+        for a in q:
+            inf.atom(a)
+        inf.solve()
         return True
-    except UnificationError:
+    except UntypableError:
         return False
 
 

@@ -12,7 +12,7 @@ from helpers import (
 )
 from tlpc.cli import _skeleton_text, _tree_lines, main
 from tlpc.core import (
-    EQ, EQ_CLAUSE, GO, GO_CLAUSE_INDEX, Atom, Param, TCon, Var, apply_subst, variant,
+    EQ, EQ_CLAUSE, GO, GO_CLAUSE_INDEX, Atom, Fun, Param, TCon, Var, apply_subst, variant,
     wrap_query,
 )
 from tlpc.corpus import corpus_names, load_corpus
@@ -702,8 +702,8 @@ def test_sr_matches_the_oracle_on_random_programs():
 @pytest.fixture
 def typing_calls(monkeypatch):
     """The clauses typed, in call order: every clause typing passes through
-    `typecheck._clause_typing`.  Atom shapes are typed apart from it
-    (`typecheck._shape_typing`)."""
+    `typecheck._clause_typing`.  Derived queries of a run are typed apart
+    from it (`typecheck.typable_in_run`)."""
     import tlpc.typecheck as typecheck
     calls = []
     real = typecheck._clause_typing
@@ -774,19 +774,32 @@ def test_skeletons_type_the_query_and_equality_once(typing_calls, tmp_path):
 
 
 @pytest.fixture
-def shape_typings(monkeypatch):
-    """The atom shapes typed, in call order: every atom shape the run
-    monitor types passes through `typecheck._shape_typing`."""
-    import tlpc.typecheck as typecheck
-    shapes = []
-    real = typecheck._shape_typing
+def run_typings(monkeypatch):
+    """The derived queries the run monitor types, in call order, each with
+    the memo it was typed under: every one passes through
+    `srcheck.typable_in_run`."""
+    import tlpc.srcheck as srcheck
+    calls = []
+    real = srcheck.typable_in_run
 
-    def counted(key, sig):
-        shapes.append(key)
-        return real(key, sig)
+    def counted(q, sig, memo):
+        calls.append((q, memo))
+        return real(q, sig, memo)
 
-    monkeypatch.setattr(typecheck, "_shape_typing", counted)
-    return shapes
+    monkeypatch.setattr(srcheck, "typable_in_run", counted)
+    return calls
+
+
+def _ground_subterms(q):
+    """Every ground subterm of the query's atoms, at any depth."""
+    found, stack = set(), [t for a in q for t in a.args]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Fun):
+            if t.ground:
+                found.add(t)
+            stack += t.args
+    return found
 
 
 def _tree7(labels):
@@ -801,51 +814,57 @@ def _tree7(labels):
 MK_POLY_TEXT = MK_TEXT.replace("pred mk(int, list(int))", "pred mk(int, list(U))")
 
 
-def test_run_types_each_derived_atom_once(typing_calls, shape_typings):
+def test_run_reuses_principal_types_of_ground_subterms(typing_calls, run_typings):
     # An uncertified run is monitored.  flatnest's flat over a 7-node tree
     # reaches r, whose clauses block every certificate: the program's
-    # clauses and the query are the only clauses typed, and each atom shape
-    # (an atom up to renaming and up to ground subterms of one principal
-    # type) is typed once, so there are fewer typings than distinct derived
-    # atoms.  The labels are empty lists, so every r call is typable; r
-    # admits no list longer than one, so there is no answer.
+    # clauses and the query are the only clauses typed, each derived query
+    # is typed once, and all of them share one memo, which ends up holding
+    # exactly the ground subterms they met, each with its principal type.
+    # The labels are empty lists, so every r call is typable; r admits no
+    # list longer than one, so there is no answer.
     flatnest = parse_program(FLATNEST_TEXT)
     q = parse_query(f"flat({_tree7(['[]'] * 7)}, L)", flatnest.signature)
     rep, cert, found = monitored_answers(flatnest, q, depth=40)
     assert cert is None
     assert rep.passed and found == []
     assert typing_calls == list(flatnest.clauses) + [wrap_query(q)]
-    assert len(shape_typings) == len(set(shape_typings))
-    derived = {a for d in derivations(flatnest, q, 40) if d.steps for a in d.final}
-    assert len(shape_typings) < len(derived)
+    assert [t for t, _ in run_typings] == [d.final for d in derivations(flatnest, q, 40) if d.steps]
+    memo = run_typings[0][1]
+    assert all(m is memo for _, m in run_typings)
+    assert set(memo) == set().union(*(_ground_subterms(t) for t, _ in run_typings))
+    left, _, right = q[0].args[0].args  # the tree's subtrees, each met in the first resolvent
+    assert render(memo[left]) == render(memo[right]) == "tree(list(A))"
 
-    # mk(50) derives mk(49, Xs_1), mk(48, Xs_2), ...: one shape, one typing.
+    # mk(50) derives mk(49, Xs_1), mk(48, Xs_2), ...: each literal is
+    # worked out once, and the memo holds nothing else.
     mk = parse_program(MK_POLY_TEXT)
     q = parse_query("mk(50, Xs)", mk.signature)
-    shape_typings.clear()
+    run_typings.clear()
     rep, cert, found = monitored_answers(mk, q, depth=51)
     assert cert is None
     assert rep.passed and len(found) == 1
-    assert len(shape_typings) == 1
+    memo = run_typings[0][1]
+    assert set(memo) == {Fun(str(n)) for n in range(-1, 50)}
+    assert {render(t) for t in memo.values()} == {"int"}
 
 
 @pytest.mark.parametrize("text, query, depth", [
     (FLAT_TEXT, f"flat({_tree7(range(1, 8))}, L)", 40),
     (MK_TEXT, "mk(50, Xs)", 51),
 ], ids=["flat", "mk"])
-def test_certified_run_types_no_derived_atom(shape_typings, monkeypatch, text, query, depth):
-    # flat and mk meet the head condition: the run types no atom shape, and
-    # gives the report and the answers of the monitored run.
+def test_certified_run_types_no_derived_atom(run_typings, monkeypatch, text, query, depth):
+    # flat and mk meet the head condition: the run types no derived query,
+    # and gives the report and the answers of the monitored run.
     import tlpc.srcheck as srcheck
     program = parse_program(text)
     q = parse_query(query, program.signature)
     rep, cert, found = monitored_answers(program, q, depth=depth)
     assert cert == (HEAD_CONDITION, None)
     assert rep.passed and len(found) == 1
-    assert shape_typings == []
+    assert run_typings == []
     monkeypatch.setattr(srcheck, "sr_certificate", lambda program, query: None)
     assert monitored_answers(program, q, depth=depth) == (rep, None, found)
-    assert shape_typings
+    assert run_typings
 
 
 @pytest.mark.parametrize("search, text, query, depth", [

@@ -442,8 +442,6 @@ def test_eval_arith(fgs1):
     assert eval_arith(parse_term("2-1-1", sig)) == Fun("0")
     sym = parse_term("J-1", sig)
     assert eval_arith(sym) == sym
-    c = fgs1.clauses[1]
-    assert eval_arith(c) == c
     assert eval_arith(parse_query("gs1(1-1, c)", sig)) == \
         parse_query("gs1(0, c)", sig)
 

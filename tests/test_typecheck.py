@@ -16,7 +16,7 @@ from tlpc.typecheck import (
     judge,
     most_general_type,
     most_general_type_wrt,
-    typable_by_atoms,
+    typable_in_run,
 )
 
 from helpers import BENCH_PROGRAMS, SIG, programs_with_queries, typed_programs
@@ -167,9 +167,10 @@ def test_typing_deep_terms_does_not_recurse():
     assert most_general_type(wrap_query((atom,)), sig).variable_typing == {X: nat}
     judge({}, ground_term, nat, sig=sig)
     memo: dict = {}
-    assert typable_by_atoms((atom,), sig, memo)
-    assert typable_by_atoms((Atom("=", (ground_term, X)),), sig, memo)
-    assert typable_by_atoms((Atom("=", (open_term, ground_term)),), sig, memo)
+    assert typable_in_run((atom,), sig, memo)
+    assert typable_in_run((Atom("=", (ground_term, X)),), sig, memo)
+    assert memo[ground_term] == nat  # typed once, by its principal type
+    assert typable_in_run((Atom("=", (open_term, ground_term)),), sig, memo)
     with pytest.raises(UntypableError):
         judge({X: list_of(nat)}, open_term, nat, sig=sig)
 
@@ -205,40 +206,41 @@ def test_typing_follows_renaming_on_random_programs():
     check()
 
 
-# ------------------------------------------------ query typings from atoms
+# ------------------------------------- query typings with principal types
 
 LISTS = """kind list/1. kind int/0. func nil : list(U). func cons(U, list(U)) : list(U).
 pred p(U, int). pred q(list(U), U)."""
 
 
-def test_typable_by_atoms_pairs_each_placeholder_with_its_type():
-    # p([], X) and p(X, []) have one canonical atom, p(V_1, V_2), with the
-    # ground [] at different places: their shapes must differ.
+def test_typable_in_run_types_each_ground_subterm_where_it_stands():
+    # p([], X) and p(X, []) are one atom up to renaming and ground
+    # subterms, with the ground [] at different places: the []'s principal
+    # type, reused from the memo, must meet the argument type of its place.
     sig = parse_program(LISTS).signature
     memo: dict = {}
-    assert typable_by_atoms(parse_query("p([], X)", sig), sig, memo)
-    assert not typable_by_atoms(parse_query("p(X, [])", sig), sig, memo)
+    assert typable_in_run(parse_query("p([], X)", sig), sig, memo)
+    assert not typable_in_run(parse_query("p(X, [])", sig), sig, memo)
     assert not is_typable(parse_query("p(X, [])", sig), sig)
 
 
-def test_typable_by_atoms_renames_principal_types_apart():
+def test_typable_in_run_renames_principal_types_apart():
     # Both []s have principal type list(A); q(list(U), U) needs the first
     # to be list(list(B)) and the second list(B), which one shared A would
     # make cyclic.
     sig = parse_program(LISTS).signature
-    assert typable_by_atoms(parse_query("q([], [])", sig), sig, {})
-    assert typable_by_atoms(parse_query("q([[]], [])", sig), sig, {})
-    assert not typable_by_atoms(parse_query("q([1], [])", sig), sig, {})
+    assert typable_in_run(parse_query("q([], [])", sig), sig, {})
+    assert typable_in_run(parse_query("q([[]], [])", sig), sig, {})
+    assert not typable_in_run(parse_query("q([1], [])", sig), sig, {})
 
 
-def test_typable_by_atoms_untypable_ground_subterm():
+def test_typable_in_run_untypable_ground_subterm():
     sig = parse_program(LISTS).signature
     for text in ("p([1, []], X)", "q(X, [1, []])"):
         q = parse_query(text, sig)
-        assert not typable_by_atoms(q, sig, {}) and not is_typable(q, sig), text
+        assert not typable_in_run(q, sig, {}) and not is_typable(q, sig), text
 
 
-def test_typable_by_atoms_matches_is_typable_on_random_queries():
+def test_typable_in_run_matches_is_typable_on_random_queries():
     verdicts = set()
 
     @settings(max_examples=150, derandomize=True, deadline=None,
@@ -250,14 +252,14 @@ def test_typable_by_atoms_matches_is_typable_on_random_queries():
         for text in texts:
             q = parse_query(text, program.signature)
             want = is_typable(q, program.signature)
-            assert typable_by_atoms(q, program.signature, memo) == want, (program, text)
+            assert typable_in_run(q, program.signature, memo) == want, (program, text)
             verdicts.add(want)
 
     check()
     assert verdicts == {True, False}
 
 
-def test_typable_by_atoms_matches_is_typable_on_derived_queries(corpus):
+def test_typable_in_run_matches_is_typable_on_derived_queries(corpus):
     bench = [parse_program(p.read_text()) for p in sorted(BENCH_PROGRAMS.glob("*.tlp"))]
     checked = 0
     for program in list(corpus.values()) + bench:
@@ -268,7 +270,7 @@ def test_typable_by_atoms_matches_is_typable_on_derived_queries(corpus):
             q = parse_query(f"{pred}({args})" if args else pred, sig)
             for d in derivations(program, q, 4, "all"):
                 if d.steps:
-                    assert typable_by_atoms(d.final, sig, memo) == is_typable(d.final, sig), \
+                    assert typable_in_run(d.final, sig, memo) == is_typable(d.final, sig), \
                         (program, d.final)
                     checked += 1
     assert checked > 1000
