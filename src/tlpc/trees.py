@@ -44,7 +44,7 @@ from .core import (
     wrap_query,
     MINUS,
 )
-from .unify import UnificationError, match_terms, mgu_terms
+from .unify import UnificationError, _Resolved, match_terms, mgu_terms
 
 
 class _Bottom:
@@ -315,11 +315,14 @@ class Derivation:
     def answer(self) -> Subst:
         """The composition of the steps' unifiers, restricted to the query's
         variables, with ground subtractions evaluated.  Each unifier binds
-        only variables the earlier steps left free, so the composition is
-        the most general unifier of all their bindings, solved once."""
-        theta = mgu_terms([(v, t) for s in self.steps for v, t in s.mgu.items()])
-        return Subst({v: eval_arith(theta[v]) for v in vars_in_order(self.query)
-                      if v in theta})
+        only variables the earlier steps left free, so together their
+        bindings form one triangular substitution without cycles, whose
+        resolution is their most general unifier; only the query's
+        variables are resolved."""
+        binding = {v: t for s in self.steps for v, t in s.mgu.items()}
+        theta = _Resolved(binding)
+        return Subst({v: eval_arith(theta.get(v)) for v in vars_in_order(self.query)
+                      if v in binding})
 
     @property
     def final(self) -> Query:
@@ -351,30 +354,51 @@ def derive_step(query: Query, position: int, clause: Clause) -> tuple[Subst, Que
     return None if got is None else (got[0], eval_arith(got[1]))
 
 
+def _tops(args: tuple) -> tuple:
+    """Each argument's top functor, (name, arity), or None for a variable."""
+    return tuple(None if type(t) is Var else (t.name, len(t.args)) for t in args)
+
+
 def derivations(program: Program, query: Query, depth: int = 5,
                 selection: Literal["leftmost", "all"] = "leftmost") -> Iterator[Derivation]:
     """Every derivation of at most `depth` steps, including all prefixes.
 
     Clauses are tried in program order (builtin equality last); under
     "leftmost" only the first atom is selected, under "all" every position
-    is tried.  Resolution only combines the terms of the query and the
-    clauses, so ground subtractions are evaluated only when one of them
-    contains `-`; without it evaluation is the identity.
+    is tried.  Each clause of the selected atom's predicate is renamed
+    apart, from its variables listed once per call, and unified with it.
+    A clause whose head has at some argument a top functor other than the
+    atom's is skipped before renaming; it still uses up the fresh names its
+    copy would have drawn, so every copy is named as if none were skipped.
+    Resolution only combines the terms of the query and the clauses, so
+    ground subtractions are evaluated only when one of them contains `-`;
+    without it evaluation is the identity.
     """
     if selection not in ("leftmost", "all"):
         raise ValueError(f"unknown selection rule: {selection}")
     clauses = resolution_clauses(program)
-    ns = NameSource()
+    by_pred: dict[tuple, list] = {}
+    for idx, c in clauses:
+        by_pred.setdefault((c.head.pred, len(c.head.args)), []).append(
+            (idx, c, vars_in_order(c), _tops(c.head.args)))
+    drawn = 0  # fresh variable indices issued so far
     names = _function_names([c for _, c in clauses] + [wrap_query(query)])
     resolve = derive_step if MINUS in names else _resolvent
 
     def children(cur: Query, steps: tuple) -> Iterator[tuple]:
+        nonlocal drawn
         if len(steps) >= depth or not cur:
             return
         positions = range(1, len(cur) + 1) if selection == "all" else (1,)
         for k in positions:
-            for idx, c in _matching(clauses, cur[k - 1]):
-                copy = rename_apart(c, ns)
+            a = cur[k - 1]
+            tops = _tops(a.args)
+            for idx, c, vs, heads in by_pred.get((a.pred, len(a.args)), ()):
+                first = drawn
+                drawn += len(vs)  # also for a skipped clause, as if it were renamed
+                if any(h != t for h, t in zip(heads, tops) if h and t):
+                    continue
+                copy = apply_subst(c, {v: Var(v.name, first + i) for i, v in enumerate(vs, 1)})
                 got = resolve(cur, k, copy)
                 if got is None:
                     continue

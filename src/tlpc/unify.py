@@ -14,21 +14,35 @@ suite and lives in `tests/helpers.py`.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 from .core import Atom, Param, Subst, Var, apply_subst
 
 
 class UnificationError(Exception):
     """Raised on a clash or a failed occur check; carries the offending
-    equation (after the bindings accumulated so far were applied)."""
+    equation (after the bindings accumulated so far were applied).  The
+    bindings are applied to the two sides, and the message rendered, only
+    when first read: a caller that just tests unifiability pays for neither."""
 
-    def __init__(self, kind: str, left, right, index: int):
+    def __init__(self, kind: str, left, right, index: int, bindings: Mapping | None = None):
+        super().__init__()
         self.kind = kind
-        self.left = left
-        self.right = right
         self.index = index
-        super().__init__(f"{kind}: {left!r} = {right!r} (equation {index + 1})")
+        self._sides = (left, right)
+        self._bindings = {} if bindings is None else bindings
+
+    @cached_property
+    def left(self):
+        return apply_subst(self._sides[0], self._bindings)
+
+    @cached_property
+    def right(self):
+        return apply_subst(self._sides[1], self._bindings)
+
+    def __str__(self) -> str:
+        return f"{self.kind}: {self.left!r} = {self.right!r} (equation {self.index + 1})"
 
 
 def _is_var(x) -> bool:
@@ -109,10 +123,6 @@ def _mgu(eqs: Sequence[tuple], rigid: frozenset) -> Subst:
             x = binding[x]
         return x
 
-    def fail(kind, left, right, i):
-        return UnificationError(kind, apply_subst(left, resolved),
-                                apply_subst(right, resolved), i)
-
     work = [(l, r, i) for i, (l, r) in enumerate(eqs)]
     work.reverse()
     while work:
@@ -124,13 +134,13 @@ def _mgu(eqs: Sequence[tuple], rigid: frozenset) -> Subst:
             if _is_var(right) and (not _is_var(left) or left in rigid):
                 left, right = right, left
             if left in rigid:
-                raise fail("clash", left, right, i)
+                raise UnificationError("clash", left, right, i, resolved)
             if _occurs(left, right, binding):
-                raise fail("occur", left, right, i)
+                raise UnificationError("occur", left, right, i, resolved)
             binding[left] = right
             continue
         if _functor(left) != _functor(right):
-            raise fail("clash", left, right, i)
+            raise UnificationError("clash", left, right, i, resolved)
         work.extend((l, r, i) for l, r in zip(reversed(left.args), reversed(right.args)))
     return Subst.unchecked({v: resolved.get(v) for v in binding})
 

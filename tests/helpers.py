@@ -498,6 +498,43 @@ def eager_answers(program, query, depth, selection="leftmost"):
     yield from rec(query, {v: v for v in vars_in_order(query)}, 0)
 
 
+def reference_derivations(program, query, depth, selection="leftmost"):
+    """Reference for `trees.derivations`, with no clause filter: every
+    clause of the selected atom's predicate and arity is renamed apart with
+    `rename_apart` and resolved with `mgu_terms`, and ground subtractions
+    of each resolvent are evaluated.  Yields, for each derivation in search
+    order, its steps as (position, clause index, renamed clause, mgu,
+    query) and its answer: the most general unifier of all the steps'
+    bindings, solved with `mgu_terms`, restricted to the query's variables
+    and evaluated."""
+    clauses = resolution_clauses(program)
+    ns = NameSource()
+
+    def answer(steps):
+        theta = mgu_terms([(v, t) for s in steps for v, t in s[3].items()])
+        return Subst({v: eval_arith(theta[v]) for v in vars_in_order(query) if v in theta})
+
+    def rec(cur, steps):
+        yield steps, answer(steps)
+        if len(steps) >= depth or not cur:
+            return
+        positions = range(1, len(cur) + 1) if selection == "all" else (1,)
+        for k in positions:
+            a = cur[k - 1]
+            for idx, c in clauses:
+                if c.head.pred != a.pred or len(c.head.args) != len(a.args):
+                    continue
+                copy = rename_apart(c, ns)
+                try:
+                    theta = mgu_terms([(a, copy.head)])
+                except UnificationError:
+                    continue
+                nxt = eval_arith(theta.apply(cur[:k - 1] + copy.body + cur[k:]))
+                yield from rec(nxt, steps + ((k, idx, copy, theta, nxt),))
+
+    yield from rec(tuple(query), ())
+
+
 # ------------------------------------------------ random typed programs
 
 RANDOM_SIG_TEXT = """

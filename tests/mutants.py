@@ -50,6 +50,7 @@ class Mutant(NamedTuple):
 
 
 TP = ("tests/test_trees.py", "-k", "tp")
+DERIVE = ("tests/test_trees.py", "-k", "deriv or answer")
 RUN_TYPING = ("tests/test_typecheck.py", "tests/test_srcheck.py",
               "-k", "typable_in_run or deep_terms or principal_types")
 
@@ -70,6 +71,23 @@ MUTANTS = [
     Mutant("tp: old for delta in the variant skip", "src/tlpc/trees.py",
            "for i, call in enumerate(calls) if delta.candidates(call)]",
            "for i, call in enumerate(calls) if old.candidates(call)]", TP),
+    # The clause filter and the triangular answer of SLD derivations.
+    Mutant("derivations: a skipped clause does not advance the name source",
+           "src/tlpc/trees.py",
+           "                first = drawn\n"
+           "                drawn += len(vs)  # also for a skipped clause, as if it were renamed\n"
+           "                if any(h != t for h, t in zip(heads, tops) if h and t):\n"
+           "                    continue\n",
+           "                if any(h != t for h, t in zip(heads, tops) if h and t):\n"
+           "                    continue\n"
+           "                first = drawn\n"
+           "                drawn += len(vs)  # also for a skipped clause, as if it were renamed\n",
+           DERIVE),
+    Mutant("derivations: a variable head argument counts as a clash", "src/tlpc/trees.py",
+           "for h, t in zip(heads, tops) if h and t):",
+           "for h, t in zip(heads, tops) if t):", DERIVE),
+    Mutant("answer: each binding taken without resolving the later ones", "src/tlpc/trees.py",
+           "eval_arith(theta.get(v))", "eval_arith(binding[v])", DERIVE),
     # Unification and the certificates.
     Mutant("unify: _occurs returns False", "src/tlpc/unify.py",
            "    stack, seen = [t], set()\n",

@@ -207,9 +207,9 @@ def test_run_fgs1(capsys):
 
 
 def test_run_long_countdown(capsys, tmp_path):
-    # n + 1 steps: the answer is solved from the steps' unifiers once, at the
-    # end, and its subtractions are evaluated without recursion; derivations
-    # are searched with an explicit stack.
+    # n + 1 steps: the answer is resolved from the steps' unifiers once, at
+    # the end, and its subtractions are evaluated without recursion;
+    # derivations are searched with an explicit stack.
     f = tmp_path / "mk.tlp"
     f.write_text(MK_TEXT)
     for n in (400, 600, 1000, 2000):
@@ -243,6 +243,21 @@ def test_run_accepts_a_long_flat_list_literal(capsys, tmp_path):
                              "--depth", "1001")
     assert (code, err) == (0, "")
     assert out.splitlines()[0] == "answer: true"
+
+
+@pytest.mark.parametrize("query", [
+    "app([{xs}], [], Z)",  # clashes with the first clause at a head functor
+    "app([[{xs}]], Y, [[]|Z])",  # and with the second one below its head functors
+])
+def test_run_with_a_deep_clash_answers(capsys, query):
+    # A failed head unification must not apply its bindings to the two
+    # sides of the clash, or render them, before anyone reads them: here
+    # the sides are 3000-element lists.
+    xs = ", ".join(f"X{i}" for i in range(3000))
+    code, out, err = run_cli(capsys, "run", corpus_path("append"), "--query",
+                             query.format(xs=xs), "--depth", "3")
+    assert (code, err) == (0, "")
+    assert out == "no answers within 3 steps\nderived queries typable: pass (up to depth 3)\n"
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

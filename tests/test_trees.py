@@ -73,10 +73,12 @@ from helpers import (
     ground_trees,
     is_complete,
     match_onto,
+    programs_with_queries,
     recursive_eq_of_skeleton,
     recursive_eq_of_type_skeleton,
     recursive_node_atoms,
     recursive_tree_to_json,
+    reference_derivations,
     reference_tp_fixpoint,
     reference_tp_step,
     typed_programs,
@@ -182,6 +184,56 @@ def test_answers_match_eager_composer(corpus, selection):
         assert len(ds) == len(want), render(q)
         for d, ref in zip(ds, want):
             assert d.answer == ref, (render(q), [s.clause_index for s in d.steps])
+
+
+def _tops(atom):
+    return [None if isinstance(t, Var) else (t.name, len(t.args)) for t in atom.args]
+
+
+def _match_reference(program, q, depth, selection, seen):
+    """Compare `derivations` with the reference search step by step, and
+    count in `seen` what the comparison covered."""
+    got = list(derivations(program, q, depth, selection))
+    want = list(reference_derivations(program, q, depth, selection))
+    assert len(got) == len(want), render(q)
+    for d, (steps, answer) in zip(got, want):
+        assert [(s.position, s.clause_index, s.clause, s.mgu, s.query)
+                for s in d.steps] == list(steps), render(q)
+        assert d.answer == answer, (render(q), [s.clause_index for s in d.steps])
+        binding = {v: t for s in steps for v, t in s[3].items()}
+        if any(vars_of(binding[v]) & binding.keys() for v in vars_of(q) if v in binding):
+            seen["answer resolves a later binding"] += 1
+        if len(steps) == depth:
+            continue
+        for a in d.final if selection == "all" else d.final[:1]:
+            for c in program.clauses:
+                if c.head.pred == a.pred:
+                    pairs = list(zip(_tops(c.head), _tops(a)))
+                    seen["head functor clash"] += any(h and t and h != t for h, t in pairs)
+                    seen["variable head argument"] += any(t and not h for h, t in pairs)
+
+
+@pytest.mark.parametrize("selection", ["leftmost", "all"])
+def test_derivations_match_the_reference_search(selection):
+    # The reference renames every clause of the predicate, so this checks
+    # the clause filter, the fresh names it must keep, and the triangular
+    # reading of the answer.
+    seen = {"answer resolves a later binding": 0, "head functor clash": 0,
+            "variable head argument": 0}
+    mk = parse_program(MK_TEXT)
+    for text in ("mk(4, Xs)", "mk(N, Xs)", "mk(3-1, Xs)"):
+        _match_reference(mk, parse_query(text, mk.signature), 6, selection, seen)
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=(HealthCheck.too_slow,))
+    @given(programs_with_queries())
+    def check(case):
+        program, texts = case
+        for text in texts:
+            _match_reference(program, parse_query(text, program.signature), 3, selection, seen)
+
+    check()
+    assert min(seen.values()) >= 30, seen
 
 
 def test_answers(append, nest):

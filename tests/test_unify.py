@@ -54,6 +54,18 @@ def test_mgu_terms_occur_check():
     assert (e.left, e.right) == (Y, Fun("cons", (Fun("cons", (Y, nil)), nil)))
 
 
+def test_unification_error_shows_the_equation_with_the_bindings_applied():
+    # The sides and the message are built when first read, from the
+    # bindings made before the clash.
+    a = Fun("a")
+    with pytest.raises(UnificationError) as exc:
+        mgu_terms([(X, Fun("f", (Y,))), (Y, a), (X, Fun("g"))])
+    e = exc.value
+    assert (e.kind, e.index) == ("clash", 2)
+    assert str(e) == "clash: f(a) = g (equation 3)"
+    assert (e.left, e.right) == (Fun("f", (a,)), Fun("g"))
+
+
 def test_mgu_terms_decomposition():
     theta = mgu_terms([(Fun("cons", (X, Fun("nil"))),
                         Fun("cons", (Fun("1"), Y)))])
