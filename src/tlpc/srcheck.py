@@ -246,7 +246,7 @@ def search_partition(program: Program) -> Partition | None:
     those marks for the rest of the search, and a full assignment needs no
     second check.  (A clause with no declared predicate, a `go` clause
     calling only `=`, if any, has empty generic parts and meets every
-    condition.)"""
+    condition.)  Search nodes are partial assignments."""
     sig = program.signature
     typed = list(zip(program.clauses, program.clause_typings))
     names = list(sig.preds)
@@ -259,23 +259,21 @@ def search_partition(program: Program) -> Partition | None:
         if key not in verdicts:
             c, ct = typed[k]
             verdicts[key] = next(_semi_generic_findings(
-                program, Partition(dict(assigned)), c, ct, None), None) is None
+                program, Partition(assigned), c, ct, None), None) is None
         return verdicts[key]
 
-    def rec(i: int, assigned: dict[str, tuple[str, ...]]) -> Partition | None:
+    def children(assigned: dict[str, tuple[str, ...]]) -> Iterator[dict]:
+        i = len(assigned)
         if i == len(names):
-            return Partition(dict(assigned))
+            return
         arity = len(sig.preds[names[i]].arg_types)
         for marks in itertools.product((HEAD_GENERIC, BODY_GENERIC), repeat=arity):
-            assigned[names[i]] = marks
-            if all(passes(k, assigned) for k in due[i]):
-                found = rec(i + 1, assigned)
-                if found is not None:
-                    return found
-            del assigned[names[i]]
-        return None
+            nxt = {**assigned, names[i]: marks}
+            if all(passes(k, nxt) for k in due[i]):
+                yield nxt
 
-    return rec(0, {})
+    return next((Partition(a) for a in trees.depth_first({}, children)
+                 if len(a) == len(names)), None)
 
 
 HEAD_CONDITION = "head condition"

@@ -12,8 +12,8 @@ Every walk over a tree of clause nodes (skeletons, derivation trees and type
 skeletons) reads `nodes`, which lists them in one order: prefix, parent
 before child, left to right.  That order fixes the order of interface
 equations, and so which type equation a check reports as failing.  Copies
-are made by `rebuild`, bottom-up from that list.  No tree walk recurses, so
-tree height is not bounded by the recursion limit.
+are made by `rebuild`, bottom-up from that list.  Every depth-first walk
+runs on `depth_first`, so none is bounded by the recursion limit.
 """
 from __future__ import annotations
 
@@ -87,19 +87,31 @@ class DerivationTree:
             raise ValueError("one child per body atom required")
 
 
+def depth_first(root, children) -> Iterator:
+    """`root`, then depth first and lazily every node that `children(node)`
+    lists.  One child iterator per level is held on a list, so depth is not
+    bounded by the recursion limit."""
+    stack = [iter((root,))]
+    while stack:
+        for node in stack[-1]:
+            yield node
+            stack.append(iter(children(node)))
+            break
+        else:
+            stack.pop()
+
+
+def _kids(item: tuple) -> list:
+    _, _, node, depth = item
+    return [] if node is BOTTOM else [(node, i, kid, depth + 1) for i, kid in enumerate(node.children)]
+
+
 def nodes(root) -> Iterator[tuple]:
     """Every node of a tree of clause nodes in prefix order, BOTTOM leaves
     included, as (parent, index, node, depth): `node` is child `index` of
     `parent`, `depth` levels below the root (whose parent and index are
     None)."""
-    stack = [(None, None, root, 0)]
-    while stack:
-        item = stack.pop()
-        yield item
-        _, _, node, depth = item
-        if node is not BOTTOM:
-            kids = node.children
-            stack.extend((node, i, kids[i], depth + 1) for i in range(len(kids) - 1, -1, -1))
+    return depth_first((None, None, root, 0), _kids)
 
 
 def rebuild(root, make):
@@ -121,12 +133,6 @@ def height(node) -> int:
 
 # ------------------------------------------------------------ enumeration
 
-def _matching(clauses, atom: Atom):
-    for idx, c in clauses:
-        if c.head.pred == atom.pred and len(c.head.args) == len(atom.args):
-            yield idx, c
-
-
 def _options(clauses, atom: Atom, budget: int, ns: NameSource,
              allow_bottom: bool, build) -> Iterator:
     """Subtree options for one call site: BOTTOM (if allowed), then the
@@ -135,8 +141,9 @@ def _options(clauses, atom: Atom, budget: int, ns: NameSource,
     if allow_bottom:
         yield BOTTOM
     if budget >= 0:
-        for idx, c in _matching(clauses, atom):
-            yield from _rooted(clauses, rename_apart(c, ns), idx, budget, ns, allow_bottom, build)
+        for idx, c in clauses:
+            if c.head.pred == atom.pred and len(c.head.args) == len(atom.args):
+                yield from _rooted(clauses, rename_apart(c, ns), idx, budget, ns, allow_bottom, build)
 
 
 def _rooted(clauses, root: Clause, root_index: int, budget: int,
@@ -371,8 +378,9 @@ def derivations(program: Program, query: Query, depth: int = 5,
     atom's is skipped before renaming; it still uses up the fresh names its
     copy would have drawn, so every copy is named as if none were skipped.
     Resolution only combines the terms of the query and the clauses, so
-    ground subtractions are evaluated only when one of them contains `-`;
-    without it evaluation is the identity.
+    ground subtractions are evaluated, in the query once and in every
+    resolvent, only when one of them contains `-`; without it evaluation is
+    the identity.  `Derivation.query` is the query as given.
     """
     if selection not in ("leftmost", "all"):
         raise ValueError(f"unknown selection rule: {selection}")
@@ -385,8 +393,9 @@ def derivations(program: Program, query: Query, depth: int = 5,
     names = _function_names([c for _, c in clauses] + [wrap_query(query)])
     resolve = derive_step if MINUS in names else _resolvent
 
-    def children(cur: Query, steps: tuple) -> Iterator[tuple]:
+    def children(node: tuple) -> Iterator[tuple]:
         nonlocal drawn
+        cur, steps = node
         if len(steps) >= depth or not cur:
             return
         positions = range(1, len(cur) + 1) if selection == "all" else (1,)
@@ -405,15 +414,10 @@ def derivations(program: Program, query: Query, depth: int = 5,
                 theta, nxt = got
                 yield nxt, steps + (Step(k, idx, copy, theta, nxt),)
 
-    # Depth first over lazy child generators, so copies draw names in order.
-    stack = [iter([(query, ())])]
-    while stack:
-        got = next(stack[-1], None)
-        if got is None:
-            stack.pop()
-        else:
-            yield Derivation(query, got[1])
-            stack.append(children(*got))
+    # Children are generated lazily, so copies draw names in search order.
+    start = eval_arith(query) if MINUS in names else query
+    for _, steps in depth_first((start, ()), children):
+        yield Derivation(query, steps)
 
 
 def answers(program: Program, query: Query, depth: int = 5,
@@ -447,15 +451,9 @@ def _head_depths(a: Atom) -> tuple[int, dict[Var, int]]:
 
 def _function_names(clauses: Iterable[Clause]) -> set[str]:
     """The names of the function symbols in the clauses' atoms, integer
-    literals and `-` included.  Walked with an explicit stack."""
-    stack = [t for c in clauses for a in c.atoms() for t in a.args]
-    found = set()
-    while stack:
-        t = stack.pop()
-        if type(t) is Fun:
-            found.add(t.name)
-            stack += t.args
-    return found
+    literals and `-` included."""
+    return {t.name for c in clauses for a in c.atoms() for arg in a.args
+            for t in depth_first(arg, lambda t: getattr(t, "args", ())) if type(t) is Fun}
 
 
 def int_literals(program: Program, query: Query = ()) -> list[str]:
@@ -543,22 +541,25 @@ def _body_matches(body: Query, sources: tuple, binding: dict) -> Iterator[dict]:
     holds for any instance making both sides equal; grounding of leftover
     variables is deferred to the head.  The k-th other atom, a call,
     matches one of the ground atoms that `sources[k]`, a function of the
-    call's instance, lists."""
-    if not body:
-        yield binding
-        return
-    first = apply_subst(body[0], binding)
-    if _is_equation(first):
-        try:
-            theta = mgu_terms([(first.args[0], first.args[1])])
-        except UnificationError:
+    call's instance, lists.  Search nodes: (atoms done, calls done, binding)."""
+    def children(node: tuple) -> Iterator[tuple]:
+        i, k, binding = node
+        if i == len(body):
             return
-        yield from _body_matches(body[1:], sources, _extend(binding, theta))
-        return
-    for g in sources[0](first):
-        more = match_terms(first, g)
-        if more is not None:
-            yield from _body_matches(body[1:], sources[1:], _extend(binding, more))
+        first = apply_subst(body[i], binding)
+        if _is_equation(first):
+            try:
+                theta = mgu_terms([(first.args[0], first.args[1])])
+            except UnificationError:
+                return
+            yield i + 1, k, _extend(binding, theta)
+            return
+        for g in sources[k](first):
+            more = match_terms(first, g)
+            if more is not None:
+                yield i + 1, k + 1, _extend(binding, more)
+
+    return (b for i, _, b in depth_first((0, 0, binding), children) if i == len(body))
 
 
 def tp_fixpoint(program: Program, depth: int,

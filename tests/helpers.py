@@ -473,8 +473,8 @@ def eager_answers(program, query, depth, selection="leftmost"):
     """Reference for `Derivation.answer`: the search of `trees.derivations`,
     in the same order and with the same fresh names, keeping the answer as
     a binding map of the query's variables that every step rewrites with
-    its unifier (evaluating ground subtractions).  Yields the answer of
-    each derivation in search order."""
+    its unifier (evaluating ground subtractions, as in the query before
+    the first step).  Yields the answer of each derivation in search order."""
     clauses = resolution_clauses(program)
     ns = NameSource()
 
@@ -495,18 +495,18 @@ def eager_answers(program, query, depth, selection="leftmost"):
                 nb = {v: eval_arith(theta.apply(t)) for v, t in binding.items()}
                 yield from rec(nxt, nb, steps + 1)
 
-    yield from rec(query, {v: v for v in vars_in_order(query)}, 0)
+    yield from rec(eval_arith(tuple(query)), {v: v for v in vars_in_order(query)}, 0)
 
 
 def reference_derivations(program, query, depth, selection="leftmost"):
     """Reference for `trees.derivations`, with no clause filter: every
     clause of the selected atom's predicate and arity is renamed apart with
     `rename_apart` and resolved with `mgu_terms`, and ground subtractions
-    of each resolvent are evaluated.  Yields, for each derivation in search
-    order, its steps as (position, clause index, renamed clause, mgu,
-    query) and its answer: the most general unifier of all the steps'
-    bindings, solved with `mgu_terms`, restricted to the query's variables
-    and evaluated."""
+    of the query and of each resolvent are evaluated.  Yields, for each
+    derivation in search order, its steps as (position, clause index,
+    renamed clause, mgu, query) and its answer: the most general unifier
+    of all the steps' bindings, solved with `mgu_terms`, restricted to the
+    query's variables and evaluated."""
     clauses = resolution_clauses(program)
     ns = NameSource()
 
@@ -532,7 +532,7 @@ def reference_derivations(program, query, depth, selection="leftmost"):
                 nxt = eval_arith(theta.apply(cur[:k - 1] + copy.body + cur[k:]))
                 yield from rec(nxt, steps + ((k, idx, copy, theta, nxt),))
 
-    yield from rec(tuple(query), ())
+    yield from rec(eval_arith(tuple(query)), ())
 
 
 # ------------------------------------------------ random typed programs

@@ -71,6 +71,20 @@ MUTANTS = [
     Mutant("tp: old for delta in the variant skip", "src/tlpc/trees.py",
            "for i, call in enumerate(calls) if delta.candidates(call)]",
            "for i, call in enumerate(calls) if old.candidates(call)]", TP),
+    Mutant("tp: a body equation's binding dropped", "src/tlpc/trees.py",
+           "yield i + 1, k, _extend(binding, theta)", "yield i + 1, k, binding", TP),
+    # The depth-first driver and the searches on it.
+    Mutant("depth_first: each node's children taken in reverse", "src/tlpc/trees.py",
+           "stack.append(iter(children(node)))",
+           "stack.append(reversed(list(children(node))))",
+           ("tests/test_trees.py", "-k", "depth_first or walks or deriv")),
+    Mutant("search_partition: the last complete assignment instead of the first",
+           "src/tlpc/srcheck.py",
+           "    return next((Partition(a) for a in trees.depth_first({}, children)\n"
+           "                 if len(a) == len(names)), None)\n",
+           "    return ([None] + [Partition(a) for a in trees.depth_first({}, children)\n"
+           "                      if len(a) == len(names)])[-1]\n",
+           ("tests/test_srcheck.py", "-k", "partition")),
     # The clause filter and the triangular answer of SLD derivations.
     Mutant("derivations: a skipped clause does not advance the name source",
            "src/tlpc/trees.py",

@@ -221,6 +221,49 @@ def test_run_long_countdown(capsys, tmp_path):
         assert err == ""
 
 
+def test_run_evaluates_subtraction_in_the_query(capsys):
+    # A ground subtraction is evaluated in the query before the first step,
+    # so `1-1` meets the head `mk(0, [])`.
+    code, out, err = run_cli(capsys, "run", str(BENCH_PROGRAMS / "mk.tlp"),
+                             "--query", "mk(1-1, Xs)", "--depth", "4")
+    assert (code, err) == (0, "")
+    assert out == "answer: Xs = []\nderived queries typable: pass (up to depth 4)\n"
+
+
+def _many_int_facts(n):
+    return ("kind int/0.\n" + "".join(f"pred p{i}(int).\n" for i in range(n))
+            + "".join(f"p{i}(1).\n" for i in range(n)))
+
+
+def _many_list_facts(n):
+    return ("kind list/1. kind int/0.\nfunc nil : list(U). func cons(U, list(U)) : list(U).\n"
+            + "".join(f"pred p{i}(list(U)).\n" for i in range(n))
+            + "".join(f"p{i}([1]).\n" for i in range(n)))
+
+
+def _long_body(n):
+    return "pred q. pred r.\nq.\nr :- " + ", ".join(["q"] * n) + ".\n"
+
+
+@pytest.mark.parametrize("make, argv, out", [
+    # One declared predicate per level of the partition search.
+    (_many_int_facts, ["check"],
+     lambda n: ("head condition: pass\npartition (search): "
+                + "; ".join(f"p{i}(h)" for i in range(n)) + "\nsemi-generic: pass\n")),
+    # The head condition fails, so `sr` searches for a partition too.
+    (_many_list_facts, ["sr", "--query", "p0(X)", "--depth", "1"],
+     lambda n: "all type skeletons proper: pass (up to depth 1)\n"),
+    # One body atom per level of tp's body join.
+    (_long_body, ["tp", "--depth", "1"], lambda n: "q\nr\n2 ground atom(s) up to depth 1\n"),
+], ids=["check", "sr", "tp"])
+def test_searches_deeper_than_the_recursion_limit(capsys, tmp_path, make, argv, out):
+    for n in (3, 1500):
+        f = tmp_path / f"many{n}.tlp"
+        f.write_text(make(n))
+        code, got, err = run_cli(capsys, argv[0], str(f), *argv[1:])
+        assert (code, got, err) == (0, out(n), ""), n
+
+
 def test_run_empty_query_answers_true(capsys):
     code, out, err = run_cli(capsys, "run", corpus_path("append"), "--query", "true")
     assert (code, err) == (0, "")

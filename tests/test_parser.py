@@ -181,3 +181,43 @@ def test_render_does_not_recurse():
     assert render(term) == "s(" * 5000 + "z" + ")" * 5000
     assert render(ty) == "list(" * 5000 + "A" + ")" * 5000
     assert render(lists) == "[" * 5000 + "[]" + "]" * 5000
+
+
+@pytest.mark.parametrize("text, messages", [
+    ("pred p.\np :- #.\n",
+     ["2:6: error: unexpected character '#'", "2:7: error: expected a term, found '.'"]),
+    ("pred p(1).\n", ["1:8: error: expected a type, found '1'"]),
+    ("kind a/0.\nkind a/0.\n", ["2:6: error: kind a declared twice"]),
+    ("pred true.\n", ["1:6: error: true is reserved"]),
+    ("kind a/0.\nfunc c : a.\npred p(a).\np(X - c).\n",
+     ["4:5: error: integer subtraction requires kind int/0"]),
+    ("kind a/0.\npred p(a).\np([]).\n",
+     ["3:4: error: list syntax requires func nil to be declared",
+      "3:1: error: function nil not declared"]),
+    ("kind a/0.\npred p(a).\np(X) :- X.\n",
+     ["3:9: error: a body atom must be a predicate call or an equation"]),
+    ("kind int/0.\npred p(int).\np(X) :- 1 - X.\n",
+     ["3:9: error: a body atom must be a predicate call or an equation"]),
+], ids=["character", "type", "kind-twice", "reserved", "minus-without-int", "nil-undeclared",
+        "variable-atom", "minus-atom"])
+def test_diagnostics(text, messages):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert [str(d) for d in err.value.diagnostics.entries] == messages
+
+
+@pytest.mark.parametrize("text, term, shown", [
+    ("-5", Fun("-5"), "-5"),
+    ("(X)", Var("X"), "X"),
+    ("(X - Y) - Z", Fun("minus", (Fun("minus", (Var("X"), Var("Y"))), Var("Z"))), "X-Y-Z"),
+    ("X - (Y - Z)", Fun("minus", (Var("X"), Fun("minus", (Var("Y"), Var("Z"))))), "X-(Y-Z)"),
+    ("X - -1", Fun("minus", (Var("X"), Fun("-1"))), "X-(-1)"),
+    ("[-1|(Xs)]", Fun("cons", (Fun("-1"), Var("Xs"))), "[-1|Xs]"),
+])
+def test_signs_and_parentheses_render_and_parse_back(nestcount, text, term, shown):
+    sig = nestcount.signature
+    assert parse_term(text, sig) == term
+    assert render(term) == shown
+    assert parse_term(shown, sig) == term
+    fact = parse_clause(f"r({text}, []).", sig)
+    assert parse_clause(render(fact), sig) == fact

@@ -37,6 +37,7 @@ from tlpc.trees import (
     answers,
     atom_depth,
     derivations,
+    depth_first,
     derive_step,
     enumerate_proof_skeletons,
     enumerate_skeletons,
@@ -678,6 +679,21 @@ def test_tp_fixpoint_keeps_tables_in_step_across_rounds():
     _assert_tp_matches_oracle(program, 2)
 
 
+def test_tp_fixpoint_with_body_equations():
+    # `p`'s body equation does not unify, so `p` never holds; the others
+    # bind X, and a binding dropped would ground X to `b` as well.
+    program = parse_program("""
+        kind t/0. func a : t. func b : t.
+        pred p. pred q(t). pred r(t).
+        p :- a = b.
+        q(X) :- X = a.
+        r(X) :- q(X), X = a.
+    """)
+    want = {parse_query(t, program.signature)[0] for t in ("q(a)", "r(a)")}
+    assert tp_fixpoint(program, 1).atoms == want
+    _assert_tp_matches_oracle(program, 1)
+
+
 def test_tp_fixpoint_flat_at_depth_2():
     # The naive oracle takes seconds here, so only the count is pinned.
     assert len(tp_fixpoint(parse_program(FLAT_TEXT), 2)) == 3241
@@ -742,3 +758,25 @@ def test_ground_trees_are_instances_of_most_general(hqpr):
     for t in found:
         assert check_derivation_tree(t)
         assert match_onto(pattern, tuple(node_atoms(t))) is not None
+
+
+# ------------------------------------------------------------ depth first
+
+def test_depth_first_visits_children_in_order_and_lazily():
+    tree = {"r": ["a", "b"], "a": ["a1", "a2"], "b": ["b1"]}
+    asked = []
+
+    def children(node):
+        asked.append(node)
+        return iter(tree.get(node, ()))
+
+    walk = depth_first("r", children)
+    assert [next(walk), next(walk)] == ["r", "a"]
+    assert asked == ["r"]  # a node's children are asked for once it is reached
+    assert list(walk) == ["a1", "a2", "b", "b1"]
+    assert asked == ["r", "a", "a1", "a2", "b", "b1"]
+
+
+def test_depth_first_is_not_bounded_by_the_recursion_limit():
+    chain = list(depth_first(0, lambda n: [n + 1] if n < 20000 else []))
+    assert chain == list(range(20001))

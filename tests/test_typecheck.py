@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from tlpc.core import (
-    Atom, Fun, NameSource, Param, TCon, Var, rename_apart, variant, vars_in_order,
+    Atom, Clause, Fun, NameSource, Param, TCon, Var, rename_apart, variant, vars_in_order,
     wrap_query,
 )
 from tlpc.parser import parse_clause, parse_program, parse_query
@@ -274,3 +274,18 @@ def test_typable_in_run_matches_is_typable_on_derived_queries(corpus):
                         (program, d.final)
                     checked += 1
     assert checked > 1000
+
+
+@pytest.mark.parametrize("atom, message", [
+    (Atom("r", (Fun("f"),)), "function f not declared"),
+    (Atom("r", (Fun("nil", (X,)),)), "function nil/0 used with 1 arguments"),
+    (Atom("r", (Fun("1"),)), "integer literals require kind int/0"),
+    (Atom("s", (X,)), "predicate s not declared"),
+    (Atom("r", (X, X)), "predicate r/1 used with 2 arguments"),
+], ids=["function", "function-arity", "int-literal", "predicate", "predicate-arity"])
+def test_untypable_terms_and_atoms_built_without_the_parser(hqpr, atom, message):
+    # The parser rejects all of these; values built directly reach the
+    # typing rules, whose own checks reject them.  hqpr declares no int.
+    with pytest.raises(UntypableError, match=f"^{message}$"):
+        most_general_type(Clause(Atom("h", (X,)), (atom,)), hqpr.signature)
+    assert not is_typable((atom,), hqpr.signature)
