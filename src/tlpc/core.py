@@ -7,9 +7,10 @@ depth.  A parameter is a type variable, and each operation on variables
 serves both levels at once: one walk (`vars_in_order`), one `apply_subst`,
 which returns ground subterms themselves (no caller may rely on a fresh
 copy), one idempotent `Subst` class, one fresh copy (`rename_apart`) and
-one test for equality up to renaming (`variant`).  Renamings are plain
-dicts applied simultaneously.  Variables and parameters carry a numeric
-index so machine-made copies never collide with source names (index 0).
+one test for equality up to renaming (`variant`).  A solver's `Subst`
+resolves each binding on first read.  Renamings are plain dicts applied
+simultaneously.  Variables and parameters carry a numeric index so
+machine-made copies never collide with source names (index 0).
 """
 from __future__ import annotations
 
@@ -231,6 +232,31 @@ def vars_of(obj) -> set:
 
 # ------------------------------------------------------- substitutions
 
+def _apply_app(obj, theta: Mapping):
+    """A non-ground application with theta applied, rebuilt from an explicit
+    stack of frames (a node and its new arguments so far), so nesting depth
+    is not bounded by the recursion limit.  Variables and ground arguments
+    are put in place without a frame of their own."""
+    stack = [(obj, [])]
+    while True:
+        node, done = stack[-1]
+        for a in node.args[len(done):]:
+            t = type(a)
+            if t is Var or t is Param:
+                done.append(theta.get(a, a))
+            elif a.ground:
+                done.append(a)
+            else:
+                stack.append((a, []))
+                break
+        else:
+            stack.pop()
+            new = type(node)(node.name, tuple(done))
+            if not stack:
+                return new
+            stack[-1][1].append(new)
+
+
 def apply_subst(obj, theta: Mapping):
     """Apply a substitution, any mapping from variables to terms or from
     parameters to types, to a term, type, atom, clause, tuple, or mapping of
@@ -240,9 +266,7 @@ def apply_subst(obj, theta: Mapping):
     if t is Var or t is Param:
         return theta.get(obj, obj)
     if t is Fun or t is TCon:
-        if obj.ground:
-            return obj
-        return t(obj.name, tuple([apply_subst(a, theta) for a in obj.args]))
+        return obj if obj.ground else _apply_app(obj, theta)
     if t is Atom:
         return Atom(obj.pred, tuple([apply_subst(a, theta) for a in obj.args]))
     if t is tuple:
@@ -260,28 +284,70 @@ class Subst(_Rendered, Mapping):
 
     Identity bindings are dropped; a domain variable occurring in the range
     is rejected (the substitution would not be idempotent).  Renamings are
-    not substitutions in this sense: apply them as plain dicts.
+    not substitutions in this sense: apply them as plain dicts.  A solver's
+    bindings (`triangular`) are resolved in place, each on first read.
     """
 
-    __slots__ = ("_m",)
+    __slots__ = ("_m", "_done")
 
     def __init__(self, mapping=()):
         m = {v: t for v, t in dict(mapping).items() if t != v}
         hit = {x for t in m.values() for x in vars_in_order(t) if x in m}
         if hit:
             raise ValueError(f"not idempotent: {sorted(x.printed() for x in hit)} bound and in range")
-        self._m = m
+        self._m, self._done = m, None  # _done: the keys resolved so far; None once all are
 
     @classmethod
-    def unchecked(cls, m: dict) -> "Subst":
-        """A Subst of a map known to be idempotent and free of identity
-        bindings, such as a solver's output, taken without checking."""
+    def triangular(cls, binding: dict) -> "Subst":
+        """The Subst that acyclic triangular bindings without identity
+        bindings resolve to, taken without checking; it owns `binding`."""
         s = cls.__new__(cls)
-        s._m = m
+        s._m, s._done = binding, set() if binding else None
         return s
 
+    def _resolve(self, keys) -> None:
+        """Resolve each key after the unresolved bound variables its value
+        mentions, from an explicit stack, so long chains cost no recursion."""
+        m, done = self._m, self._done
+        stack = list(keys)
+        while stack:
+            x = stack[-1]
+            if x in done:
+                stack.pop()
+                continue
+            t = m[x]
+            pending, bound, todo = [], False, [t]
+            while todo:
+                y = todo.pop()
+                if type(y) is Var or type(y) is Param:
+                    if y in m:
+                        bound = True
+                        if y not in done:
+                            pending.append(y)
+                elif not y.ground:
+                    todo.extend(y.args)
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            if bound:  # else the value is already resolved
+                m[x] = apply_subst(t, m)
+            done.add(x)
+        if len(done) == len(m):
+            self._done = None
+
+    def _resolved(self) -> dict:
+        if self._done is not None:
+            self._resolve(self._m)
+        return self._m
+
     def __getitem__(self, k):
+        if self._done is not None and k not in self._done:
+            self._resolve((k,))
         return self._m[k]
+
+    def __contains__(self, k):
+        return k in self._m
 
     def __iter__(self):
         return iter(self._m)
@@ -289,16 +355,19 @@ class Subst(_Rendered, Mapping):
     def __len__(self):
         return len(self._m)
 
+    def items(self):
+        return self._resolved().items()
+
     def __eq__(self, other):
         if isinstance(other, Subst):
-            return self._m == other._m
+            return self._resolved() == other._resolved()
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self._m.items()))
+        return hash(frozenset(self.items()))
 
     def apply(self, obj):
-        return apply_subst(obj, self._m)
+        return apply_subst(obj, self._resolved())
 
 
 def rename_apart(obj, fresh: NameSource):

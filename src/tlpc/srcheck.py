@@ -191,9 +191,10 @@ def _semi_generic_findings(program: Program, part: Partition, clause: Clause,
         declared_generic.append(_split(decl.arg_types, marks, want))
 
     m = len(atoms) - 1
+    params = [vars_of(g) for g in generic]
     for i in range(m + 1):
-        for j in range(i + 1, m + 1):
-            shared = vars_of(generic[i]) & vars_of(generic[j])
+        for j in range(i + 1, m + 1) if params[i] else ():
+            shared = params[i] & params[j]
             if shared:
                 names = ", ".join(sorted(p.printed() for p in shared))
                 yield Finding(
@@ -201,11 +202,11 @@ def _semi_generic_findings(program: Program, part: Partition, clause: Clause,
                     f"generic parts of atoms {i} and {j} share parameter(s) "
                     f"{names}: {render_types(generic[i])} vs {render_types(generic[j])}",
                     clause=clause_index)
+    # A parameter is in a generic part at or after body atom i when the last
+    # body atom whose generic part holds it is at or after i.
+    last = {p: j for j in range(1, m + 1) for p in params[j]}
     for i in range(1, m + 1):
-        later: set = set()
-        for j in range(i, m + 1):
-            later |= vars_of(generic[j])
-        shared = vars_of(nongeneric[i]) & later
+        shared = {p for p in vars_of(nongeneric[i]) if last.get(p, 0) >= i}
         if shared:
             names = ", ".join(sorted(p.printed() for p in shared))
             yield Finding(
@@ -250,8 +251,13 @@ def search_partition(program: Program) -> Partition | None:
     sig = program.signature
     typed = list(zip(program.clauses, program.clause_typings))
     names = list(sig.preds)
-    preds = [[p for p in names if p in {a.pred for a in c.atoms()}] for c, _ in typed]
-    due = [[k for k, ps in enumerate(preds) if ps and ps[-1] == name] for name in names]
+    rank = {p: i for i, p in enumerate(names)}
+    preds = [sorted({a.pred for a in c.atoms() if a.pred in rank}, key=rank.__getitem__)
+             for c, _ in typed]
+    due: list[list[int]] = [[] for _ in names]  # clauses by their last predicate
+    for k, ps in enumerate(preds):
+        if ps:
+            due[rank[ps[-1]]].append(k)
     verdicts: dict[tuple, bool] = {}
 
     def passes(k: int, assigned: dict[str, tuple[str, ...]]) -> bool:

@@ -44,7 +44,7 @@ from .core import (
     wrap_query,
     MINUS,
 )
-from .unify import UnificationError, _Resolved, match_terms, mgu_terms
+from .unify import UnificationError, match_terms, mgu_terms
 
 
 class _Bottom:
@@ -230,7 +230,7 @@ def most_general_derivation_tree(s: Skeleton) -> DerivationTree | None:
         return None
     # A restriction of an idempotent unifier is idempotent.  Looking up each
     # clause's own variables keeps the labelling linear in the tree's size.
-    return rebuild(s, lambda n: partial(DerivationTree, n.clause, n.clause_index, Subst.unchecked(
+    return rebuild(s, lambda n: partial(DerivationTree, n.clause, n.clause_index, Subst.triangular(
         {v: theta[v] for v in vars_in_order(n.clause) if v in theta})))
 
 
@@ -326,10 +326,8 @@ class Derivation:
         bindings form one triangular substitution without cycles, whose
         resolution is their most general unifier; only the query's
         variables are resolved."""
-        binding = {v: t for s in self.steps for v, t in s.mgu.items()}
-        theta = _Resolved(binding)
-        return Subst({v: eval_arith(theta.get(v)) for v in vars_in_order(self.query)
-                      if v in binding})
+        theta = Subst.triangular({v: t for s in self.steps for v, t in s.mgu.items()})
+        return Subst({v: eval_arith(theta[v]) for v in vars_in_order(self.query) if v in theta})
 
     @property
     def final(self) -> Query:

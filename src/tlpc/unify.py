@@ -5,10 +5,10 @@ decomposes by its functor (node type, name, arity).  The solver keeps
 triangular bindings: a binding's value may mention variables bound later,
 so adding a binding never rewrites the others, and variables are
 dereferenced through the bindings when an equation is taken up (Martelli
-& Montanari 1982).  The bindings are resolved once, into an idempotent
-Subst, when the solver returns.  The occur check is always on, and
-equations are processed leftmost first, so results are deterministic.
-Neither the occur check nor the resolution looks inside ground subterms.
+& Montanari 1982), and returned as they are in a `Subst.triangular`, which
+resolves each on first read.  The occur check is always on, and equations
+are processed leftmost first, so results are deterministic.  Neither the
+occur check nor the resolution looks inside ground subterms.
 The paper's ordered sufficient unifiability test serves only the test
 suite and lives in `tests/helpers.py`.
 """
@@ -53,51 +53,6 @@ def _functor(x) -> tuple:
     return type(x), x.pred if type(x) is Atom else x.name, len(x.args)
 
 
-class _Resolved(dict):
-    """Idempotent view of triangular bindings, filled on demand: looking a
-    variable up applies its binding through every later one, once per
-    variable.  The bound variables a value mentions are resolved before
-    the value itself, from an explicit stack, so long chains of bindings
-    cost no recursion."""
-
-    def __init__(self, binding: dict):
-        super().__init__()
-        self.binding = binding
-
-    def get(self, v, default=None):
-        if v not in self.binding:
-            return default
-        if v not in self:
-            self._resolve(v)
-        return self[v]
-
-    def _resolve(self, v) -> None:
-        binding = self.binding
-        stack = [v]
-        while stack:
-            x = stack[-1]
-            if x in self:
-                stack.pop()
-                continue
-            t = binding[x]
-            pending, bound, todo = [], False, [t]
-            while todo:
-                y = todo.pop()
-                if type(y) is Var or type(y) is Param:
-                    if y in binding:
-                        bound = True
-                        if y not in self:
-                            pending.append(y)
-                elif not y.ground:
-                    todo.extend(y.args)
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            # A value mentioning no bound variable is already resolved.
-            self[x] = apply_subst(t, self) if bound else t
-
-
 def _occurs(v, t, binding: dict) -> bool:
     """Does v occur in t once bound variables are replaced by their values?"""
     stack, seen = [t], set()
@@ -116,7 +71,6 @@ def _occurs(v, t, binding: dict) -> bool:
 
 def _mgu(eqs: Sequence[tuple], rigid: frozenset) -> Subst:
     binding: dict = {}
-    resolved = _Resolved(binding)
 
     def walk(x):
         while _is_var(x) and x in binding:
@@ -134,15 +88,15 @@ def _mgu(eqs: Sequence[tuple], rigid: frozenset) -> Subst:
             if _is_var(right) and (not _is_var(left) or left in rigid):
                 left, right = right, left
             if left in rigid:
-                raise UnificationError("clash", left, right, i, resolved)
+                raise UnificationError("clash", left, right, i, Subst.triangular(binding))
             if _occurs(left, right, binding):
-                raise UnificationError("occur", left, right, i, resolved)
+                raise UnificationError("occur", left, right, i, Subst.triangular(binding))
             binding[left] = right
             continue
         if _functor(left) != _functor(right):
-            raise UnificationError("clash", left, right, i, resolved)
+            raise UnificationError("clash", left, right, i, Subst.triangular(binding))
         work.extend((l, r, i) for l, r in zip(reversed(left.args), reversed(right.args)))
-    return Subst.unchecked({v: resolved.get(v) for v in binding})
+    return Subst.triangular(binding)
 
 
 def mgu_terms(eqs: Iterable[tuple]) -> Subst:

@@ -264,6 +264,33 @@ def test_searches_deeper_than_the_recursion_limit(capsys, tmp_path, make, argv, 
         assert (code, got, err) == (0, out(n), ""), n
 
 
+def _long_list_program(n, clauses):
+    xs = ", ".join(f"X{i}" for i in range(n))
+    return ("kind list/1.\nfunc nil : list(U). func cons(U, list(U)) : list(U).\n"
+            "pred p(list(U)). pred r.\n" + clauses.format(xs=xs))
+
+
+@pytest.mark.parametrize("clauses, argv, out", [
+    # The answer applies the unifier to an n-element list of variables.
+    ("p([{xs}]).\n", ["run", "--query", "p(L)", "--depth", "1"],
+     lambda n: ("answer: L = [" + ", ".join(f"X{i}_{i + 1}" for i in range(n))
+                + "]\nderived queries typable: pass (up to depth 1)\n")),
+    # Solving the option's head applies the unifier to the fact's head.
+    ("p([{xs}]).\n", ["sr", "--bounded", "--query", "p(L)", "--depth", "1"],
+     lambda n: "all type skeletons proper: pass (up to depth 1)\n"),
+    # Grounding `p(L)` and joining the body apply bindings to the body atom.
+    ("p(L).\nr :- p([{xs}]).\n", ["tp", "--depth", "1"],
+     lambda n: "p([[]])\np([])\n2 ground atom(s) up to depth 1\n"),
+], ids=["run", "sr", "tp"])
+def test_substitutes_into_lists_longer_than_the_recursion_limit(capsys, tmp_path, clauses,
+                                                                argv, out):
+    for n in (3, 2000):
+        f = tmp_path / f"long{n}.tlp"
+        f.write_text(_long_list_program(n, clauses))
+        code, got, err = run_cli(capsys, argv[0], str(f), *argv[1:])
+        assert (code, got, err) == (0, out(n), ""), n
+
+
 def test_run_empty_query_answers_true(capsys):
     code, out, err = run_cli(capsys, "run", corpus_path("append"), "--query", "true")
     assert (code, err) == (0, "")

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, Phase, given, settings
 from helpers import (
     EXTRA_QUERIES, FLAT_TEXT, FLATNEST_TEXT, MK_TEXT, assembled_variable_typing, corpus_path,
     eq_prime_of_type_skeleton, ordered_unifiable, programs_with_queries,
-    reference_search_partition, reference_sr_check, typed_programs,
+    reference_search_partition, reference_sr_check, time_limit, typed_programs,
 )
 from tlpc.cli import _skeleton_text, _tree_lines, main
 from tlpc.core import (
@@ -268,6 +268,19 @@ def test_semi_generic_failures_move_with_the_partition(fgs1):
     rep = check_semi_generic(
         fgs1, make_partition(fgs1, {"gs1": ("h", "b"), "fs1": ("h", "b", "h")}))
     assert (1, "semi-generic-3") in [(f.clause, f.condition) for f in rep.findings]
+
+
+@pytest.mark.parametrize("marks", ["h", "b"])
+def test_semi_generic_check_of_a_long_body_is_fast(marks):
+    # 1500 body atoms; under q(b) each body atom's generic part has a
+    # parameter of its own, under q(h) none.
+    n = 1500
+    program = parse_program(
+        "kind list/1.\nfunc nil : list(U). func cons(U, list(U)) : list(U).\n"
+        "pred q(list(U)). pred r.\nq([]).\nr :- "
+        + ", ".join(f"q(X{i})" for i in range(n)) + ".\n")
+    with time_limit(2):
+        assert check_semi_generic(program, make_partition(program, {"q": (marks,)})).passed
 
 
 def test_all_head_partition_makes_every_query_semi_generic(append):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from tlpc.core import (
-    Atom, Clause, Fun, NameSource, Param, TCon, Var, rename_apart, variant, vars_in_order,
-    wrap_query,
+    Atom, Clause, Fun, NameSource, Param, Subst, TCon, Var, rename_apart, variant,
+    vars_in_order, wrap_query,
 )
 from tlpc.parser import parse_clause, parse_program, parse_query
 from tlpc.trees import derivations
@@ -238,6 +238,21 @@ def test_typable_in_run_untypable_ground_subterm():
     for text in ("p([1, []], X)", "q(X, [1, []])"):
         q = parse_query(text, sig)
         assert not typable_in_run(q, sig, {}) and not is_typable(q, sig), text
+
+
+def test_verdict_only_typing_resolves_no_binding(monkeypatch):
+    # judge and typable_in_run keep only the verdict, so no binding of the
+    # solver's Subst is read; a clause typing reads them all.
+    resolved = []
+    resolve = Subst._resolve
+    monkeypatch.setattr(Subst, "_resolve", lambda self, keys: resolved.append(keys) or resolve(self, keys))
+    sig = parse_program(LISTS).signature
+    q = parse_query("q([X, Y], Z), p(Z, 1)", sig)
+    assert typable_in_run(q, sig, {})
+    judge({v: A for v in vars_in_order(q)}, q, sig=sig)
+    assert resolved == []
+    most_general_type(wrap_query(q), sig)
+    assert resolved
 
 
 def test_typable_in_run_matches_is_typable_on_random_queries():

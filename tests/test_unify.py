@@ -256,6 +256,37 @@ def test_mgu_types_matches_reference(eqs, rigid):
                  _outcome(eager_mgu, eqs, rigid=rigid))
 
 
+_CHAIN = [Var("V", i) for i in range(8)]
+
+
+@st.composite
+def _chains(draw):
+    """Solvable equations V_i = t_i, each t_i over the later variables only,
+    in a random order: their bindings form chains up to 7 long."""
+    eqs = [(v, draw(st.recursive(
+        st.sampled_from(_CHAIN[i + 1:] + [Fun("nil")]),
+        lambda sub: st.builds(lambda a, b: Fun("cons", (a, b)), sub, sub), max_leaves=3)))
+        for i, v in enumerate(_CHAIN[:-1])]
+    return draw(st.permutations(eqs))
+
+
+@differential
+@given(eqs=st.one_of(_equations(_terms(), _VARS), _chains()),
+       rnd=st.randoms(use_true_random=False))
+def test_lazy_subst_reads_keys_in_any_order(eqs, rnd):
+    # The solver's Subst resolves each key on first read: reading the keys
+    # one at a time, in a random order, gives the whole resolved map.
+    try:
+        theta, whole = mgu_terms(eqs), mgu_terms(eqs)
+    except UnificationError:
+        return
+    keys = list(theta)
+    rnd.shuffle(keys)
+    one_by_one = {v: theta[v] for v in keys}
+    assert one_by_one == dict(whole.items()) == dict(eager_mgu(eqs).items())
+    assert list(theta.items()) == list(whole.items())
+
+
 def test_mgu_resolves_long_term_chains():
     # X_i = f(X_{i+1}): the solution binds X_i to f nested 2999 - i deep
     # around the last variable, each resolved value read without recursion.
