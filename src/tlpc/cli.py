@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Each `cmd_*` function takes the parsed arguments, the program and the
-parsed `--query` (None for commands without one) and returns its result
-as (exit code, JSON document, text lines); it reads no file and prints
-nothing.  `main` alone does I/O: it reads and parses the program and the
-query, calls the command, and prints the document under `--json` or the
-lines otherwise.
+This is the only module that formats output; the library modules return
+data.  Each `cmd_*` function takes the parsed arguments, the program and
+the parsed `--query` (None for commands without one) and returns its
+result as (exit code, JSON document, text lines); it reads no file and
+prints nothing.  Each tree and each report it prints is formatted once,
+as its JSON and its text together: `_tree` from one walk over the nodes,
+`_report` from one pass over the findings.  `main` alone does I/O: it
+reads and parses the program and the query, calls the command, and
+prints the document under `--json` or the lines otherwise.
 
 Exit codes: 0 when the requested analysis finds no violations, 1 when it
 reports at least one, 2 when the input is rejected before analysis (file,
@@ -30,15 +33,14 @@ from .srcheck import (
     search_partition,
     subject_reduction,
     type_skeleton_of,
-    type_skeleton_to_json,
 )
 from .trees import (
     BOTTOM,
+    DerivationTree,
     enumerate_skeletons,
     height,
     is_proper_skeleton,
     nodes,
-    skeleton_to_json,
     tp_fixpoint,
 )
 from .typecheck import UntypableError, most_general_type, require_typable
@@ -71,25 +73,68 @@ def _clause_ref(i: int | None) -> str | None:
     return f"clause {i + 1}"
 
 
-def _report_lines(title: str, rep: CheckReport) -> list[str]:
-    bound = f" (up to depth {rep.depth_bound})" if rep.depth_bound is not None else ""
-    lines = [f"{title}: {_verdict(rep.verdict)}{bound}"]
+def _report(title: str, rep: CheckReport) -> tuple[dict, list[str]]:
+    """A report as JSON and as text lines, from one pass over its findings."""
+    findings, lines = [], []
     for f in rep.findings:
+        findings.append({"clause": f.clause, "condition": f.condition, "witness": f.witness})
         where = _clause_ref(f.clause)
-        loc = f"{where}: " if where else ""
-        lines.append(f"  {loc}{f.condition}: {f.witness}")
-    return lines
+        lines.append(f"  {where + ': ' if where else ''}{f.condition}: {f.witness}")
+    doc: dict = {"verdict": rep.verdict, "findings": findings}
+    bound = ""
+    if rep.depth_bound is not None:
+        doc["depthBound"] = rep.depth_bound
+        bound = f" (up to depth {rep.depth_bound})"
+    return doc, [f"{title}: {_verdict(rep.verdict)}{bound}", *lines]
 
 
-def _tree_lines(node, text, depth: int) -> list[str]:
-    """One line per node of a (type) skeleton in prefix order, indented by
-    depth; `text` labels a clause node."""
-    return [f"{'  ' * (depth + d)}{'_|_' if n is BOTTOM else text(n)}"
-            for _, _, n, d in nodes(node)]
+def _tree(root, text, indent: int, fields) -> tuple[dict, list[str]]:
+    """A tree of clause nodes as JSON and as text lines, from one `nodes`
+    walk in prefix order.  The JSON lists the nodes, each referring to its
+    children by id; `fields(node)` gives a clause node's own entries.  The
+    text has one line per node, indented by `indent` plus its depth;
+    `text(record)` labels a clause node from its JSON record."""
+    out: list[dict] = []
+    lines: list[str] = []
+    latest: list[dict] = []  # the last record seen at each depth
+    for _, _, node, depth in nodes(root):
+        if node is BOTTOM:
+            rec = {"id": len(out), "kind": "bottom"}
+            line = "_|_"
+        else:
+            rec = {"id": len(out), "kind": "clause", "clauseIndex": node.clause_index,
+                   **fields(node), "children": []}
+            line = text(rec)
+        if depth:
+            latest[depth - 1]["children"].append(rec["id"])
+        del latest[depth:]
+        latest.append(rec)
+        out.append(rec)
+        lines.append(f"{'  ' * (indent + depth)}{line}")
+    return {"root": 0, "nodes": out}, lines
 
 
-def _skeleton_text(node) -> str:
-    return f"{render(node.clause)}   [{_clause_ref(node.clause_index)}]"
+def _clause_fields(node) -> dict:
+    rec = {"clause": render(node.clause)}
+    if isinstance(node, DerivationTree):
+        rec["subst"] = {v.printed(): render(t) for v, t in node.subst.items()}
+    return rec
+
+
+def _skeleton(s, indent: int) -> tuple[dict, list[str]]:
+    """A skeleton or a derivation tree (with each node's substitution); a
+    line shows the node's clause and where it comes from."""
+    return _tree(s, lambda rec: f"{rec['clause']}   [{_clause_ref(rec['clauseIndex'])}]",
+                 indent, _clause_fields)
+
+
+def _type_skeleton(ts, indent: int) -> tuple[dict, list[str]]:
+    """A type skeleton, each node by its `label`."""
+    return _tree(ts, lambda rec: rec["label"], indent, lambda node: {"label": label(node)})
+
+
+def _partition(part) -> dict | None:
+    return None if part is None else {p: list(m) for p, m in part.by_pred.items()}
 
 
 def _resolve_partition(program: Program, source: str | None):
@@ -109,8 +154,8 @@ def cmd_check(args, program: Program, query) -> Result:
     if args.mode in ("head", "both"):
         head = check_head_condition(program)
         reports.append(head)
-        doc["head"] = head.to_json()
-        lines += _report_lines("head condition", head)
+        doc["head"], more = _report("head condition", head)
+        lines += more
 
     if args.mode in ("semi", "both"):
         source, part = _resolve_partition(program, args.partition)
@@ -124,10 +169,10 @@ def cmd_check(args, program: Program, query) -> Result:
             marks = "; ".join(f"{p}({', '.join(m)})" for p, m in part.by_pred.items())
             lines.append(f"partition ({source}): {marks if marks else 'none needed'}")
         reports.append(semi)
-        doc["semi"] = semi.to_json()
-        doc["partition"] = None if part is None else part.to_json()
+        doc["semi"], more = _report("semi-generic", semi)
+        doc["partition"] = _partition(part)
         doc["partitionSource"] = source
-        lines += _report_lines("semi-generic", semi)
+        lines += more
 
     ok = all(r.passed for r in reports)
     doc["verdict"] = "pass" if ok else "fail"
@@ -159,7 +204,7 @@ def _certificate_json(cert) -> dict | None:
     criterion, part = cert
     doc: dict = {"criterion": criterion}
     if part is not None:
-        doc["partition"] = part.to_json()
+        doc["partition"] = _partition(part)
     return doc
 
 
@@ -173,27 +218,27 @@ def cmd_run(args, program: Program, query) -> Result:
         lines.append("answer: " + (", ".join(f"{v.printed()} = {t}" for v, t in pairs) or "true"))
     if not found:
         lines.append(f"no answers within {args.depth} steps")
-    lines += _report_lines("derived queries typable", monitor)
+    report, more = _report("derived queries typable", monitor)
+    lines += more
     doc = {"file": args.file, "query": render(query),
            "answers": [{v.printed(): t for v, t in r.items()} for r in rendered],
-           "monitor": monitor.to_json(), "certificate": _certificate_json(cert)}
+           "monitor": report, "certificate": _certificate_json(cert)}
     return (0 if monitor.passed else 1), doc, lines
 
 
 def cmd_sr(args, program: Program, query) -> Result:
     rep, cert, found = subject_reduction(program, query, args.depth, args.bounded)
     # A certified pass prints as a bounded one; --json names the criterion.
-    doc: dict = {"file": args.file, "query": render(query), "report": rep.to_json(),
+    report, lines = _report("all type skeletons proper", rep)
+    doc: dict = {"file": args.file, "query": render(query), "report": report,
                  "certificate": _certificate_json(cert), "counterexample": None}
-    lines = _report_lines("all type skeletons proper", rep)
     if found is not None:
         s, ts, err = found
         equation = f"{render(err.left)} = {render(err.right)}"
-        doc["counterexample"] = {"skeleton": skeleton_to_json(s),
-                                 "typeSkeleton": type_skeleton_to_json(ts),
+        (skeleton, s_lines), (types, ts_lines) = _skeleton(s, 1), _type_skeleton(ts, 1)
+        doc["counterexample"] = {"skeleton": skeleton, "typeSkeleton": types,
                                  "equation": equation}
-        lines += ["counterexample skeleton:", *_tree_lines(s, _skeleton_text, 1),
-                  "its type skeleton:", *_tree_lines(ts, label, 1),
+        lines += ["counterexample skeleton:", *s_lines, "its type skeleton:", *ts_lines,
                   f"failing type equation: {equation}"]
     return (0 if rep.passed else 1), doc, lines
 
@@ -203,20 +248,21 @@ def cmd_skeletons(args, program: Program, query) -> Result:
     entries, lines = [], []
     for s in enumerate_skeletons(program, query, args.depth):
         theta = is_proper_skeleton(s)
+        skeleton, s_lines = _skeleton(s, 1)
         entry = {"height": height(s), "proper": theta is not None,
                  "mgu": render(theta) if theta is not None else None,
-                 "skeleton": skeleton_to_json(s)}
+                 "skeleton": skeleton}
         status = "proper" if theta is not None else "not proper"
         extra = f", mgu {entry['mgu']}" if theta else ""
         lines.append(f"skeleton {len(entries) + 1} (height {entry['height']}): {status}{extra}")
-        lines += _tree_lines(s, _skeleton_text, 1)
+        lines += s_lines
         if args.types:
             ts = type_skeleton_of(s, program)
             proper = is_proper_skeleton(ts) is not None
-            entry["typeSkeleton"] = type_skeleton_to_json(ts)
+            entry["typeSkeleton"], ts_lines = _type_skeleton(ts, 2)
             entry["typeProper"] = proper
             lines.append(f"  type skeleton ({'proper' if proper else 'not proper'}):")
-            lines += _tree_lines(ts, label, 2)
+            lines += ts_lines
         entries.append(entry)
     lines.append(f"{len(entries)} skeleton(s) up to depth {args.depth}")
     return 0, {"file": args.file, "query": render(query),
@@ -301,7 +347,7 @@ def main(argv=None) -> int:
             print(ln)
         return code
     except ParseError as e:
-        for d in e.diagnostics.entries:
+        for d in e.diagnostics:
             print(str(d), file=sys.stderr)
         return 2
     except (UntypableError, ValueError, OSError) as e:

@@ -20,7 +20,7 @@ before their first use.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     CONS, EQ, MINUS, NIL,
@@ -42,34 +42,19 @@ _TOKEN = re.compile(r"""
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str
+    """An error in the input text, at a line and column (both from 1)."""
     line: int
     col: int
     message: str
 
     def __str__(self) -> str:
-        return f"{self.line}:{self.col}: {self.severity}: {self.message}"
-
-
-@dataclass
-class Diagnostics:
-    entries: list[Diagnostic] = field(default_factory=list)
-
-    def error(self, line: int, col: int, message: str) -> None:
-        self.entries.append(Diagnostic("error", line, col, message))
-
-    @property
-    def has_errors(self) -> bool:
-        return any(d.severity == "error" for d in self.entries)
-
-    def __str__(self) -> str:
-        return "\n".join(str(d) for d in self.entries)
+        return f"{self.line}:{self.col}: error: {self.message}"
 
 
 class ParseError(Exception):
-    def __init__(self, diagnostics: Diagnostics):
+    def __init__(self, diagnostics: list[Diagnostic]):
         self.diagnostics = diagnostics
-        super().__init__(str(diagnostics))
+        super().__init__("\n".join(str(d) for d in diagnostics))
 
 
 @dataclass(frozen=True)
@@ -80,13 +65,13 @@ class _Tok:
     col: int
 
 
-def _tokenize(text: str, diags: Diagnostics) -> list[_Tok]:
+def _tokenize(text: str, diags: list[Diagnostic]) -> list[_Tok]:
     toks = []
     line, col, pos = 1, 1, 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            diags.error(line, col, f"unexpected character {text[pos]!r}")
+            diags.append(Diagnostic(line, col, f"unexpected character {text[pos]!r}"))
             pos += 1
             col += 1
             continue
@@ -106,11 +91,14 @@ def _tokenize(text: str, diags: Diagnostics) -> list[_Tok]:
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok], diags: Diagnostics, sig: Signature):
+    def __init__(self, toks: list[_Tok], diags: list[Diagnostic], sig: Signature):
         self.toks = toks
         self.i = 0
         self.diags = diags
         self.sig = sig
+
+    def error(self, tok: _Tok, message: str) -> None:
+        self.diags.append(Diagnostic(tok.line, tok.col, message))
 
     # -- token plumbing
 
@@ -178,7 +166,7 @@ class _Parser:
         try:
             self.sig.declare_kind(name.text, int(arity.text))
         except ValueError as e:
-            self.diags.error(name.line, name.col, str(e))
+            self.error(name, str(e))
 
     def parse_func(self) -> None:
         self.expect("ident", "func")
@@ -193,14 +181,14 @@ class _Parser:
         """Report the declaration's ill-formed types (and, for a function,
         transparency) at its name, then add it to the signature."""
         for f in decl_problems(self.sig.kinds, decl):
-            self.diags.error(name.line, name.col, f.witness)
+            self.error(name, f.witness)
         if name.text in RESERVED:
-            self.diags.error(name.line, name.col, f"{name.text} is reserved")
+            self.error(name, f"{name.text} is reserved")
             return
         try:
             add(decl)
         except ValueError as e:
-            self.diags.error(name.line, name.col, str(e))
+            self.error(name, str(e))
 
     def parse_pred(self) -> None:
         self.expect("ident", "pred")
@@ -218,7 +206,7 @@ class _Parser:
         if problem is None and name.text in partitions:
             problem = f"partition for {name.text} given twice"
         if problem is not None:
-            self.diags.error(name.line, name.col, problem)
+            self.error(name, problem)
         else:
             partitions[name.text] = marks
 
@@ -235,7 +223,7 @@ class _Parser:
 
     def check_minus(self, tok: _Tok) -> None:
         if not self.sig.has_int():
-            self.diags.error(tok.line, tok.col, "integer subtraction requires kind int/0")
+            self.error(tok, "integer subtraction requires kind int/0")
 
     def parse_primary(self) -> Term:
         t = self.peek()
@@ -284,11 +272,11 @@ class _Parser:
 
     def check_int(self, tok: _Tok) -> None:
         if not self.sig.has_int():
-            self.diags.error(tok.line, tok.col, "integer literals require kind int/0")
+            self.error(tok, "integer literals require kind int/0")
 
     def check_func_name(self, name: str, tok: _Tok) -> None:
         if self.sig.func_decl(name) is None:
-            self.diags.error(tok.line, tok.col, f"list syntax requires func {name} to be declared")
+            self.error(tok, f"list syntax requires func {name} to be declared")
 
     def validate_term(self, t: Term, tok: _Tok) -> None:
         """Function symbols are only identifiable once the atom context is
@@ -303,10 +291,10 @@ class _Parser:
             if not (is_int_literal(t.name) or t.name == MINUS):
                 decl = self.sig.func_decl(t.name)
                 if decl is None:
-                    self.diags.error(tok.line, tok.col, f"function {t.name} not declared")
+                    self.error(tok, f"function {t.name} not declared")
                 elif len(decl.arg_types) != len(t.args):
-                    self.diags.error(tok.line, tok.col,
-                                     f"function {t.name}/{len(decl.arg_types)} used with {len(t.args)} arguments")
+                    self.error(tok, f"function {t.name}/{len(decl.arg_types)} "
+                                    f"used with {len(t.args)} arguments")
             stack.extend(reversed(t.args))
 
     # -- atoms and clauses
@@ -326,10 +314,10 @@ class _Parser:
     def to_atom(self, f: Fun, tok: _Tok) -> Atom:
         decl = self.sig.pred_decl(f.name)
         if decl is None:
-            self.diags.error(tok.line, tok.col, f"predicate {f.name} not declared")
+            self.error(tok, f"predicate {f.name} not declared")
         elif len(decl.arg_types) != len(f.args):
-            self.diags.error(tok.line, tok.col,
-                             f"predicate {f.name}/{len(decl.arg_types)} used with {len(f.args)} arguments")
+            self.error(tok, f"predicate {f.name}/{len(decl.arg_types)} "
+                            f"used with {len(f.args)} arguments")
         for a in f.args:
             self.validate_term(a, tok)
         return Atom(f.name, f.args)
@@ -370,13 +358,13 @@ def _report(p: _Parser, err: _Bail | RecursionError) -> None:
     reached, as bad input."""
     tok, message = ((err.tok, err.message) if isinstance(err, _Bail)
                     else (p.peek(), "term nested too deeply"))
-    p.diags.error(tok.line, tok.col, message)
+    p.error(tok, message)
 
 
 def parse_program(text: str) -> Program:
-    """Parse a .tlp source text.  Raises ParseError carrying Diagnostics
-    when the text (or its signature) is ill-formed."""
-    diags = Diagnostics()
+    """Parse a .tlp source text.  Raises ParseError carrying its
+    diagnostics when the text (or its signature) is ill-formed."""
+    diags: list[Diagnostic] = []
     toks = _tokenize(text, diags)
     sig = Signature()
     partitions: dict[str, tuple[str, ...]] = {}
@@ -397,7 +385,7 @@ def parse_program(text: str) -> Program:
         except (_Bail, RecursionError) as err:
             _report(p, err)
             p.skip_to_dot()
-    if diags.has_errors:
+    if diags:
         raise ParseError(diags)
     return Program(sig, tuple(clauses), partitions)
 
@@ -405,7 +393,7 @@ def parse_program(text: str) -> Program:
 def _parse_one(text: str, sig: Signature, item):
     """Parse the whole text as one item, `item(parser)`, against an existing
     signature."""
-    diags = Diagnostics()
+    diags: list[Diagnostic] = []
     p = _Parser(_tokenize(text, diags), diags, sig)
     try:
         got = item(p)
@@ -413,7 +401,7 @@ def _parse_one(text: str, sig: Signature, item):
     except (_Bail, RecursionError) as err:
         _report(p, err)
         got = None
-    if diags.has_errors or got is None:
+    if diags or got is None:
         raise ParseError(diags)
     return got
 

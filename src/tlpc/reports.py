@@ -25,15 +25,3 @@ class CheckReport:
     @property
     def passed(self) -> bool:
         return not self.findings
-
-    def to_json(self) -> dict:
-        doc: dict = {
-            "verdict": self.verdict,
-            "findings": [
-                {"clause": f.clause, "condition": f.condition, "witness": f.witness}
-                for f in self.findings
-            ],
-        }
-        if self.depth_bound is not None:
-            doc["depthBound"] = self.depth_bound
-        return doc

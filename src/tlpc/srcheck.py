@@ -73,7 +73,6 @@ from .trees import (
     eq_of_skeleton,
     height,
     rebuild,
-    tree_to_json,
 )
 from .typecheck import ClauseTyping, require_typable, typable_in_run
 from .unify import UnificationError, mgu_terms, mgu_types
@@ -124,9 +123,6 @@ class Partition:
         if pred in (EQ, GO):
             return (HEAD_GENERIC,) * arity
         raise ValueError(f"no partition for predicate {pred}")
-
-    def to_json(self) -> dict:
-        return {p: list(m) for p, m in self.by_pred.items()}
 
 
 def make_partition(program: Program,
@@ -192,16 +188,18 @@ def _semi_generic_findings(program: Program, part: Partition, clause: Clause,
 
     m = len(atoms) - 1
     params = [vars_of(g) for g in generic]
+    holders: dict[Type, list[int]] = {}  # the atoms whose generic parts hold each parameter
+    for j, ps in enumerate(params):
+        for p in ps:
+            holders.setdefault(p, []).append(j)
     for i in range(m + 1):
-        for j in range(i + 1, m + 1) if params[i] else ():
-            shared = params[i] & params[j]
-            if shared:
-                names = ", ".join(sorted(p.printed() for p in shared))
-                yield Finding(
-                    "semi-generic-1",
-                    f"generic parts of atoms {i} and {j} share parameter(s) "
-                    f"{names}: {render_types(generic[i])} vs {render_types(generic[j])}",
-                    clause=clause_index)
+        for j in sorted({j for p in params[i] for j in holders[p] if j > i}):
+            names = ", ".join(sorted(p.printed() for p in params[i] & params[j]))
+            yield Finding(
+                "semi-generic-1",
+                f"generic parts of atoms {i} and {j} share parameter(s) "
+                f"{names}: {render_types(generic[i])} vs {render_types(generic[j])}",
+                clause=clause_index)
     # A parameter is in a generic part at or after body atom i when the last
     # body atom whose generic part holds it is at or after i.
     last = {p: j for j in range(1, m + 1) for p in params[j]}
@@ -438,8 +436,3 @@ def monitored_answers(
         if d.succeeded:
             found.append(d.answer)
     return CheckReport(tuple(findings), depth_bound=depth), cert, found
-
-
-def type_skeleton_to_json(ts: Skeleton) -> dict:
-    """Serialise a type skeleton as skeletons are, each node by its `label`."""
-    return tree_to_json(ts, lambda node: {"label": label(node)})

@@ -638,37 +638,3 @@ def tp_fixpoint(program: Program, depth: int,
         old.add(last)
         delta, last = _Index(fresh), fresh
     return GroundAtomSet(frozenset(atoms), depth)
-
-
-# ---------------------------------------------------------------- JSON
-
-def tree_to_json(root, fields) -> dict:
-    """Serialise a tree of clause nodes (a Skeleton, DerivationTree, or type
-    skeleton).  Nodes are listed in prefix order and refer to their children
-    by id; `fields(node)` gives the node's own entries."""
-    out: list[dict] = []
-    latest: list[dict] = []  # the last record seen at each depth
-    for _, _, node, depth in nodes(root):
-        rec = ({"id": len(out), "kind": "bottom"} if node is BOTTOM else
-               {"id": len(out), "kind": "clause", "clauseIndex": node.clause_index,
-                **fields(node), "children": []})
-        if depth:
-            latest[depth - 1]["children"].append(rec["id"])
-        del latest[depth:]
-        latest.append(rec)
-        out.append(rec)
-    return {"root": 0, "nodes": out}
-
-
-def skeleton_to_json(s) -> dict:
-    """Serialise a Skeleton or DerivationTree (with each node's substitution)."""
-    from .parser import render
-
-    def fields(node) -> dict:
-        rec = {"clause": render(node.clause)}
-        if isinstance(node, DerivationTree):
-            rec["subst"] = {v.printed(): render(t) for v, t in node.subst.items()}
-        return rec
-
-    return tree_to_json(s, fields)
-

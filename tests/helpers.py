@@ -894,23 +894,25 @@ def recursive_node_atoms(t):
     return out
 
 
-def recursive_tree_to_json(root, fields):
-    """Reference for `trees.tree_to_json`: records made on the way down,
+def recursive_tree(root, text, indent, fields):
+    """Reference for `cli._tree`: records and lines made on the way down,
     children attached on the way back up."""
-    nodes = []
+    nodes, lines = [], []
 
-    def emit(node):
+    def emit(node, depth):
         me = len(nodes)
         if node is BOTTOM:
             nodes.append({"id": me, "kind": "bottom"})
+            lines.append("  " * depth + "_|_")
             return me
         rec = {"id": me, "kind": "clause", "clauseIndex": node.clause_index, **fields(node)}
         nodes.append(rec)
-        rec["children"] = [emit(c) for c in node.children]
+        lines.append("  " * depth + text(rec))
+        rec["children"] = [emit(c, depth + 1) for c in node.children]
         return me
 
-    emit(root)
-    return {"root": 0, "nodes": nodes}
+    emit(root, indent)
+    return {"root": 0, "nodes": nodes}, lines
 
 
 # ------------------------------- paper machinery that only the tests use

@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parent.parent
-TIME_LIMIT = 120  # seconds per mutant; the slowest kill takes under 20 s
+TIME_LIMIT = 120  # seconds per mutant; the slowest kill takes under 30 s
 
 
 class Mutant(NamedTuple):
@@ -52,6 +52,8 @@ class Mutant(NamedTuple):
 TP = ("tests/test_trees.py", "-k", "tp")
 DERIVE = ("tests/test_trees.py", "-k", "deriv or answer")
 LAZY = ("tests/test_unify.py", "-k", "lazy")
+PRINTERS = ("tests/test_trees.py", "tests/test_srcheck.py",
+            "-k", "walks or tall or json or report")
 RUN_TYPING = ("tests/test_typecheck.py", "tests/test_srcheck.py",
               "-k", "typable_in_run or deep_terms or principal_types")
 
@@ -135,6 +137,24 @@ MUTANTS = [
     Mutant("typable_in_run: ground branch disabled", "src/tlpc/typecheck.py",
            "elif self.principal is not None and x.ground:",
            "elif False:", RUN_TYPING),
+    # The semi-generic conditions.
+    Mutant("semi-generic condition 1: an atom paired with itself", "src/tlpc/srcheck.py",
+           "for j in holders[p] if j > i}", "for j in holders[p] if j >= i}",
+           ("tests/test_srcheck.py", "-k", "semi_generic")),
+    Mutant("semi-generic condition 3: the head atom skipped", "src/tlpc/srcheck.py",
+           "    for i in range(m + 1):\n        if not variant(",
+           "    for i in range(1, m + 1):\n        if not variant(",
+           ("tests/test_srcheck.py", "-k", "all_head_partition")),
+    # The printers of the CLI.
+    Mutant("_tree: a child filed under the last record instead of its parent",
+           "src/tlpc/cli.py",
+           'latest[depth - 1]["children"].append(rec["id"])',
+           'latest[-1]["children"].append(rec["id"])', PRINTERS),
+    Mutant("_tree: the depth dropped from the indent", "src/tlpc/cli.py",
+           "lines.append(f\"{'  ' * (indent + depth)}{line}\")",
+           "lines.append(f\"{'  ' * indent}{line}\")", PRINTERS),
+    Mutant("_report: depthBound omitted", "src/tlpc/cli.py",
+           '        doc["depthBound"] = rep.depth_bound\n', "", PRINTERS),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

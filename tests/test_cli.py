@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 
 import tlpc
-from tlpc.cli import main
+from tlpc.cli import _report, _skeleton, _type_skeleton, main
 from tlpc.corpus import corpus_names, load_corpus
 from tlpc.parser import parse_program, parse_query, render
-from tlpc.srcheck import subject_reduction, type_skeleton_of, type_skeleton_to_json
-from tlpc.trees import enumerate_skeletons, skeleton_to_json, tp_fixpoint
+from tlpc.srcheck import subject_reduction, type_skeleton_of
+from tlpc.trees import enumerate_skeletons, tp_fixpoint
 
 from helpers import (
     BENCH_PROGRAMS, EXTRA_QUERIES, FLAT_TEXT, MK_TEXT, REPO, corpus_path, readme_transcripts,
@@ -436,8 +436,8 @@ def test_sr_json_round_trips_the_skeleton(capsys, nest):
     assert doc["certificate"] is None
     ce = doc["counterexample"]
     s, ts, _ = subject_reduction(nest, parse_query("p(X)", nest.signature), 3)[2]
-    assert ce["skeleton"] == skeleton_to_json(s)
-    assert ce["typeSkeleton"] == type_skeleton_to_json(ts)
+    assert ce["skeleton"] == _skeleton(s, 1)[0]
+    assert ce["typeSkeleton"] == _type_skeleton(ts, 1)[0]
     assert ce["typeSkeleton"]["nodes"][0]["label"] == "go <- p(list(int))"
     assert ce["equation"] == "int = list(A_1)"
     # A pass names the certificate that backs it, or null under --bounded,
@@ -522,8 +522,8 @@ def test_skeletons_json(capsys, append):
         sorted(e["height"] for e in doc["skeletons"])
     want = enumerate_skeletons(append, parse_query("app(Xs, [], Zs), r(Xs)", append.signature), 2)
     for e, s in zip(doc["skeletons"], want, strict=True):
-        assert e["skeleton"] == skeleton_to_json(s)
-        assert e["typeSkeleton"] == type_skeleton_to_json(type_skeleton_of(s, append))
+        assert e["skeleton"] == _skeleton(s, 1)[0]
+        assert e["typeSkeleton"] == _type_skeleton(type_skeleton_of(s, append), 2)[0]
         assert "typeProper" in e
         if e["proper"]:
             assert e["mgu"].startswith("{") or e["mgu"] == "{}"
@@ -597,16 +597,17 @@ def test_sr_json_is_the_library_verdict(capsys):
             code, out, _ = run_cli(capsys, *argv + ["--bounded"] * bounded)
             doc = json.loads(out)
             assert code == (0 if rep.passed else 1), (path, text)
-            assert doc["report"] == rep.to_json(), (path, text, bounded)
+            assert doc["report"] == _report("all type skeletons proper", rep)[0], \
+                (path, text, bounded)
             certificate = counterexample = None
             if cert is not None:
                 certificate = {"criterion": cert[0]}
                 if cert[1] is not None:
-                    certificate["partition"] = cert[1].to_json()
+                    certificate["partition"] = {p: list(m) for p, m in cert[1].by_pred.items()}
             if found is not None:
                 s, ts, err = found
-                counterexample = {"skeleton": skeleton_to_json(s),
-                                  "typeSkeleton": type_skeleton_to_json(ts),
+                counterexample = {"skeleton": _skeleton(s, 1)[0],
+                                  "typeSkeleton": _type_skeleton(ts, 1)[0],
                                   "equation": f"{render(err.left)} = {render(err.right)}"}
             assert doc["certificate"] == certificate, (path, text, bounded)
             assert doc["counterexample"] == counterexample, (path, text, bounded)

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 
 from helpers import (
-    EXTRA_QUERIES, FLAT_TEXT, FLATNEST_TEXT, MK_TEXT, assembled_variable_typing, corpus_path,
-    eq_prime_of_type_skeleton, ordered_unifiable, programs_with_queries,
+    BENCH_PROGRAMS, EXTRA_QUERIES, FLAT_TEXT, FLATNEST_TEXT, MK_TEXT, assembled_variable_typing,
+    corpus_path, eq_prime_of_type_skeleton, ordered_unifiable, programs_with_queries,
     reference_search_partition, reference_sr_check, time_limit, typed_programs,
 )
-from tlpc.cli import _skeleton_text, _tree_lines, main
+from tlpc.cli import _report, _skeleton, _type_skeleton, main
 from tlpc.core import (
     EQ, EQ_CLAUSE, GO, GO_CLAUSE_INDEX, Atom, Fun, Param, TCon, Var, apply_subst, variant,
     wrap_query,
@@ -32,7 +32,6 @@ from tlpc.srcheck import (
     subject_reduction,
     type_clause,
     type_skeleton_of,
-    type_skeleton_to_json,
     typed_proper_skeletons,
 )
 from tlpc.trees import (
@@ -186,7 +185,7 @@ def test_semigen_root_label(semigen):
 def test_type_skeleton_json(append):
     s = next(proper_skeletons(append, "app(Xs, [], Zs), r(Xs)", 1))
     ts = type_skeleton_of(s, append)
-    doc = type_skeleton_to_json(ts)
+    doc = _type_skeleton(ts, 0)[0]
     assert doc["root"] == 0
     root = doc["nodes"][0]
     assert root["kind"] == "clause"
@@ -248,6 +247,29 @@ def test_head_condition_witness_text(fgs1):
     assert "(int, t(U))" in f.witness
 
 
+def test_head_condition_is_semi_genericity_under_the_all_head_partition(corpus):
+    # Under make_partition(program) no body atom has a generic part, so
+    # conditions 1 and 2 are vacuous and condition 3 asks of the head what
+    # the head condition asks: each clause is reported by both or by neither.
+    def reported(program):
+        head = [f.clause for f in check_head_condition(program).findings]
+        semi = check_semi_generic(program, make_partition(program)).findings
+        assert {f.condition for f in semi} <= {"semi-generic-3"}
+        assert [f.clause for f in semi] == head
+        return head
+
+    bench = [parse_program(p.read_text()) for p in sorted(BENCH_PROGRAMS.glob("*.tlp"))]
+    assert sum(bool(reported(p)) for p in [*corpus.values(), *bench]) >= 5
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=(HealthCheck.too_slow,))
+    @given(typed_programs())
+    def check(program):
+        reported(program)
+
+    check()
+
+
 # ------------------------------------------------------------- semi-generic
 
 def test_semi_generic_passes(semigen, nestcount):
@@ -272,15 +294,16 @@ def test_semi_generic_failures_move_with_the_partition(fgs1):
 
 @pytest.mark.parametrize("marks", ["h", "b"])
 def test_semi_generic_check_of_a_long_body_is_fast(marks):
-    # 1500 body atoms; under q(b) each body atom's generic part has a
-    # parameter of its own, under q(h) none.
-    n = 1500
-    program = parse_program(
-        "kind list/1.\nfunc nil : list(U). func cons(U, list(U)) : list(U).\n"
-        "pred q(list(U)). pred r.\nq([]).\nr :- "
-        + ", ".join(f"q(X{i})" for i in range(n)) + ".\n")
-    with time_limit(2):
-        assert check_semi_generic(program, make_partition(program, {"q": (marks,)})).passed
+    # 1500 and 8000 body atoms; under q(b) each body atom's generic part has
+    # a parameter of its own, under q(h) none.  Sharing is found through the
+    # atoms that hold each parameter, not by comparing every pair of atoms.
+    for n in (1500, 8000):
+        program = parse_program(
+            "kind list/1.\nfunc nil : list(U). func cons(U, list(U)) : list(U).\n"
+            "pred q(list(U)). pred r.\nq([]).\nr :- "
+            + ", ".join(f"q(X{i})" for i in range(n)) + ".\n")
+        with time_limit(2):
+            assert check_semi_generic(program, make_partition(program, {"q": (marks,)})).passed
 
 
 def test_all_head_partition_makes_every_query_semi_generic(append):
@@ -525,14 +548,18 @@ def test_assembled_typing_types_the_frontier(nest, semigen):
     assert checked >= 10
 
 
-def test_report_json_shape(nest):
+def test_report_json_shape(nest, monkeypatch):
+    monkeypatch.setenv("TLPC_COLOR", "0")
     q = parse_query("p(X)", nest.signature)
-    doc = subject_reduction(nest, q, depth=3, bounded=True)[0].to_json()
+    rep = subject_reduction(nest, q, depth=3, bounded=True)[0]
+    doc, lines = _report("all type skeletons proper", rep)
     assert doc["verdict"] == "fail"
     assert doc["depthBound"] == 3
     f = doc["findings"][0]
     assert set(f) == {"clause", "condition", "witness"}
     assert f["clause"] is None
+    assert lines == ["all type skeletons proper: fail (up to depth 3)",
+                     f"  type-skeleton-nonproper: {f['witness']}"]
 
 
 # ------------------------------------------ against the generate-and-check oracle
@@ -560,7 +587,7 @@ def _counterexample_text(found):
     if found is None:
         return None
     s, ts, err = found
-    return (_tree_lines(s, _skeleton_text, 1), _tree_lines(ts, label, 1),
+    return (_skeleton(s, 1)[1], _type_skeleton(ts, 1)[1],
             f"{render(err.left)} = {render(err.right)}")
 
 

@@ -54,11 +54,9 @@ from tlpc.trees import (
     rebuild,
     same_shape,
     skeleton_of,
-    skeleton_to_json,
     tp_fixpoint,
-    tree_to_json,
 )
-from tlpc.cli import _skeleton_text, _tree_lines
+from tlpc.cli import _skeleton, _tree, _type_skeleton
 from tlpc.srcheck import label, type_skeleton_of
 
 from helpers import (
@@ -78,7 +76,7 @@ from helpers import (
     recursive_eq_of_skeleton,
     recursive_eq_of_type_skeleton,
     recursive_node_atoms,
-    recursive_tree_to_json,
+    recursive_tree,
     reference_derivations,
     reference_tp_fixpoint,
     reference_tp_step,
@@ -431,6 +429,12 @@ def test_walks_keep_the_recursive_prefix_order(corpus):
     def label_fields(node):
         return {"label": label(node)}
 
+    def clause_text(rec):
+        return f"{rec['clause']} [{rec['clauseIndex']}]"
+
+    def label_text(rec):
+        return rec["label"]
+
     def copy_node(node):
         made.append(render(node.clause))
         return partial(Skeleton, node.clause, node.clause_index)
@@ -438,17 +442,21 @@ def test_walks_keep_the_recursive_prefix_order(corpus):
     seen = 0
     for program, s in _all_skeletons(corpus):
         assert eq_of_skeleton(s) == recursive_eq_of_skeleton(s)
-        want = recursive_tree_to_json(s, clause_fields)
+        want, want_lines = recursive_tree(s, clause_text, 1, clause_fields)
+        doc, lines = _tree(s, clause_text, 1, clause_fields)
         # dumped, so that the order of each record's keys is compared too
-        assert json.dumps(tree_to_json(s, clause_fields)) == json.dumps(want)
+        assert json.dumps(doc) == json.dumps(want)
+        assert lines == want_lines
         made: list[str] = []
         assert rebuild(s, copy_node) == s
         assert made == [r["clause"] for r in want["nodes"] if r["kind"] == "clause"]
         ts = type_skeleton_of(s, program)
         assert ([eq for a, b in eq_of_skeleton(ts) for eq in zip(a.args, b.args)]
                 == recursive_eq_of_type_skeleton(ts))
-        assert (json.dumps(tree_to_json(ts, label_fields))
-                == json.dumps(recursive_tree_to_json(ts, label_fields)))
+        doc, lines = _tree(ts, label_text, 2, label_fields)
+        want, want_lines = recursive_tree(ts, label_text, 2, label_fields)
+        assert json.dumps(doc) == json.dumps(want)
+        assert lines == want_lines
         t = most_general_derivation_tree(s)
         if t is not None:
             assert node_atoms(t) == recursive_node_atoms(t)
@@ -478,13 +486,13 @@ def test_tall_skeleton_walks_do_not_recurse():
     assert same_shape(skeleton_of(t), s)
     ts = type_skeleton_of(s, program)
     assert is_proper_skeleton(ts) is not None
-    doc = json.loads(json.dumps(skeleton_to_json(s)))
+    doc, lines = _skeleton(s, 1)
+    doc = json.loads(json.dumps(doc))
     assert [n["children"] for n in doc["nodes"][:-1]] == [[i + 1] for i in range(2001)]
     assert doc["nodes"][-1] == {"id": 2001, "kind": "bottom"}
     assert same_shape(s, s)
-    lines = _tree_lines(s, _skeleton_text, 1)
     assert len(lines) == 2002 and lines[-1] == "  " * 2002 + "_|_"
-    assert len(_tree_lines(ts, label, 1)) == 2002
+    assert len(_type_skeleton(ts, 1)[1]) == 2002
 
 
 # -------------------------------------------------------------- arithmetic
@@ -722,8 +730,10 @@ def test_tp_fixpoint_matches_the_naive_oracle_on_random_programs():
 # ---------------------------------------------------------------- round trip
 
 def test_skeleton_json_round_trip(hqpr):
-    doc = skeleton_to_json(fig1_skeleton(hqpr))
+    doc, lines = _skeleton(fig1_skeleton(hqpr), 0)
     assert json.loads(json.dumps(doc)) == doc
+    assert lines == ["h(X) :- q(X), p(X).   [clause 1]", "  q([]).   [clause 2]",
+                     "  p(X_1) :- r(X_1).   [clause 3]", "    _|_"]
     assert doc == {"root": 0, "nodes": [
         {"id": 0, "kind": "clause", "clauseIndex": 0, "clause": "h(X) :- q(X), p(X).",
          "children": [1, 2]},
@@ -734,7 +744,7 @@ def test_skeleton_json_round_trip(hqpr):
 
 
 def test_derivation_tree_json_round_trip(hqpr):
-    doc = skeleton_to_json(most_general_derivation_tree(fig1_skeleton(hqpr)))
+    doc = _skeleton(most_general_derivation_tree(fig1_skeleton(hqpr)), 0)[0]
     assert json.loads(json.dumps(doc)) == doc
     assert doc == {"root": 0, "nodes": [
         {"id": 0, "kind": "clause", "clauseIndex": 0, "clause": "h(X) :- q(X), p(X).",
