@@ -45,6 +45,7 @@ from .trees import (
     Skeleton,
     answers,
     derivations,
+    derive_step,
     enumerate_proof_skeletons,
     enumerate_skeletons,
     frontier,
@@ -75,7 +76,7 @@ __all__ = [
     "Param", "Partition", "PredDecl", "Program", "Signature", "Skeleton", "Subst",
     "TCon", "UnificationError", "UntypableError", "Var", "answers",
     "check_head_condition", "check_semi_generic", "corpus_names", "corpus_text",
-    "derivations", "enumerate_proof_skeletons", "enumerate_skeletons", "frontier",
+    "derivations", "derive_step", "enumerate_proof_skeletons", "enumerate_skeletons", "frontier",
     "head_atom", "is_proper_skeleton", "is_typable", "is_typed_substitution",
     "judge", "load_corpus", "make_partition", "mgu_terms", "mgu_types",
     "monitored_answers", "most_general_derivation_tree", "most_general_type",

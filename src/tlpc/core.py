@@ -336,6 +336,10 @@ class Subst(_Rendered, Mapping):
         if len(done) == len(m):
             self._done = None
 
+    @property
+    def bindings(self) -> dict:  # as held, not to change: acyclic, triangular, each resolved or not
+        return self._m
+
     def _resolved(self) -> dict:
         if self._done is not None:
             self._resolve(self._m)
@@ -370,11 +374,12 @@ class Subst(_Rendered, Mapping):
         return apply_subst(obj, self._resolved())
 
 
-def rename_apart(obj, fresh: NameSource):
+def rename_apart(obj, fresh: NameSource, order: list | None = None):
     """Copy of a syntax object whose variables and parameters are fresh
     (never issued before), drawn in first-occurrence order; each keeps its
-    name."""
-    return apply_subst(obj, {v: type(v)(v.name, fresh._tick()) for v in vars_in_order(obj)})
+    name.  `order`, when given, is `vars_in_order(obj)` worked out before."""
+    order = vars_in_order(obj) if order is None else order
+    return apply_subst(obj, {v: type(v)(v.name, fresh._tick()) for v in order}) if order else obj
 
 
 def variant(a, b) -> bool:
@@ -422,11 +427,19 @@ class FuncDecl:
     arg_types: tuple[Type, ...]
     result: Type
 
+    @cached_property
+    def params(self) -> list[Param]:  # of the argument and result types, first occurrence first
+        return vars_in_order((self.arg_types, self.result))
+
 
 @dataclass(frozen=True)
 class PredDecl:
     name: str
     arg_types: tuple[Type, ...]
+
+    @cached_property
+    def params(self) -> list[Param]:  # of the argument types, first occurrence first
+        return vars_in_order(self.arg_types)
 
 
 _EQ_DECL = PredDecl(EQ, (Param("U"), Param("U")))

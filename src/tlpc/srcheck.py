@@ -425,7 +425,7 @@ def monitored_answers(
     found: list[Subst] = []
     principal: dict = {}
     for d in derivations(program, query, depth, selection):
-        if (cert is None and not findings and d.steps
+        if (cert is None and not findings and d.length
                 and not typable_in_run(d.final, program.signature, principal)):
             trace = " -> ".join(render(s.query) for s in d.steps)
             findings.append(Finding(

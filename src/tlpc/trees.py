@@ -14,12 +14,18 @@ before child, left to right.  That order fixes the order of interface
 equations, and so which type equation a check reports as failing.  Copies
 are made by `rebuild`, bottom-up from that list.  Every depth-first walk
 runs on `depth_first`, so none is bounded by the recursion limit.
+
+SLD derivations resolve without rewriting the query: the bindings of the
+current branch live in one store, undone as the search backtracks, and
+only the selected atom is resolved under it.  A derivation is a chain of
+steps, each pointing to the one before, so memory grows linearly with its
+length; its queries and its steps tuple are built when first read.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterable, Iterator, Literal
 
 from .core import (
@@ -268,77 +274,120 @@ def same_shape(a, b) -> bool:
 
 # ------------------------------------------------------------- derivations
 
+def _rebuilt(t: Term, store: dict, arith: bool) -> Term:
+    """`t` with each variable that `store` binds replaced by its value, in
+    turn resolved (acyclic triangular bindings applied until none is left)
+    and, when `arith`, each ground subtraction of integer literals by its
+    value.  Rebuilt from an explicit stack of frames (node, arguments, new
+    arguments so far); constants, and ground terms unless `arith`, are kept."""
+    stack = [(None, (t,), [])]
+    while True:
+        node, args, done = stack[-1]
+        for a in args[len(done):]:
+            while type(a) is Var and (value := store.get(a)) is not None:
+                a = value
+            if type(a) is Var or not a.args or a.ground and not arith:
+                done.append(a)
+            else:
+                stack.append((a, a.args, []))
+                break
+        else:
+            stack.pop()
+            if node is None:
+                return done[0]
+            if arith and node.name == MINUS and len(done) == 2 and all(
+                    type(x) is Fun and not x.args and is_int_literal(x.name) for x in done):
+                new = Fun(str(int(done[0].name) - int(done[1].name)))
+            else:
+                new = node if tuple(done) == args else Fun(node.name, tuple(done))
+            stack[-1][2].append(new)
+
+
 def eval_arith(obj):
     """Replace every ground subtraction of integer literals with its value.
     Works on terms, atoms and queries.  Terms are walked with an explicit
     stack, so their depth is not bounded by the recursion limit."""
-    if isinstance(obj, tuple):
-        return tuple(eval_arith(a) for a in obj)
-    if isinstance(obj, Atom):
-        return Atom(obj.pred, eval_arith(obj.args))
-    if not isinstance(obj, (Var, Fun)):
-        raise TypeError(f"cannot evaluate {obj!r}")
-    done: list[Term] = []
-    todo: list[tuple[Term, bool]] = [(obj, False)]
-    while todo:
-        t, ready = todo.pop()
-        if isinstance(t, Var) or not t.args:
-            done.append(t)
-        elif not ready:
-            todo.append((t, True))
-            todo.extend((a, False) for a in reversed(t.args))
-        else:
-            args = tuple(done[-len(t.args):])
-            del done[-len(t.args):]
-            if (t.name == MINUS and len(args) == 2
-                    and all(isinstance(a, Fun) and not a.args and is_int_literal(a.name)
-                            for a in args)):
-                done.append(Fun(str(int(args[0].name) - int(args[1].name))))
-            elif args == t.args:
-                done.append(t)
-            else:
-                done.append(Fun(t.name, args))
-    return done[0]
+    t = type(obj)
+    if t is Var or t is Fun:
+        return _rebuilt(obj, {}, True)
+    if t is Atom:
+        return Atom(obj.pred, tuple([_rebuilt(a, {}, True) for a in obj.args]))
+    if t is tuple:
+        return tuple([eval_arith(a) for a in obj])
+    raise TypeError(f"cannot evaluate {obj!r}")
 
 
-@dataclass(frozen=True)
 class Step:
     """One resolution step: the selected atom's position (1-based), the
     clause used (as the renamed copy actually unified with), the unifier,
-    and the query it produced."""
-    position: int
-    clause_index: int
-    clause: Clause
-    mgu: Subst
-    query: Query
+    and the query it produced, which has `size` atoms.  `parent` is the step
+    before, or the query that the first step resolved; `count` numbers the
+    steps from 1.  The query is built from the parent's when first read and
+    kept; ground subtractions in it are evaluated when `arith`."""
+    __slots__ = ("position", "clause_index", "clause", "mgu", "parent", "count", "size",
+                 "arith", "_query")
+
+    def __init__(self, position: int, clause_index: int, clause: Clause, mgu: Subst,
+                 parent, count: int, size: int, arith: bool):
+        self.position, self.clause_index, self.clause, self.mgu = position, clause_index, clause, mgu
+        self.parent, self.count, self.size, self.arith = parent, count, size, arith
+        self._query = None
+
+    @property
+    def query(self) -> Query:
+        todo, s = [], self  # built down from the nearest known query, without recursion
+        while type(s) is Step and s._query is None:
+            todo.append(s)
+            s = s.parent
+        q = s._query if type(s) is Step else s
+        for s in reversed(todo):
+            q = s.mgu.apply(q[:s.position - 1] + s.clause.body + q[s.position:])
+            s._query = q = eval_arith(q) if s.arith else q
+        return q
 
 
 @dataclass(frozen=True)
 class Derivation:
+    """A derivation of `query`: the chain of steps that ends at `last`, or
+    none.  Its steps tuple is built when first read, and kept."""
     query: Query
-    steps: tuple[Step, ...]
+    last: Step | None = None
+
+    @cached_property
+    def steps(self) -> tuple[Step, ...]:
+        out, s = [], self.last
+        while type(s) is Step:
+            out.append(s)
+            s = s.parent
+        return tuple(reversed(out))
+
+    @property
+    def length(self) -> int:
+        return 0 if self.last is None else self.last.count
 
     @property
     def answer(self) -> Subst:
         """The composition of the steps' unifiers, restricted to the query's
         variables, with ground subtractions evaluated.  Each unifier binds
-        only variables the earlier steps left free, so together their
-        bindings form one triangular substitution without cycles, whose
-        resolution is their most general unifier; only the query's
-        variables are resolved."""
-        theta = Subst.triangular({v: t for s in self.steps for v, t in s.mgu.items()})
+        only variables the earlier steps left free, so their bindings as the
+        solver left them form one triangular substitution without cycles,
+        whose resolution for the query's variables is the answer."""
+        theta = Subst.triangular({v: t for s in self.steps for v, t in s.mgu.bindings.items()})
         return Subst({v: eval_arith(theta[v]) for v in vars_in_order(self.query) if v in theta})
 
     @property
     def final(self) -> Query:
-        return self.steps[-1].query if self.steps else self.query
+        return self.query if self.last is None else self.last.query
 
     @property
     def succeeded(self) -> bool:
-        return not self.final
+        return not (self.query if self.last is None else self.last.size)
 
 
-def _resolvent(query: Query, position: int, clause: Clause) -> tuple[Subst, Query] | None:
+def derive_step(query: Query, position: int, clause: Clause) -> tuple[Subst, Query] | None:
+    """Resolve the atom at `position` (1-based) with `clause`, which must
+    already be renamed apart from the query.  Ground subtractions in the
+    result are evaluated.  None when the head does not unify."""
     if not 1 <= position <= len(query):
         raise IndexError(f"no atom at position {position}")
     a = query[position - 1]
@@ -348,20 +397,19 @@ def _resolvent(query: Query, position: int, clause: Clause) -> tuple[Subst, Quer
         theta = mgu_terms([(a, clause.head)])
     except UnificationError:
         return None
-    return theta, theta.apply(query[:position - 1] + clause.body + query[position:])
-
-
-def derive_step(query: Query, position: int, clause: Clause) -> tuple[Subst, Query] | None:
-    """Resolve the atom at `position` (1-based) with `clause`, which must
-    already be renamed apart from the query.  Ground subtractions in the
-    result are evaluated.  None when the head does not unify."""
-    got = _resolvent(query, position, clause)
-    return None if got is None else (got[0], eval_arith(got[1]))
+    return theta, eval_arith(theta.apply(query[:position - 1] + clause.body + query[position:]))
 
 
 def _tops(args: tuple) -> tuple:
     """Each argument's top functor, (name, arity), or None for a variable."""
     return tuple(None if type(t) is Var else (t.name, len(t.args)) for t in args)
+
+
+def _push(atoms, rest: tuple | None) -> tuple | None:
+    """The goal list `atoms` then `rest`: (atom, rest) cells, None when empty."""
+    for a in reversed(atoms):
+        rest = (a, rest)
+    return rest
 
 
 def derivations(program: Program, query: Query, depth: int = 5,
@@ -375,10 +423,17 @@ def derivations(program: Program, query: Query, depth: int = 5,
     A clause whose head has at some argument a top functor other than the
     atom's is skipped before renaming; it still uses up the fresh names its
     copy would have drawn, so every copy is named as if none were skipped.
-    Resolution only combines the terms of the query and the clauses, so
-    ground subtractions are evaluated, in the query once and in every
-    resolvent, only when one of them contains `-`; without it evaluation is
-    the identity.  `Derivation.query` is the query as given.
+
+    Resolution shares structure, as in Prolog: goals stay as the clauses
+    give them, in a linked list, and the unifiers of the steps on the
+    current branch keep their bindings in one store, from which a step's
+    leave when the search backtracks past it.  Only the selected atom is
+    resolved under the store, into the atom that the rewritten query would
+    hold, so every unifier is as if the query were rewritten.  Ground
+    subtractions are evaluated, in the query once and in every selected
+    atom, only when the query or a clause contains `-`.  A derivation reads
+    none of the store: its queries and answer come from its chain of steps.
+    `Derivation.query` is the query as given.
     """
     if selection not in ("leftmost", "all"):
         raise ValueError(f"unknown selection rule: {selection}")
@@ -388,17 +443,20 @@ def derivations(program: Program, query: Query, depth: int = 5,
         by_pred.setdefault((c.head.pred, len(c.head.args)), []).append(
             (idx, c, vars_in_order(c), _tops(c.head.args)))
     drawn = 0  # fresh variable indices issued so far
-    names = _function_names([c for _, c in clauses] + [wrap_query(query)])
-    resolve = derive_step if MINUS in names else _resolvent
+    arith = MINUS in _function_names([c for _, c in clauses] + [wrap_query(query)])
+    start = eval_arith(tuple(query)) if arith else tuple(query)
+    store: dict = {}  # the bindings of the steps on the current branch
 
     def children(node: tuple) -> Iterator[tuple]:
         nonlocal drawn
-        cur, steps = node
-        if len(steps) >= depth or not cur:
+        d, goals = node
+        if goals is None or d.length >= depth:
             return
-        positions = range(1, len(cur) + 1) if selection == "all" else (1,)
-        for k in positions:
-            a = cur[k - 1]
+        parent, size = (start, len(start)) if d.last is None else (d.last, d.last.size)
+        before: list[Atom] = []  # the goals left of position k
+        for k in range(1, size + 1 if selection == "all" else 2):
+            atom, rest = goals
+            a = Atom(atom.pred, tuple([_rebuilt(t, store, arith) for t in atom.args]))
             tops = _tops(a.args)
             for idx, c, vs, heads in by_pred.get((a.pred, len(a.args)), ()):
                 first = drawn
@@ -406,16 +464,23 @@ def derivations(program: Program, query: Query, depth: int = 5,
                 if any(h != t for h, t in zip(heads, tops) if h and t):
                     continue
                 copy = apply_subst(c, {v: Var(v.name, first + i) for i, v in enumerate(vs, 1)})
-                got = resolve(cur, k, copy)
-                if got is None:
+                try:
+                    theta = mgu_terms([(a, copy.head)])
+                except UnificationError:
                     continue
-                theta, nxt = got
-                yield nxt, steps + (Step(k, idx, copy, theta, nxt),)
+                store.update(theta.bindings)
+                step = Step(k, idx, copy, theta, parent, d.length + 1,
+                            size - 1 + len(copy.body), arith)
+                yield Derivation(query, step), _push(before, _push(copy.body, rest))
+                for v in theta.bindings:
+                    del store[v]
+            before.append(atom)
+            goals = rest
 
-    # Children are generated lazily, so copies draw names in search order.
-    start = eval_arith(query) if MINUS in names else query
-    for _, steps in depth_first((start, ()), children):
-        yield Derivation(query, steps)
+    # Children are generated lazily, so copies draw names in search order,
+    # and a child's subtree is searched before its bindings leave the store.
+    for d, _ in depth_first((Derivation(query), _push(start, None)), children):
+        yield d
 
 
 def answers(program: Program, query: Query, depth: int = 5,

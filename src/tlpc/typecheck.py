@@ -93,7 +93,7 @@ class _Infer:
                 if len(decl.arg_types) != len(x.args):
                     raise UntypableError(
                         f"function {x.name}/{len(decl.arg_types)} used with {len(x.args)} arguments")
-                copied = rename_apart(decl.arg_types + (decl.result,), self.ns)
+                copied = rename_apart(decl.arg_types + (decl.result,), self.ns, decl.params)
                 done.append(copied[-1])
                 for i in reversed(range(len(x.args))):
                     todo += ((x, i, copied[i]), x.args[i])
@@ -106,7 +106,7 @@ class _Infer:
         if len(decl.arg_types) != len(a.args):
             raise UntypableError(
                 f"predicate {a.pred}/{len(decl.arg_types)} used with {len(a.args)} arguments")
-        vec = rename_apart(decl.arg_types, self.ns)
+        vec = rename_apart(decl.arg_types, self.ns, decl.params)
         for i, (arg, ety) in enumerate(zip(a.args, vec)):
             self.constrain(self.term(arg), ety, i, a)
         return vec

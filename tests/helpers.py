@@ -11,6 +11,7 @@ import contextlib
 import itertools
 import re
 import signal
+import tracemalloc
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -72,6 +73,35 @@ def time_limit(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@contextlib.contextmanager
+def memory_limit(mib: float):
+    """Trace the body's allocations with `tracemalloc`, and raise
+    MemoryError once the memory traced so far exceeds `mib` MiB: checked
+    every 0.1 s of CPU time while the body runs, and on its peak at the end.
+    So a test of a memory bound fails early, and never exhausts memory.
+    Without SIGVTALRM only the peak is checked."""
+    limit = mib * 2 ** 20
+
+    def check(signum=None, frame=None):
+        used = tracemalloc.get_traced_memory()[1 if signum is None else 0]
+        if used > limit:
+            raise MemoryError(f"{used / 2 ** 20:.1f} MiB traced, over {mib} MiB")
+
+    timed = hasattr(signal, "SIGVTALRM")
+    if timed:
+        previous = signal.signal(signal.SIGVTALRM, check)
+        signal.setitimer(signal.ITIMER_VIRTUAL, 0.1, 0.1)
+    tracemalloc.start()
+    try:
+        yield
+        check()
+    finally:
+        if timed:
+            signal.setitimer(signal.ITIMER_VIRTUAL, 0)
+            signal.signal(signal.SIGVTALRM, previous)
+        tracemalloc.stop()
 
 
 SMALL_SIG_TEXT = """

@@ -105,6 +105,16 @@ MUTANTS = [
            "for h, t in zip(heads, tops) if t):", DERIVE),
     Mutant("answer: each binding taken without resolving the later ones", "src/tlpc/trees.py",
            "eval_arith(theta[v])", "eval_arith(theta._m[v])", DERIVE),
+    # Structure-sharing resolution: one binding store and a chain of steps.
+    Mutant("derivations: the store not undone on backtracking", "src/tlpc/trees.py",
+           "                for v in theta.bindings:\n                    del store[v]\n", "",
+           DERIVE),
+    Mutant("derivations: the selected atom not resolved under the store", "src/tlpc/trees.py",
+           "_rebuilt(t, store, arith) for t in atom.args", "_rebuilt(t, {}, arith) for t in atom.args",
+           DERIVE),
+    Mutant("Step.query: built without the step's unifier", "src/tlpc/trees.py",
+           "q = s.mgu.apply(q[:s.position - 1] + s.clause.body + q[s.position:])",
+           "q = q[:s.position - 1] + s.clause.body + q[s.position:]", DERIVE),
     # The solver's Subst, resolved on first read, and substitution.
     Mutant("Subst: a value stored without resolving the variables it mentions first",
            "src/tlpc/core.py",

@@ -17,7 +17,8 @@ from tlpc.srcheck import subject_reduction, type_skeleton_of
 from tlpc.trees import enumerate_skeletons, tp_fixpoint
 
 from helpers import (
-    BENCH_PROGRAMS, EXTRA_QUERIES, FLAT_TEXT, MK_TEXT, REPO, corpus_path, readme_transcripts,
+    BENCH_PROGRAMS, EXTRA_QUERIES, FLAT_TEXT, MK_TEXT, REPO, corpus_path, memory_limit,
+    readme_transcripts, time_limit,
 )
 
 
@@ -219,6 +220,23 @@ def test_run_long_countdown(capsys, tmp_path):
         countdown = ", ".join(str(k) for k in range(n, 0, -1))
         assert out.splitlines()[0] == f"answer: Xs = [{countdown}]"
         assert err == ""
+
+
+def test_run_long_countdown_in_linear_memory(capsys, tmp_path):
+    # Each derivation is its last step with a pointer to the one before, so
+    # memory grows linearly with the run.  This run traces about 66 MiB at
+    # its peak, answer and output included (about 3.4 KiB per step); keeping
+    # each step's prefix as a tuple would need about 1.6 GB for the tuples alone.
+    n = 20000
+    f = tmp_path / "mk.tlp"
+    f.write_text(MK_TEXT)
+    with time_limit(60), memory_limit(120):
+        code, out, err = run_cli(capsys, "run", str(f), "--query", f"mk({n}, Xs)",
+                                 "--depth", str(n + 1))
+    assert (code, err) == (0, "")
+    answer = out.splitlines()[0]
+    assert answer.startswith(f"answer: Xs = [{n}, {n - 1}, ") and answer.endswith(", 2, 1]")
+    assert answer.count(",") == n - 1
 
 
 def test_run_evaluates_subtraction_in_the_query(capsys):

@@ -137,7 +137,8 @@ def test_leftmost_derivations_yield_all_prefixes(nest):
 def test_depth_zero_single_empty_derivation(append):
     q = parse_query("r([1])", append.signature)
     ds = list(derivations(append, q, depth=0))
-    assert ds == [Derivation(q, ())]
+    assert ds == [Derivation(q)]
+    assert ds[0].steps == () and ds[0].final == q and ds[0].succeeded is False
     assert ds[0].answer == Subst({})
 
 
@@ -171,13 +172,44 @@ def test_all_selection_tries_every_position(append):
         next(derivations(append, q, depth=1, selection="bogus"))
 
 
+# Subtraction where resolution must evaluate it: in a selected atom whose
+# subtraction a later step's binding makes ground (`X = 3` binds the `X` of
+# `X-1`), in a clause head, and in a binding's value.  Each has one answer.
+ARITH_TEXT = """
+kind int/0.
+pred p(int).  pred q(int, int).  pred s(int).
+p(3-1).
+q(X, X-1).
+s(2).
+"""
+ARITH_CASES = [("q(X, Y), X = 3, s(Y)", {"X": "3", "Y": "2"}),
+               ("p(Z), s(Z)", {"Z": "2"}),
+               ("q(3, Y), s(Y)", {"Y": "2"})]
+
+
+def arith_cases():
+    program = parse_program(ARITH_TEXT)
+    return [(program, parse_query(text, program.signature)) for text, _ in ARITH_CASES]
+
+
 @pytest.mark.parametrize("selection", ["leftmost", "all"])
-def test_answers_match_eager_composer(corpus, selection):
+def test_arith_cases_evaluate_subtraction(selection):
+    for (program, q), (_, want) in zip(arith_cases(), ARITH_CASES):
+        got = [{v.name: t.name for v, t in a.items()} for a in answers(program, q, 4, selection)]
+        assert got and all(a == want for a in got), render(q)
+
+
+def _resolution_cases(corpus):
     mk = parse_program(MK_TEXT)
     cases = [corpus_query(corpus, name, text) for name, text in CORPUS_QUERIES + EXTRA_QUERIES]
     cases += [(mk, parse_query(text, mk.signature)) for text in ("mk(4, Xs)", "mk(N, Xs)", "mk(3-1, Xs)")]
     cases += [corpus_query(corpus, "nestcount", text) for text in ("r(3, X)", "r(J, [[X]])")]
-    for program, q in cases:
+    return cases + arith_cases()
+
+
+@pytest.mark.parametrize("selection", ["leftmost", "all"])
+def test_answers_match_eager_composer(corpus, selection):
+    for program, q in _resolution_cases(corpus):
         ds = list(derivations(program, q, 6, selection))
         want = list(eager_answers(program, q, 6, selection))
         assert len(ds) == len(want), render(q)
@@ -222,6 +254,8 @@ def test_derivations_match_the_reference_search(selection):
     mk = parse_program(MK_TEXT)
     for text in ("mk(4, Xs)", "mk(N, Xs)", "mk(3-1, Xs)"):
         _match_reference(mk, parse_query(text, mk.signature), 6, selection, seen)
+    for program, q in arith_cases():
+        _match_reference(program, q, 4, selection, seen)
 
     @settings(max_examples=100, derandomize=True, deadline=None,
               suppress_health_check=(HealthCheck.too_slow,))
@@ -233,6 +267,19 @@ def test_derivations_match_the_reference_search(selection):
 
     check()
     assert min(seen.values()) >= 30, seen
+
+
+@pytest.mark.parametrize("selection", ["leftmost", "all"])
+def test_derivations_read_after_the_search_match_those_read_during_it(corpus, selection):
+    # The search undoes its bindings as it backtracks, so a derivation that
+    # is read only after the search has ended must not read them.
+    def read(d):
+        return ([(s.position, s.clause_index, s.clause, s.mgu, s.query) for s in d.steps],
+                d.length, d.final, d.succeeded, d.answer)
+
+    for program, q in _resolution_cases(corpus):
+        during = [read(d) for d in derivations(program, q, 5, selection)]
+        assert [read(d) for d in list(derivations(program, q, 5, selection))] == during, render(q)
 
 
 def test_answers(append, nest):
